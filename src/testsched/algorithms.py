@@ -335,7 +335,9 @@ class OnlineAlgorithm:
     exact: Optional[Callable] = None
 
     def generator(self, seed=None):
-        """Generator function for one run; seed is ignored when deterministic."""
+        """Generator function for one run; a randomized rule needs a seed."""
+        if self.randomized and seed is None:
+            raise ConfigurationError(f"{self.key}: randomized rule needs a seed")
         return self.build(seed)
 
     def exact_outcomes(self, n, uppers):

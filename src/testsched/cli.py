@@ -184,7 +184,13 @@ def cmd_sweep(args):
         tasks.append((index, args.algorithm, args.gen, params, args.objective,
                       args.trials, seed))
 
-    workers = int(os.environ.get("TESTSCHED_WORKERS", "1"))
+    raw = os.environ.get("TESTSCHED_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"TESTSCHED_WORKERS must be an integer >= 1, got {raw!r}")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))

@@ -69,7 +69,13 @@ class Job:
 
 @dataclass(frozen=True)
 class Instance:
+    """Jobs with ids 0..n-1, checked once by `validate_instance` when built."""
+
     jobs: tuple[Job, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "jobs", tuple(self.jobs))  # a list could change after the check
+        validate_instance(self)
 
     @property
     def n(self) -> int:
@@ -87,26 +93,40 @@ class Instance:
         return Instance(tuple(Job(i, u, p) for i, (u, p) in enumerate(pairs)))
 
 
+_EXACT_TYPES = frozenset((int, float, Fraction))
+
+
 def validate_instance(inst: Instance) -> None:
     """Raise InstanceError unless `inst` is well formed.
 
     Checks: at least one job, consecutive ids from 0, finite numeric values,
-    0 <= lower <= proc <= upper.
+    0 <= lower <= proc <= upper.  `Instance` calls this once, when built.
+    A job of plain int, float or Fraction values passes on one chained
+    comparison; any other job goes to `_check_job`, which names the fault.
     """
     if not isinstance(inst, Instance) or inst.n == 0:
         raise InstanceError("instance must contain at least one job")
+    exact = _EXACT_TYPES
     for i, job in enumerate(inst.jobs):
-        if job.id != i:
-            raise InstanceError(f"job {i}: id {job.id} out of order (ids must be 0..n-1)")
-        for name in ("upper", "proc", "lower"):
-            if not _finite(getattr(job, name)):
-                raise InstanceError(f"job {i}: {name} is not a finite number")
-        if job.proc < 0 or job.lower < 0:
-            raise InstanceError(f"job {i}: negative time")
-        if job.proc > job.upper:
-            raise InstanceError(f"job {i}: proc {job.proc} exceeds upper limit {job.upper}")
-        if job.lower > job.proc:
-            raise InstanceError(f"job {i}: lower limit {job.lower} exceeds proc {job.proc}")
+        u, p, lo = job.upper, job.proc, job.lower
+        if not (job.id == i and type(u) in exact and type(p) in exact and type(lo) in exact
+                and 0 <= lo <= p <= u < math.inf):
+            _check_job(i, job)
+
+
+def _check_job(i: int, job: Job) -> None:
+    """Per-field check of job `i`; raises InstanceError naming the first fault."""
+    if job.id != i:
+        raise InstanceError(f"job {i}: id {job.id} out of order (ids must be 0..n-1)")
+    for name in ("upper", "proc", "lower"):
+        if not _finite(getattr(job, name)):
+            raise InstanceError(f"job {i}: {name} is not a finite number")
+    if job.proc < 0 or job.lower < 0:
+        raise InstanceError(f"job {i}: negative time")
+    if job.proc > job.upper:
+        raise InstanceError(f"job {i}: proc {job.proc} exceeds upper limit {job.upper}")
+    if job.lower > job.proc:
+        raise InstanceError(f"job {i}: lower limit {job.lower} exceeds proc {job.proc}")
 
 
 @dataclass
@@ -218,9 +238,7 @@ def load_instance(path, exact: bool = False) -> Instance:
             raise InstanceError(f"job {i}: expected an object with 'upper' and 'proc'")
         lower = row.get("lower", 0)
         jobs.append(Job(i, row["upper"], row["proc"], lower))
-    inst = Instance(tuple(jobs))
-    validate_instance(inst)
-    return inst
+    return Instance(tuple(jobs))
 
 
 def dump_instance(inst: Instance, path) -> None:

@@ -26,7 +26,6 @@ from .core import (
     Job,
     Num,
     Trace,
-    validate_instance,
 )
 
 EXACT_ENUMERATION_LIMIT = 8  # n! / outcome enumeration only up to this n
@@ -37,10 +36,9 @@ class ProtocolError(RuntimeError):
 
 
 class StaticSource:
-    """Reveals the fixed processing times of a concrete instance."""
+    """Reveals the fixed processing times of an instance (checked when built)."""
 
     def __init__(self, inst: Instance):
-        validate_instance(inst)
         self.inst = inst
         self._procs = inst.procs()
 

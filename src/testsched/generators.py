@@ -12,14 +12,8 @@ import random
 from fractions import Fraction
 
 from . import analysis
-from .core import Instance, InstanceError, validate_instance
+from .core import Instance, InstanceError
 from .engine import AdaptiveSource
-
-
-def _build(pairs):
-    inst = Instance.from_pairs(pairs)
-    validate_instance(inst)
-    return inst
 
 
 def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
@@ -32,7 +26,7 @@ def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
     if min(a, b, c) < 0 or a + b + c < 1:
         raise InstanceError(f"need nonnegative counts with a+b+c >= 1, got {(a, b, c)}")
     pairs = [(2 + epsilon, 2 + epsilon)] * c + [(2, 2)] * b + [(2, 0)] * a
-    return _build(pairs)
+    return Instance.from_pairs(pairs)
 
 
 def four_type_counts(n, alpha, beta, gamma):
@@ -58,7 +52,7 @@ def gen_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
     E = analysis.RANDOM_E_PUBLISHED if E is None else E
     m0, mt, me, md = four_type_counts(n, alpha, beta, gamma)
     pairs = [(T, 0)] * m0 + [(T, T)] * mt + [(E, E)] * me + [(E + epsilon, E + epsilon)] * md
-    return _build(pairs)
+    return Instance.from_pairs(pairs)
 
 
 def det_lb_adversary(n, delta, p_bar):
@@ -98,7 +92,7 @@ def gen_rand_lb(n, q, seed, exact=False):
     pairs = []
     for _ in range(n):
         pairs.append((limit, 0 if rng.random() < q else limit))
-    return _build(pairs)
+    return Instance.from_pairs(pairs)
 
 
 def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
@@ -127,7 +121,7 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
                 pairs.append(zero_job)
     else:
         raise InstanceError(f"unknown placement {placement!r}")
-    return _build(pairs)
+    return Instance.from_pairs(pairs)
 
 
 def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, middle=None):
@@ -153,7 +147,7 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, mid
             raise InstanceError(f"middle time {middle} outside [0, {p_bar}]")
         pairs.append((p_bar, middle))
     pairs += [(p_bar, mid_value)] * nmid + [(p_bar, 0)] * nzero
-    return _build(pairs)
+    return Instance.from_pairs(pairs)
 
 
 def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
@@ -175,7 +169,7 @@ def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
             u = rng.uniform(1e-3, max_upper)
             p = rng.uniform(0.0, u)
         pairs.append((u, p))
-    return _build(pairs)
+    return Instance.from_pairs(pairs)
 
 
 GENERATOR_NAMES = (

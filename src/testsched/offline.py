@@ -23,7 +23,6 @@ from .core import (
     Num,
     Trace,
     build_trace,
-    validate_instance,
 )
 
 BRUTE_FORCE_MAX_N = 10
@@ -54,21 +53,23 @@ def should_test(job) -> bool:
 
 
 def optimal_sum(inst: Instance) -> OptPlan:
-    """Exact optimal sum of completion times (shortest key first)."""
-    validate_instance(inst)
-    order = sorted(inst.jobs, key=lambda j: (job_key(j), j.id))
+    """Exact optimal sum of completion times (shortest key first, ties by id).
+
+    `inst` was checked when built, so job ids are the indices sorted here.
+    """
+    keys = [min(1 + j.proc, j.upper) for j in inst.jobs]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     tested = frozenset(j.id for j in inst.jobs if should_test(j))
     t: Num = 0
     total: Num = 0
-    for j in order:
-        t = t + job_key(j)
+    for k in order:
+        t = t + keys[k]
         total = total + t
-    return OptPlan(tuple(j.id for j in order), tested, total, t)
+    return OptPlan(tuple(order), tested, total, t)
 
 
 def optimal_makespan(inst: Instance) -> tuple[Num, frozenset]:
     """Minimal makespan and the set of jobs tested to achieve it."""
-    validate_instance(inst)
     value: Num = 0
     for j in inst.jobs:
         value = value + job_key(j)
@@ -100,7 +101,6 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     1 + p or the upper limit, plus a permutation.  Cost grows as n! * 2^n;
     instances beyond n = 10 are refused.
     """
-    validate_instance(inst)
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleSizeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N}")

@@ -210,6 +210,16 @@ class TestRegistry:
     def test_parse_plain(self):
         assert parse_algorithm("threshold").key == "threshold"
 
+    @pytest.mark.parametrize("name", ["random", "makespan_rand"])
+    def test_randomized_generator_needs_seed(self, name):
+        with pytest.raises(ConfigurationError, match="needs a seed"):
+            parse_algorithm(name).generator()
+
+    def test_deterministic_generator_ignores_seed(self):
+        pairs = [(3, 0.5), (3, 2.8), (2, 2)]
+        alg = parse_algorithm("threshold")
+        assert trace_of(alg, pairs, seed="x").steps == trace_of(alg, pairs).steps
+
     def test_parse_with_params(self):
         alg = parse_algorithm("random[T=1.8,E=3.0]")
         assert alg.params == {"T": 1.8, "E": 3.0}

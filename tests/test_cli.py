@@ -132,6 +132,13 @@ class TestSweep:
         assert self.run_sweep(b) == 0
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_worker_count(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setenv("TESTSCHED_WORKERS", workers)
+        assert self.run_sweep(tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: TESTSCHED_WORKERS must be an integer >= 1, got {workers!r}"]
+
     def test_seeded_randomized_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "random", "--gen", "extreme_uniform", "--param", "n=30",

@@ -1,6 +1,8 @@
 """Trace accounting, instance validation, and file round-trips."""
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from testsched.core import (
     InstanceError,
     Job,
     TraceError,
+    _check_job,
     build_trace,
     check_trace_durations,
     cost_of_trace,
@@ -141,6 +144,48 @@ class TestValidateInstance:
     def test_ids_must_be_consecutive(self):
         with pytest.raises(InstanceError):
             validate_instance(Instance((Job(1, 2, 1),)))
+
+    def test_jobs_frozen_as_tuple(self):
+        jobs = [Job(0, 2, 1)]
+        inst = Instance(jobs)
+        jobs.append(Job(7, 1, 5))
+        assert inst.jobs == (Job(0, 2, 1),)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Instance.from_pairs([(2, 3)]), "job 0: proc 3 exceeds upper limit 2"),
+        (lambda: Instance(()), "instance must contain at least one job"),
+        (lambda: Instance((Job(0, 2, 1), Job(2, 2, 1))),
+         "job 1: id 2 out of order (ids must be 0..n-1)"),
+    ], ids=["proc_above_upper", "empty", "ids_out_of_order"])
+    def test_constructor_raises(self, build, message):
+        # no validate_instance call: the constructor checks, with today's messages
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_fast_check_agrees_with_per_field_check(self):
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        edges = [0, -0.0, 0.5, -1, math.nan, math.inf, -math.inf, True,
+                 Fraction(1, 3), 10**400, Int(1), Float(0.25), "1", None]
+
+        def verdict(check):
+            try:
+                check()
+            except InstanceError as exc:
+                return str(exc)
+            return None
+
+        accepted = 0
+        for job_id, u, p, lo in itertools.product((0, 1), edges, edges, edges):
+            job = Job(job_id, u, p, lo)
+            want = verdict(lambda: _check_job(0, job))
+            assert verdict(lambda: Instance((job,))) == want, (job_id, u, p, lo)
+            accepted += want is None
+        assert accepted > 0  # the table reaches both verdicts
 
 
 class TestNumbersEqual:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from testsched.core import Instance, cost_of_trace
-from testsched.generators import gen_random
+from testsched.algorithms import parse_algorithm
+from testsched.core import Instance, check_trace_durations, cost_of_trace, validate_instance
+from testsched.engine import run
+from testsched.generators import det_lb_adversary, gen_random
 from testsched.offline import (
+    OptPlan,
     OracleSizeError,
     brute_force_optimum,
     job_key,
@@ -79,6 +82,39 @@ class TestOptimalSum:
         total, makespan = cost_of_trace(tr)
         assert total == plan.total
         assert makespan == plan.makespan
+
+
+    @pytest.mark.parametrize("num", [float, Fraction])
+    def test_matches_reference_sort_with_ties(self, num):
+        def reference(inst):
+            order = sorted(inst.jobs, key=lambda j: (job_key(j), j.id))
+            t = total = 0
+            for j in order:
+                t = t + job_key(j)
+                total = total + t
+            tested = frozenset(j.id for j in inst.jobs if should_test(j))
+            return OptPlan(tuple(j.id for j in order), tested, total, t)
+
+        grid = [num(v) / 2 for v in range(7)]  # few values, so many keys tie
+        for i in range(150):
+            rng = random.Random(f"ties:{i}")
+            pairs = []
+            for _ in range(rng.randrange(1, 40)):
+                u = rng.choice(grid)
+                pairs.append((u, rng.choice([v for v in grid if v <= u])))
+            inst = Instance.from_pairs(pairs)
+            plan, want = optimal_sum(inst), reference(inst)
+            assert plan == want
+            assert type(plan.total) is type(want.total)
+
+    def test_adversary_realized_instance_is_valid(self):
+        source = det_lb_adversary(60, 0.4, 2.5)
+        trace = run(parse_algorithm("threshold").generator(), source, 60, [2.5] * 60)
+        inst = source.realized_instance()
+        validate_instance(inst)
+        assert inst.uppers() == (2.5,) * 60
+        check_trace_durations(trace, inst)
+        assert optimal_sum(inst).total <= trace.total
 
 
 class TestOptimalMakespan:
