@@ -57,93 +57,58 @@ def _drain(deferred):
 
 
 # ---------------------------------------------------------------------------
-# Threshold rule: run limits below 2 blind, test the rest, defer anything
-# whose revealed time exceeds 2.
+# Blind-prefix testers, one body with different (T, E, order): run limits
+# below T blind, test the rest in `order`, run a job at once when its revealed
+# time is at most E, and defer the others to a shortest-first tail.
+# Threshold rule: T = E = 2, id order.  Delay-everything variant: E = -1, so
+# nothing runs until every remaining job is tested; kept as the cautionary
+# baseline, its ratio grows linearly with n.  Randomized tester: (T, E) with
+# a uniformly random test order.
 
 
-def threshold_generator(view):
-    n, uppers = view
-    blind = small_limit_prefix(uppers, 2)
+def _split(uppers, T):
+    """(blind prefix of limits below T, the other ids in id order)."""
+    return small_limit_prefix(uppers, T), [j for j in range(len(uppers)) if uppers[j] >= T]
+
+
+def _blind_test_defer(blind, order, E):
+    """Run `blind` untested, then test `order`, deferring revealed times above E."""
     for j in blind:
         yield EXEC_UNTESTED, j
-    skip = set(blind)
     deferred = []
-    for j in range(n):
-        if j in skip:
-            continue
+    for j in order:
         p = yield TEST, j
-        if p <= 2:
+        if p <= E:
             yield EXEC_TESTED, j
         else:
             heappush(deferred, (p, j))
     yield from _drain(deferred)
 
 
-# ---------------------------------------------------------------------------
-# Delay-everything variant: same blind prefix, but no execution happens
-# until every remaining job has been tested.  Kept as the cautionary
-# baseline; its ratio grows linearly with n.
+def threshold_generator(view):
+    return _blind_test_defer(*_split(view[1], 2), 2)
 
 
 def delay_all_generator(view):
-    n, uppers = view
-    blind = small_limit_prefix(uppers, 2)
-    for j in blind:
-        yield EXEC_UNTESTED, j
-    skip = set(blind)
-    deferred = []
-    for j in range(n):
-        if j in skip:
-            continue
-        p = yield TEST, j
-        heappush(deferred, (p, j))
-    yield from _drain(deferred)
-
-
-# ---------------------------------------------------------------------------
-# Randomized tester: thresholds (T, E), uniformly random test order.
+    return _blind_test_defer(*_split(view[1], 2), -1)
 
 
 def make_random_order(T, E):
     def build(seed):
         def gen(view):
-            n, uppers = view
-            blind = small_limit_prefix(uppers, T)
-            for j in blind:
-                yield EXEC_UNTESTED, j
-            rest = [j for j in range(n) if uppers[j] >= T]
+            blind, rest = _split(view[1], T)
             random.Random(seed).shuffle(rest)
-            yield from _test_run_defer(rest, E)
+            return _blind_test_defer(blind, rest, E)
         return gen
     return build
 
 
-def _test_run_defer(order, exec_cutoff):
-    deferred = []
-    for j in order:
-        p = yield TEST, j
-        if p <= exec_cutoff:
-            yield EXEC_TESTED, j
-        else:
-            heappush(deferred, (p, j))
-    yield from _drain(deferred)
-
-
 def make_random_order_exact(T, E):
     def outcomes(n, uppers):
-        blind = small_limit_prefix(uppers, T)
-        rest = [j for j in range(n) if uppers[j] >= T]
+        blind, rest = _split(uppers, T)
         weight = Fraction(1, math.factorial(len(rest)))
-
-        def fixed(order):
-            def gen(view):
-                for j in blind:
-                    yield EXEC_UNTESTED, j
-                yield from _test_run_defer(order, E)
-            return gen
-
         for perm in permutations(rest):
-            yield weight, fixed(perm)
+            yield weight, lambda view, order=perm: _blind_test_defer(blind, order, E)
     return outcomes
 
 
@@ -266,27 +231,25 @@ def make_lb_schedule(nu, lam, delta):
 # the decision is per job and depends only on the limit.
 
 
-def makespan_det_generator(view):
-    n, uppers = view
-    for j in range(n):
-        if uppers[j] > analysis.GOLDEN_RATIO:
+def _per_job(flags):
+    """Test job j and run it at once where flags[j], else run it blind."""
+    for j, tested in enumerate(flags):
+        if tested:
             yield TEST, j
             yield EXEC_TESTED, j
         else:
             yield EXEC_UNTESTED, j
 
 
+def makespan_det_generator(view):
+    return _per_job([u > analysis.GOLDEN_RATIO for u in view[1]])
+
+
 def make_makespan_rand(seed):
     def gen(view):
-        n, uppers = view
         rng = random.Random(seed)
-        for j in range(n):
-            q = analysis.makespan_test_probability(uppers[j])
-            if q > 0 and rng.random() < q:
-                yield TEST, j
-                yield EXEC_TESTED, j
-            else:
-                yield EXEC_UNTESTED, j
+        probs = map(analysis.makespan_test_probability, view[1])
+        return _per_job([q > 0 and rng.random() < q for q in probs])
     return gen
 
 
@@ -294,28 +257,12 @@ def makespan_rand_exact(n, uppers):
     per_job = []
     for j in range(n):
         q = analysis.makespan_test_probability(uppers[j])
-        if q == 0:
-            per_job.append(((1, False),))
-        else:
-            per_job.append(((q, True), (1 - q, False)))
-
-    def fixed(flags):
-        def gen(view):
-            for j, tested in enumerate(flags):
-                if tested:
-                    yield TEST, j
-                    yield EXEC_TESTED, j
-                else:
-                    yield EXEC_UNTESTED, j
-        return gen
-
+        per_job.append(((1, False),) if q == 0 else ((q, True), (1 - q, False)))
     for combo in product(*per_job):
         weight = 1
-        flags = []
-        for w, tested in combo:
+        for w, _ in combo:
             weight = weight * w
-            flags.append(tested)
-        yield weight, fixed(tuple(flags))
+        yield weight, lambda view, flags=[tested for _, tested in combo]: _per_job(flags)
 
 
 # ---------------------------------------------------------------------------

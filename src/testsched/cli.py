@@ -30,7 +30,7 @@ from .core import (
     load_instance,
     load_trace,
 )
-from .engine import ProtocolError, StaticSource, run, run_expected
+from .engine import ExpectedRun, ProtocolError, StaticSource, run, run_expected
 from .offline import optimal_makespan, optimal_sum
 
 
@@ -80,41 +80,41 @@ def _optimum(inst, objective):
     return optimal_sum(inst).total
 
 
+def _evaluate(alg, inst, objective, trials, seed, exact=False):
+    """(cost, OPT, stderr or None, Trace or ExpectedRun); random or exact runs are expectations."""
+    opt = _optimum(inst, objective)
+    if opt <= 0:
+        raise InstanceError("offline optimum is zero; ratio undefined")
+    makespan = objective == "makespan"
+    if alg.randomized or exact:
+        res = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(),
+                           trials=trials, seed=seed, exact=exact)
+        if makespan:
+            return res.makespan, opt, res.makespan_stderr, res
+        return res.total, opt, res.total_stderr, res
+    trace = run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())
+    return trace.makespan if makespan else trace.total, opt, None, trace
+
+
 def cmd_simulate(args):
     exact_numbers = args.mode == "rational"
     alg = parse_algorithm(args.algorithm, exact=exact_numbers)
     inst = _load_or_generate(args, exact_numbers)
-    objective = args.objective
-    opt = _optimum(inst, objective)
-    if opt <= 0:
-        raise InstanceError("offline optimum is zero; ratio undefined")
-
+    objective = args.objective or alg.objective
     if alg.randomized and not args.exact and args.seed is None:
         raise ConfigurationError("randomized algorithm needs --seed (or --exact)")
     if args.trace_out and (alg.randomized or args.exact):
         raise ConfigurationError("--trace-out needs a deterministic single run")
 
-    if alg.randomized or args.exact:
-        res = run_expected(
-            alg, lambda: StaticSource(inst), inst.n, inst.uppers(),
-            trials=args.trials, seed=args.seed, exact=args.exact,
-        )
-        cost = res.makespan if objective == "makespan" else res.total
-        stderr = res.makespan_stderr if objective == "makespan" else res.total_stderr
-        report = RatioReport(
-            alg.key, args.instance or args.gen, inst.n, objective,
-            cost, opt, cost / opt, trials=res.trials, stderr=stderr,
-            exact=res.exact, seed=args.seed,
-        )
-    else:
-        trace = run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())
-        cost = trace.makespan if objective == "makespan" else trace.total
-        report = RatioReport(
-            alg.key, args.instance or args.gen, inst.n, objective,
-            cost, opt, cost / opt,
-        )
-        if args.trace_out:
-            dump_trace(trace, args.trace_out)
+    cost, opt, stderr, res = _evaluate(alg, inst, objective, args.trials, args.seed, args.exact)
+    expected = isinstance(res, ExpectedRun)
+    report = RatioReport(
+        alg.key, args.instance or args.gen, inst.n, objective, cost, opt, cost / opt,
+        trials=res.trials if expected else None, stderr=stderr,
+        exact=expected and res.exact, seed=args.seed if expected else None,
+    )
+    if args.trace_out:
+        dump_trace(res, args.trace_out)
     _emit(report.to_dict(), args.out)
     return 0
 
@@ -143,19 +143,9 @@ def _sweep_values(spec):
 
 def _sweep_point(task):
     (index, alg_text, gen_name, params, objective, trials, seed) = task
-    alg = parse_algorithm(alg_text)
     inst = generators.build_instance(gen_name, params)
-    opt = _optimum(inst, objective)
-    if alg.randomized:
-        res = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(),
-                           trials=trials, seed=seed)
-        cost = res.makespan if objective == "makespan" else res.total
-        stderr = res.makespan_stderr if objective == "makespan" else res.total_stderr
-    else:
-        trace = run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())
-        cost = trace.makespan if objective == "makespan" else trace.total
-        stderr = ""
-    return index, float(cost), float(opt), float(cost) / float(opt), stderr
+    cost, opt, stderr, _ = _evaluate(parse_algorithm(alg_text), inst, objective, trials, seed)
+    return index, float(cost), float(opt), float(cost) / float(opt), "" if stderr is None else stderr
 
 
 def cmd_sweep(args):
@@ -181,7 +171,7 @@ def cmd_sweep(args):
         params = dict(base)
         params.update(assignment)
         seed = f"{args.seed}:{index}" if args.seed is not None else None
-        tasks.append((index, args.algorithm, args.gen, params, args.objective,
+        tasks.append((index, args.algorithm, args.gen, params, args.objective or alg.objective,
                       args.trials, seed))
 
     raw = os.environ.get("TESTSCHED_WORKERS", "1")
@@ -365,7 +355,7 @@ def build_parser():
     sp.add_argument("--instance", help="instance JSON file")
     sp.add_argument("--gen", help="generator name instead of a file")
     sp.add_argument("--param", action="append", default=[], help="generator key=value")
-    sp.add_argument("--objective", choices=("sum", "makespan"), default="sum")
+    sp.add_argument("--objective", choices=("sum", "makespan"), help="default: the rule's own")
     sp.add_argument("--exact", action="store_true",
                     help="exact expectation by outcome enumeration (small n)")
     sp.add_argument("--trace-out", help="write the schedule trace (deterministic runs)")
@@ -378,7 +368,7 @@ def build_parser():
     sp.add_argument("--param", action="append", default=[], help="fixed generator key=value")
     sp.add_argument("--sweep", action="append", default=[], required=True,
                     help="axis as name=lo:hi:step (repeatable, row-major)")
-    sp.add_argument("--objective", choices=("sum", "makespan"), default="sum")
+    sp.add_argument("--objective", choices=("sum", "makespan"), help="default: the rule's own")
     common(sp)
     sp.set_defaults(fn=cmd_sweep)
 

@@ -27,6 +27,9 @@ EXEC_TESTED = "exec_tested"
 EXEC_UNTESTED = "exec_untested"
 KINDS = (TEST, EXEC_TESTED, EXEC_UNTESTED)
 
+# Per-job states of a schedule ledger, one byte per job in a bytearray(n).
+UNTOUCHED, TESTED, DONE = 0, 1, 2
+
 REL_TOL = 1e-9  # float-mode comparison tolerance
 
 
@@ -82,10 +85,10 @@ class Instance:
         return len(self.jobs)
 
     def uppers(self) -> tuple[Num, ...]:
-        return tuple(j.upper for j in self.jobs)
+        return tuple([j.upper for j in self.jobs])  # a list comprehension builds it faster
 
     def procs(self) -> tuple[Num, ...]:
-        return tuple(j.proc for j in self.jobs)
+        return tuple([j.proc for j in self.jobs])
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Num, Num]]) -> "Instance":
@@ -140,6 +143,49 @@ class Trace:
     makespan: Num
 
 
+def action_fault(kind, job, state) -> str:
+    """Name the schedule rule that action `kind` on `job` breaks in ledger `state`."""
+    if kind not in KINDS:
+        return f"unknown kind {kind!r}"
+    if kind == TEST:
+        return f"job {job} tested twice" if state == TESTED else f"job {job} tested after execution"
+    if state == DONE:
+        return f"job {job} executed twice"
+    if kind == EXEC_TESTED:
+        return f"job {job} executed as tested before its test"
+    return f"job {job} executed untested after its test"
+
+
+def _replay(trace: Trace) -> tuple[list, Num, Num]:
+    """One checked walk of the steps: (completions, total, makespan), see cost_of_trace."""
+    n = trace.n
+    state = bytearray(n)
+    completions: list = [None] * n
+    t: Num = 0
+    for i, (kind, job, start, dur) in enumerate(trace.steps):
+        if not isinstance(job, int) or not 0 <= job < n:
+            raise TraceError(f"action {i}: unknown job id {job!r}")
+        if not numbers_equal(start, t):
+            raise TraceError(f"action {i}: starts at {start}, schedule time is {t} (gap or overlap)")
+        if dur < 0:
+            raise TraceError(f"action {i}: negative duration")
+        s = state[job]
+        if kind == TEST and s == UNTOUCHED:
+            if not numbers_equal(dur, 1):
+                raise TraceError(f"action {i}: test duration {dur} != 1")
+            state[job] = TESTED
+        elif (kind == EXEC_TESTED and s == TESTED) or (kind == EXEC_UNTESTED and s == UNTOUCHED):
+            state[job] = DONE
+            completions[job] = start + dur
+        else:
+            raise TraceError(f"action {i}: {action_fault(kind, job, s)}")
+        t = start + dur
+    for j in range(n):
+        if state[j] != DONE:
+            raise TraceError(f"job {j} never executed")
+    return completions, sum(completions), t
+
+
 def cost_of_trace(trace: Trace) -> tuple[Num, Num]:
     """Recompute (sum of completions, makespan) from the action list alone.
 
@@ -148,48 +194,8 @@ def cost_of_trace(trace: Trace) -> tuple[Num, Num]:
     its execution, exactly one execution per job, no untested execution of
     a tested job.  The first offending action index is named in the error.
     """
-    n = trace.n
-    tested = [False] * n
-    done = [False] * n
-    completions: list = [None] * n
-    t: Num = 0
-    for i, (kind, job, start, dur) in enumerate(trace.steps):
-        if not isinstance(job, int) or not 0 <= job < n:
-            raise TraceError(f"action {i}: unknown job id {job}")
-        if not numbers_equal(start, t):
-            raise TraceError(f"action {i}: starts at {start}, schedule time is {t} (gap or overlap)")
-        if dur < 0:
-            raise TraceError(f"action {i}: negative duration")
-        if kind == TEST:
-            if tested[job]:
-                raise TraceError(f"action {i}: job {job} tested twice")
-            if done[job]:
-                raise TraceError(f"action {i}: job {job} tested after execution")
-            if not numbers_equal(dur, 1):
-                raise TraceError(f"action {i}: test duration {dur} != 1")
-            tested[job] = True
-        elif kind == EXEC_TESTED:
-            if not tested[job]:
-                raise TraceError(f"action {i}: job {job} executed as tested without a test")
-            if done[job]:
-                raise TraceError(f"action {i}: job {job} executed twice")
-            done[job] = True
-            completions[job] = start + dur
-        elif kind == EXEC_UNTESTED:
-            if tested[job]:
-                raise TraceError(f"action {i}: job {job} executed untested after its test")
-            if done[job]:
-                raise TraceError(f"action {i}: job {job} executed twice")
-            done[job] = True
-            completions[job] = start + dur
-        else:
-            raise TraceError(f"action {i}: unknown kind {kind!r}")
-        t = start + dur
-    for j in range(n):
-        if not done[j]:
-            raise TraceError(f"job {j} never executed")
-    total = sum(completions)
-    return total, t
+    _, total, makespan = _replay(trace)
+    return total, makespan
 
 
 def check_trace_durations(trace: Trace, inst: Instance) -> None:
@@ -208,14 +214,8 @@ def check_trace_durations(trace: Trace, inst: Instance) -> None:
 def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
     """Assemble a Trace from (kind, job, start, dur) rows, validating it."""
     tr = Trace(n=n, steps=list(steps), completions=(), total=0, makespan=0)
-    total, makespan = cost_of_trace(tr)
-    comp: list = [None] * n
-    for kind, job, start, dur in tr.steps:
-        if kind != TEST:
-            comp[job] = start + dur
-    tr.completions = tuple(comp)
-    tr.total = total
-    tr.makespan = makespan
+    completions, tr.total, tr.makespan = _replay(tr)
+    tr.completions = tuple(completions)
     return tr
 
 

@@ -19,13 +19,17 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DONE,
     EXEC_TESTED,
     EXEC_UNTESTED,
     TEST,
+    TESTED,
+    UNTOUCHED,
     Instance,
     Job,
     Num,
     Trace,
+    action_fault,
 )
 
 EXACT_ENUMERATION_LIMIT = 8  # n! / outcome enumeration only up to this n
@@ -40,11 +44,14 @@ class StaticSource:
 
     def __init__(self, inst: Instance):
         self.inst = inst
+        self._uppers = inst.uppers()
         self._procs = inst.procs()
 
     def begin(self, n: int, uppers) -> None:
         if n != self.inst.n:
             raise ProtocolError(f"source holds {self.inst.n} jobs, run asked for {n}")
+        if tuple(uppers) != self._uppers:
+            raise ProtocolError("view's upper limits differ from the source instance's")
 
     def reveal(self, job: int) -> Num:
         return self._procs[job]
@@ -120,8 +127,8 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
     source.begin(n, uppers)
 
     gen = algorithm((n, uppers))
-    tested: dict[int, Num] = {}
-    done = [False] * n
+    state = bytearray(n)
+    revealed: list = [None] * n
     completions: list = [None] * n
     steps: list[tuple] = []
     t: Num = 0
@@ -141,41 +148,29 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
                 raise ProtocolError(f"action {idx}: not a (kind, job) pair: {action!r}")
             if not isinstance(job, int) or not 0 <= job < n:
                 raise ProtocolError(f"action {idx}: unknown job id {job!r}")
-            if kind == TEST:
-                if job in tested:
-                    raise ProtocolError(f"action {idx}: job {job} tested twice")
-                if done[job]:
-                    raise ProtocolError(f"action {idx}: job {job} tested after execution")
-                p = source.reveal(job)
-                tested[job] = p
+            s = state[job]
+            if kind == TEST and s == UNTOUCHED:
+                send_value = revealed[job] = source.reveal(job)
+                state[job] = TESTED
                 steps.append((TEST, job, t, 1))
                 t = t + 1
-                send_value = p
-            elif kind == EXEC_TESTED:
-                if done[job]:
-                    raise ProtocolError(f"action {idx}: job {job} executed twice")
-                if job not in tested:
-                    raise ProtocolError(f"action {idx}: job {job} executed as tested before its test")
-                dur = tested[job]
+            elif kind == EXEC_TESTED and s == TESTED:
+                dur = revealed[job]
                 steps.append((EXEC_TESTED, job, t, dur))
                 t = t + dur
                 completions[job] = t
-                done[job] = True
+                state[job] = DONE
                 remaining -= 1
-            elif kind == EXEC_UNTESTED:
-                if done[job]:
-                    raise ProtocolError(f"action {idx}: job {job} executed twice")
-                if job in tested:
-                    raise ProtocolError(f"action {idx}: job {job} executed untested after its test")
+            elif kind == EXEC_UNTESTED and s == UNTOUCHED:
                 source.settle_untested(job)
                 dur = uppers[job]
                 steps.append((EXEC_UNTESTED, job, t, dur))
                 t = t + dur
                 completions[job] = t
-                done[job] = True
+                state[job] = DONE
                 remaining -= 1
             else:
-                raise ProtocolError(f"action {idx}: unknown kind {kind!r}")
+                raise ProtocolError(f"action {idx}: {action_fault(kind, job, s)}")
             idx += 1
     finally:
         gen.close()

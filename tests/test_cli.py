@@ -41,6 +41,14 @@ class TestSimulate:
         assert report["objective"] == "makespan"
         assert report["ratio"] <= 1.619
 
+    def test_objective_defaults_to_the_rule_s_own(self, capsys):
+        rc = main(["simulate", "makespan_det", "--gen", "extreme_uniform",
+                   "--param", "n=5", "--param", "p_bar=2.0", "--param", "gamma=0.4"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["objective"] == "makespan"
+        assert report["ratio"] <= (1 + 5 ** 0.5) / 2
+
     def test_randomized_needs_seed(self, capsys):
         rc = main(["simulate", "random", "--gen", "extreme_uniform",
                    "--param", "n=4", "--param", "p_bar=2.0", "--param", "gamma=0.5"])
@@ -153,6 +161,21 @@ class TestSweep:
                    "--param", "n=10", "--param", "p_bar=2.5",
                    "--sweep", "gamma=0.2:0.4:0.2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_objective_defaults_to_the_rule_s_own(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["sweep", "makespan_det", "--gen", "extreme_uniform", "--param", "n=5",
+                "--param", "gamma=0.4", "--sweep", "p_bar=2:3:1"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--objective", "makespan", "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+
+    def test_zero_optimum_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4",
+                   "--param", "gamma=0", "--sweep", "p_bar=0:0:1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: offline optimum is zero; ratio undefined"]
 
     def test_bad_axis_spec(self, tmp_path, capsys):
         rc = main(["sweep", "threshold", "--gen", "extreme_uniform",

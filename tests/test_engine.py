@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from testsched.algorithms import parse_algorithm
-from testsched.core import EXEC_TESTED, EXEC_UNTESTED, TEST, Instance, cost_of_trace
+from testsched.core import (
+    EXEC_TESTED,
+    EXEC_UNTESTED,
+    TEST,
+    Instance,
+    TraceError,
+    build_trace,
+    cost_of_trace,
+)
 from testsched.engine import (
     AdaptiveSource,
     ProtocolError,
@@ -102,6 +110,49 @@ class TestRun:
         inst = Instance.from_pairs([(2, 1)])
         with pytest.raises(ProtocolError):
             run(parse_algorithm("threshold").generator(), StaticSource(inst), 2, (2, 2))
+        # same n, wrong limits: blind runs would be charged the view's limit
+        inst = Instance.from_pairs([(1, 0.5), (1, 0.5)])
+        with pytest.raises(ProtocolError, match="upper limits"):
+            run(parse_algorithm("makespan_det").generator(), StaticSource(inst), 2, (1.5, 1.5))
+
+
+ILLEGAL = {
+    "test twice": ([(TEST, 0), (TEST, 0)], "job 0 tested twice"),
+    "test after untested execution": ([(EXEC_UNTESTED, 0), (TEST, 0)], "job 0 tested after execution"),
+    "test after tested execution":
+        ([(TEST, 0), (EXEC_TESTED, 0), (TEST, 0)], "job 0 tested after execution"),
+    "execute as tested before its test": ([(EXEC_TESTED, 0)], "job 0 executed as tested before its test"),
+    "execute untested after its test":
+        ([(TEST, 0), (EXEC_UNTESTED, 0)], "job 0 executed untested after its test"),
+    "execute tested twice": ([(TEST, 0), (EXEC_TESTED, 0), (EXEC_TESTED, 0)], "job 0 executed twice"),
+    "execute untested twice": ([(EXEC_UNTESTED, 0), (EXEC_UNTESTED, 0)], "job 0 executed twice"),
+    "execute tested after untested": ([(EXEC_UNTESTED, 0), (EXEC_TESTED, 0)], "job 0 executed twice"),
+    "unknown kind": ([("bogus", 0)], "unknown kind 'bogus'"),
+    "unhashable kind": ([([TEST], 0)], "unknown kind ['test']"),
+    "unknown job": ([(EXEC_UNTESTED, 5)], "unknown job id 5"),
+    "non-integer job": ([(EXEC_UNTESTED, "0")], "unknown job id '0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILLEGAL))
+def test_engine_and_trace_ledgers_agree(name):
+    """The engine and a replayed trace reject the same action with the same message."""
+    actions, fault = ILLEGAL[name]
+
+    def scripted(view):
+        for action in actions:
+            yield action
+
+    with pytest.raises(ProtocolError) as engine_err:
+        run_static(scripted, [(2, 1), (2, 1)])
+    steps, t = [], 0
+    for kind, job in actions:
+        dur = 2 if kind == EXEC_UNTESTED else 1  # the durations the engine would charge
+        steps.append((kind, job, t, dur))
+        t += dur
+    with pytest.raises(TraceError) as trace_err:
+        build_trace(2, steps)
+    assert str(engine_err.value) == str(trace_err.value) == f"action {len(actions) - 1}: {fault}"
 
 
 class TestAdaptiveSource:
