@@ -43,7 +43,10 @@ def small_limit_prefix(uppers, cutoff):
 
 
 def _uniform_limit(uppers, who):
+    """The common limit, `uppers[0]`; the others need only pass `numbers_equal`."""
     limit = uppers[0]
+    if uppers.count(limit) == len(uppers):
+        return limit
     for u in uppers[1:]:
         if not numbers_equal(u, limit):
             raise ConfigurationError(f"{who} needs a common upper limit on all jobs")

@@ -17,7 +17,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Num = Union[int, float, Fraction]
 
@@ -56,18 +57,22 @@ def _finite(x) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One job.  `upper` is public, `proc` is hidden until tested.
 
-    The optional lower limit is accepted on input for completeness but no
-    algorithm here uses it.
+    An immutable named tuple: it unpacks as (id, upper, proc, lower) and
+    equals a plain tuple of the same values, but only a `Job` passes
+    `validate_instance`.  The optional lower limit is accepted on input for
+    completeness but no algorithm here uses it.
     """
 
     id: int
     upper: Num
     proc: Num
     lower: Num = 0
+
+
+_UPPER, _PROC = itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -85,15 +90,16 @@ class Instance:
         return len(self.jobs)
 
     def uppers(self) -> tuple[Num, ...]:
-        return tuple([j.upper for j in self.jobs])  # a list comprehension builds it faster
+        return tuple(map(_UPPER, self.jobs))
 
     def procs(self) -> tuple[Num, ...]:
-        return tuple([j.proc for j in self.jobs])
+        return tuple(map(_PROC, self.jobs))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Num, Num]]) -> "Instance":
         """Build an instance from (upper, proc) pairs, ids in given order."""
-        return Instance(tuple(Job(i, u, p) for i, (u, p) in enumerate(pairs)))
+        new = tuple.__new__  # what Job(i, u, p) runs, without its Python-level call
+        return Instance(tuple([new(Job, (i, u, p, 0)) for i, (u, p) in enumerate(pairs)]))
 
 
 _EXACT_TYPES = frozenset((int, float, Fraction))
@@ -102,23 +108,29 @@ _EXACT_TYPES = frozenset((int, float, Fraction))
 def validate_instance(inst: Instance) -> None:
     """Raise InstanceError unless `inst` is well formed.
 
-    Checks: at least one job, consecutive ids from 0, finite numeric values,
-    0 <= lower <= proc <= upper.  `Instance` calls this once, when built.
-    A job of plain int, float or Fraction values passes on one chained
-    comparison; any other job goes to `_check_job`, which names the fault.
+    Checks: every row a `Job`, at least one job, consecutive ids from 0,
+    finite numeric values, 0 <= lower <= proc <= upper.  `Instance` calls
+    this once, when built; the engine and the offline solvers rely on it.
+    A `Job` of plain int, float or Fraction values passes on one chained
+    comparison; any other row goes to `_check_job`, which names the fault.
     """
     if not isinstance(inst, Instance) or inst.n == 0:
         raise InstanceError("instance must contain at least one job")
     exact = _EXACT_TYPES
+    inf = math.inf
     for i, job in enumerate(inst.jobs):
-        u, p, lo = job.upper, job.proc, job.lower
-        if not (job.id == i and type(u) in exact and type(p) in exact and type(lo) in exact
-                and 0 <= lo <= p <= u < math.inf):
-            _check_job(i, job)
+        if job.__class__ is Job:  # a plain 4-tuple unpacks too, but is no job
+            jid, u, p, lo = job
+            if (jid == i and type(u) in exact and type(p) in exact and type(lo) in exact
+                    and 0 <= lo <= p <= u < inf):
+                continue
+        _check_job(i, job)
 
 
 def _check_job(i: int, job: Job) -> None:
     """Per-field check of job `i`; raises InstanceError naming the first fault."""
+    if not isinstance(job, Job):
+        raise InstanceError(f"job {i}: not a Job")
     if job.id != i:
         raise InstanceError(f"job {i}: id {job.id} out of order (ids must be 0..n-1)")
     for name in ("upper", "proc", "lower"):

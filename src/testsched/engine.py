@@ -115,63 +115,73 @@ class AdaptiveSource:
 def run(algorithm, source, n: int, upper_limits) -> Trace:
     """Run one algorithm to completion and return its trace.
 
-    `algorithm` is a generator function taking the view (n, uppers).  Any
-    structural violation raises ProtocolError naming the action index.
+    `algorithm` is a generator function taking the view (n, uppers).  The
+    view is checked here, on every call; any structural violation raises
+    ProtocolError naming the action index.
     """
+    return _drive(algorithm, source, n, _check_view(n, upper_limits))
+
+
+def _check_view(n: int, upper_limits) -> tuple:
+    """The view's limits as a tuple; ProtocolError unless n >= 1 finite limits >= 0."""
     uppers = tuple(upper_limits)
     if n < 1 or len(uppers) != n:
         raise ProtocolError(f"bad view: n={n} with {len(uppers)} upper limits")
     for j, u in enumerate(uppers):
         if u < 0 or (isinstance(u, float) and not math.isfinite(u)):
             raise ProtocolError(f"job {j}: upper limit {u} invalid")
-    source.begin(n, uppers)
+    return uppers
 
-    gen = algorithm((n, uppers))
+
+def _drive(gen_fn, source, n: int, uppers: tuple) -> Trace:
+    """`run` on a view `_check_view` passed; the source still checks it, per run."""
+    source.begin(n, uppers)
+    reveal = source.reveal
+    settle_untested = source.settle_untested
+    gen = gen_fn((n, uppers))
+    send = gen.send
     state = bytearray(n)
     revealed: list = [None] * n
     completions: list = [None] * n
     steps: list[tuple] = []
+    append = steps.append
     t: Num = 0
     remaining = n
     send_value = None
-    idx = 0
     try:
         while remaining:
             try:
-                action = gen.send(send_value)
+                action = send(send_value)
             except StopIteration:
-                raise ProtocolError(f"algorithm stopped after action {idx} with {remaining} jobs unfinished")
+                raise ProtocolError(
+                    f"algorithm stopped after action {len(steps)} with {remaining} jobs unfinished")
             send_value = None
             try:
                 kind, job = action
             except (TypeError, ValueError):
-                raise ProtocolError(f"action {idx}: not a (kind, job) pair: {action!r}")
+                raise ProtocolError(f"action {len(steps)}: not a (kind, job) pair: {action!r}")
             if not isinstance(job, int) or not 0 <= job < n:
-                raise ProtocolError(f"action {idx}: unknown job id {job!r}")
+                raise ProtocolError(f"action {len(steps)}: unknown job id {job!r}")
             s = state[job]
             if kind == TEST and s == UNTOUCHED:
-                send_value = revealed[job] = source.reveal(job)
+                send_value = revealed[job] = reveal(job)
                 state[job] = TESTED
-                steps.append((TEST, job, t, 1))
+                append((TEST, job, t, 1))
                 t = t + 1
-            elif kind == EXEC_TESTED and s == TESTED:
+                continue
+            if kind == EXEC_TESTED and s == TESTED:
                 dur = revealed[job]
-                steps.append((EXEC_TESTED, job, t, dur))
-                t = t + dur
-                completions[job] = t
-                state[job] = DONE
-                remaining -= 1
+                append((EXEC_TESTED, job, t, dur))
             elif kind == EXEC_UNTESTED and s == UNTOUCHED:
-                source.settle_untested(job)
+                settle_untested(job)
                 dur = uppers[job]
-                steps.append((EXEC_UNTESTED, job, t, dur))
-                t = t + dur
-                completions[job] = t
-                state[job] = DONE
-                remaining -= 1
+                append((EXEC_UNTESTED, job, t, dur))
             else:
-                raise ProtocolError(f"action {idx}: {action_fault(kind, job, s)}")
-            idx += 1
+                raise ProtocolError(f"action {len(steps)}: {action_fault(kind, job, s)}")
+            t = t + dur
+            completions[job] = t
+            state[job] = DONE
+            remaining -= 1
     finally:
         gen.close()
     return Trace(n=n, steps=steps, completions=tuple(completions), total=sum(completions), makespan=t)
@@ -203,17 +213,22 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     the exact expectation with zero standard error.  Monte Carlo mode runs
     `trials` independent seeded replicates.  `source` may be a reveal source
     (reused across trials) or a zero-argument factory returning fresh ones.
+    The view is checked once, before the first run; each run's source still
+    checks it in `begin`.
     """
     make_source = source if callable(source) else (lambda: source)
+    if exact and n > EXACT_ENUMERATION_LIMIT:
+        raise ProtocolError(f"exact expectation limited to n <= {EXACT_ENUMERATION_LIMIT}, got n={n}")
+    if not exact and alg.randomized and seed is None:
+        raise ProtocolError("randomized run without a master seed")
+    uppers = _check_view(n, upper_limits)
     if exact:
-        if n > EXACT_ENUMERATION_LIMIT:
-            raise ProtocolError(f"exact expectation limited to n <= {EXACT_ENUMERATION_LIMIT}, got n={n}")
         total: Num = 0
         makespan: Num = 0
         weight_sum: Num = 0
         count = 0
-        for weight, gen_fn in alg.exact_outcomes(n, tuple(upper_limits)):
-            tr = run(gen_fn, make_source(), n, upper_limits)
+        for weight, gen_fn in alg.exact_outcomes(n, uppers):
+            tr = _drive(gen_fn, make_source(), n, uppers)
             total = total + weight * tr.total
             makespan = makespan + weight * tr.makespan
             weight_sum = weight_sum + weight
@@ -221,14 +236,12 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         if not math.isclose(float(weight_sum), 1.0, rel_tol=1e-12, abs_tol=1e-12):
             raise ProtocolError(f"outcome weights sum to {float(weight_sum)}, not 1")
         return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
-    if alg.randomized and seed is None:
-        raise ProtocolError("randomized run without a master seed")
     totals = []
     spans = []
     count = trials if alg.randomized else 1
     for i in range(count):
         gen_fn = alg.generator(trial_seed(seed, i) if alg.randomized else None)
-        tr = run(gen_fn, make_source(), n, upper_limits)
+        tr = _drive(gen_fn, make_source(), n, uppers)
         totals.append(tr.total)
         spans.append(tr.makespan)
     mean_t = sum(totals) / len(totals)

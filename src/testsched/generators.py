@@ -111,14 +111,8 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     elif placement == "long_last":
         pairs = [zero_job] * (n - nlong) + [long_job] * nlong
     elif placement == "spread":
-        pairs = []
-        placed = 0
-        for i in range(n):
-            if math.floor((i + 1) * nlong / n) > placed:
-                pairs.append(long_job)
-                placed += 1
-            else:
-                pairs.append(zero_job)
+        # job i is long when floor(i * nlong / n) steps up at i + 1
+        pairs = [long_job if (i + 1) * nlong // n > i * nlong // n else zero_job for i in range(n)]
     else:
         raise InstanceError(f"unknown placement {placement!r}")
     return Instance.from_pairs(pairs)

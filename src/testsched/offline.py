@@ -56,16 +56,26 @@ def optimal_sum(inst: Instance) -> OptPlan:
     """Exact optimal sum of completion times (shortest key first, ties by id).
 
     `inst` was checked when built, so job ids are the indices sorted here.
+    Each key is `job_key`'s min(1 + proc, upper), the first argument on a
+    tie, and a job is tested exactly when `should_test` holds.
     """
-    keys = [min(1 + j.proc, j.upper) for j in inst.jobs]
+    keys: list = []
+    tested = []
+    for jid, u, p, _ in inst.jobs:
+        c = 1 + p
+        if u < c:
+            keys.append(u)
+        else:
+            keys.append(c)
+            if c < u:
+                tested.append(jid)
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    tested = frozenset(j.id for j in inst.jobs if should_test(j))
     t: Num = 0
     total: Num = 0
-    for k in order:
-        t = t + keys[k]
+    for key in map(keys.__getitem__, order):
+        t = t + key
         total = total + t
-    return OptPlan(tuple(order), tested, total, t)
+    return OptPlan(tuple(order), frozenset(tested), total, t)
 
 
 def optimal_makespan(inst: Instance) -> tuple[Num, frozenset]:

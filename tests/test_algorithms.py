@@ -8,6 +8,7 @@ import pytest
 from testsched import analysis
 from testsched.algorithms import (
     ConfigurationError,
+    _uniform_limit,
     build_algorithm,
     make_lb_schedule,
     parse_algorithm,
@@ -263,3 +264,18 @@ class TestSmallLimitPrefix:
 
     def test_strict_cutoff(self):
         assert small_limit_prefix((2, 1), 2) == [1]
+
+
+class TestUniformLimit:
+    def test_float_limits_within_tolerance_give_the_first(self):
+        a, b = 2.5, 2.5 * (1 + 1e-12)
+        assert a != b
+        assert _uniform_limit((a, b, a), "rule") == a
+        assert _uniform_limit((b, a, a), "rule") == b
+
+    @pytest.mark.parametrize("uppers", [(2, 3), (2.5, 2.5, 2.6),
+                                        (Fraction(5, 2), Fraction(5, 2) + Fraction(1, 10**15))])
+    def test_distinct_limits_rejected(self, uppers):
+        with pytest.raises(ConfigurationError,
+                           match=r"^balance rule needs a common upper limit on all jobs$"):
+            _uniform_limit(uppers, "balance rule")

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,6 +187,25 @@ class TestValidateInstance:
             assert verdict(lambda: Instance((job,))) == want, (job_id, u, p, lo)
             accepted += want is None
         assert accepted > 0  # the table reaches both verdicts
+
+    @pytest.mark.parametrize("rows, message", [
+        (((0, 2, 1, 0),), "job 0: not a Job"),
+        ((None,), "job 0: not a Job"),
+        ((SimpleNamespace(id=0, upper=2, proc=1, lower=0),), "job 0: not a Job"),
+        ((Job(0, 2, 1), (1, 2, 1, 0)), "job 1: not a Job"),
+    ], ids=["plain_tuple", "none", "duck_typed", "tuple_after_job"])
+    def test_non_job_rows_rejected(self, rows, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            Instance(rows)
+
+    def test_job_is_an_immutable_named_tuple(self):
+        job = Job(id=0, upper=2, proc=1)
+        assert job == (0, 2, 1, 0) and hash(job) == hash((0, 2, 1, 0))
+        jid, upper, proc, lower = job
+        assert (jid, upper, proc, lower) == (0, 2, 1, 0)
+        assert repr(job) == "Job(id=0, upper=2, proc=1, lower=0)"
+        with pytest.raises(AttributeError):
+            job.upper = 3
 
 
 class TestNumbersEqual:

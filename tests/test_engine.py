@@ -1,5 +1,7 @@
 """Protocol enforcement, reveal sources, and expectation runs."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -246,3 +248,54 @@ class TestRunExpected:
                            lambda: StaticSource(inst), 1, inst.uppers(), exact=True)
         # test w.p. 2/3 costs 1, otherwise the full limit 2
         assert res.makespan == Fraction(4, 3)
+
+
+BAD_VIEWS = {
+    "negative limit": (2, (2, -1), "job 1: upper limit -1 invalid"),
+    "infinite limit": (2, (2, math.inf), "job 1: upper limit inf invalid"),
+    "length mismatch": (3, (2, 2), "bad view: n=3 with 2 upper limits"),
+}
+
+
+@pytest.mark.parametrize("mode", ["run", "mc", "exact", "factory"])
+@pytest.mark.parametrize("name", sorted(BAD_VIEWS))
+def test_bad_view_rejected(mode, name):
+    """`run` checks the view per call, `run_expected` once for all its runs."""
+    n, uppers, message = BAD_VIEWS[name]
+    inst = Instance.from_pairs([(2, 1), (2, 1)])
+    alg = parse_algorithm("random")
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        if mode == "run":
+            run(alg.generator("s"), StaticSource(inst), n, uppers)
+        elif mode == "factory":
+            run_expected(alg, lambda: StaticSource(inst), n, uppers, trials=3, seed="s")
+        else:
+            run_expected(alg, StaticSource(inst), n, uppers, trials=3, seed="s", exact=mode == "exact")
+
+
+def test_exact_short_view_is_a_protocol_error():
+    # makespan_rand's outcomes index the limits by job, so the view is checked before them
+    inst = Instance.from_pairs([(2, 1), (2, 1)])
+    with pytest.raises(ProtocolError, match="bad view"):
+        run_expected(parse_algorithm("makespan_rand"), StaticSource(inst), 3, (2, 2), exact=True)
+
+
+class CountingSource(StaticSource):
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.begins = 0
+
+    def begin(self, n, uppers):
+        self.begins += 1
+        super().begin(n, uppers)
+
+
+@pytest.mark.parametrize("exact, runs", [(False, 5), (True, 2)])
+def test_source_begins_every_run(exact, runs):
+    inst = Instance.from_pairs([(2, 1), (2, 1)])
+    src = CountingSource(inst)
+    run_expected(parse_algorithm("random"), src, 2, inst.uppers(), trials=5, seed="s", exact=exact)
+    assert src.begins == runs
+    # a view that passes the check but not the source's own limits fails in begin
+    with pytest.raises(ProtocolError, match="upper limits differ"):
+        run_expected(parse_algorithm("random"), src, 2, (3, 3), trials=5, seed="s", exact=exact)

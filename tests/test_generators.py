@@ -1,5 +1,6 @@
 """Instance generators: counts, ordering, determinism, and dispatch."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,19 @@ class TestExtremeUniform:
         inst = gen_extreme_uniform(10, 2.0, 0.3, placement="spread")
         longs = [j.id for j in inst.jobs if j.proc == 2.0]
         assert longs == [3, 6, 9]
+
+    def test_spread_matches_the_float_floor_loop(self):
+        # the earlier loop: long at i when floor((i + 1) * nlong / n) passes the longs placed so far;
+        # every nlong at every n <= 64 and at larger n around powers of two, up to 300
+        for n in (*range(1, 65), 97, 127, 128, 129, 255, 256, 257, 299, 300):
+            for nlong in range(n + 1):
+                want, placed = [], 0
+                for i in range(n):
+                    is_long = math.floor((i + 1) * nlong / n) > placed
+                    placed += is_long
+                    want.append(2.0 if is_long else 0)
+                inst = gen_extreme_uniform(n, 2.0, Fraction(nlong, n), placement="spread")
+                assert inst.procs() == tuple(want), (n, nlong)
 
     def test_unknown_placement(self):
         with pytest.raises(InstanceError, match="placement"):

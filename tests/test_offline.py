@@ -107,6 +107,11 @@ class TestOptimalSum:
             assert plan == want
             assert type(plan.total) is type(want.total)
 
+    def test_tie_key_is_one_plus_proc(self):
+        # 1 + p == upper: the key is min(1 + p, upper)'s first operand, whose type the sums keep
+        plan = optimal_sum(Instance.from_pairs([(2, 1.0), (3, 2.0)]))
+        assert repr((plan.total, plan.makespan, plan.tested)) == "(7.0, 5.0, frozenset())"
+
     def test_adversary_realized_instance_is_valid(self):
         source = det_lb_adversary(60, 0.4, 2.5)
         trace = run(parse_algorithm("threshold").generator(), source, 60, [2.5] * 60)
