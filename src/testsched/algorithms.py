@@ -53,20 +53,22 @@ def _uniform_limit(uppers, who):
     return limit
 
 
-def _drain(deferred):
-    while deferred:
-        _, j = heappop(deferred)
-        yield EXEC_TESTED, j
-
-
 # ---------------------------------------------------------------------------
-# Blind-prefix testers, one body with different (T, E, order): run limits
-# below T blind, test the rest in `order`, run a job at once when its revealed
-# time is at most E, and defer the others to a shortest-first tail.
-# Threshold rule: T = E = 2, id order.  Delay-everything variant: E = -1, so
-# nothing runs until every remaining job is tested; kept as the cautionary
-# baseline, its ratio grows linearly with n.  Randomized tester: (T, E) with
-# a uniformly random test order.
+# Test-then-defer rules, one body: run `blind` untested, then test each
+# segment's `order` in turn, run a job at once when its revealed time is at
+# most that segment's E, and defer the others to one shortest-first tail.
+# E = inf runs every tested job at once, E = -1 defers every one.  Each rule
+# is a choice of (blind, segments):
+#   threshold    limits below 2 blind, then (the rest in id order, 2)
+#   delay_all    limits below 2 blind, then (the rest in id order, -1); the
+#                cautionary baseline, its ratio grows linearly with n
+#   random[T,E]  limits below T blind, then (the rest shuffled, E)
+#   ute[rho]     limit <= rho: all blind; else no blind, then (the first
+#                k = ceil(max(0, beta) n), inf) and (the others, 0)
+#   lb_schedule  the first floor(nu n) blind, then (the next floor(lam n),
+#                inf), (up to job floor(delta n), -1) and (the others, inf)
+#   combined     a common limit below T1: all blind (up to T2 it is beat,
+#                above T2 threshold)
 
 
 def _split(uppers, T):
@@ -74,26 +76,30 @@ def _split(uppers, T):
     return small_limit_prefix(uppers, T), [j for j in range(len(uppers)) if uppers[j] >= T]
 
 
-def _blind_test_defer(blind, order, E):
-    """Run `blind` untested, then test `order`, deferring revealed times above E."""
+def _blind_test_defer(blind, *segments):
+    """Run `blind` untested, then test each (order, E), deferring revealed times above E."""
     for j in blind:
         yield EXEC_UNTESTED, j
     deferred = []
-    for j in order:
-        p = yield TEST, j
-        if p <= E:
-            yield EXEC_TESTED, j
-        else:
-            heappush(deferred, (p, j))
-    yield from _drain(deferred)
+    for order, E in segments:
+        for j in order:
+            p = yield TEST, j
+            if p <= E:
+                yield EXEC_TESTED, j
+            else:
+                heappush(deferred, (p, j))
+    while deferred:
+        yield EXEC_TESTED, heappop(deferred)[1]
 
 
 def threshold_generator(view):
-    return _blind_test_defer(*_split(view[1], 2), 2)
+    blind, rest = _split(view[1], 2)
+    return _blind_test_defer(blind, (rest, 2))
 
 
 def delay_all_generator(view):
-    return _blind_test_defer(*_split(view[1], 2), -1)
+    blind, rest = _split(view[1], 2)
+    return _blind_test_defer(blind, (rest, -1))
 
 
 def make_random_order(T, E):
@@ -101,7 +107,7 @@ def make_random_order(T, E):
         def gen(view):
             blind, rest = _split(view[1], T)
             random.Random(seed).shuffle(rest)
-            return _blind_test_defer(blind, rest, E)
+            return _blind_test_defer(blind, (rest, E))
         return gen
     return build
 
@@ -111,7 +117,7 @@ def make_random_order_exact(T, E):
         blind, rest = _split(uppers, T)
         weight = Fraction(1, math.factorial(len(rest)))
         for perm in permutations(rest):
-            yield weight, lambda view, order=perm: _blind_test_defer(blind, order, E)
+            yield weight, lambda view, order=perm: _blind_test_defer(blind, (order, E))
     return outcomes
 
 
@@ -154,21 +160,17 @@ def beat_generator(view):
 
 def make_combined(t1, t2):
     def gen(view):
-        n, uppers = view
-        limit = _uniform_limit(uppers, "combined rule")
+        limit = _uniform_limit(view[1], "combined rule")
         if limit < t1:
-            for j in range(n):
-                yield EXEC_UNTESTED, j
-        elif limit <= t2:
-            yield from beat_generator(view)
-        else:
-            yield from threshold_generator(view)
+            return _blind_test_defer(range(view[0]))
+        return beat_generator(view) if limit <= t2 else threshold_generator(view)
     return gen
 
 
 # ---------------------------------------------------------------------------
-# Extreme-uniform rule: either run everything blind, or test everything
-# and run an immediate prefix regardless of what the tests reveal.
+# Extreme-uniform rule: either run everything blind, or test everything and
+# run an immediate prefix regardless of what the tests reveal; after it only
+# free jobs (p <= 0, that is p == 0) run at once.
 
 
 def make_ute(rho):
@@ -176,26 +178,17 @@ def make_ute(rho):
         n, uppers = view
         limit = _uniform_limit(uppers, "extreme-uniform rule")
         if limit <= rho:
-            for j in range(n):
-                yield EXEC_UNTESTED, j
-            return
-        beta = analysis.ute_beta(rho, limit)
-        immediate = math.ceil(max(0.0, beta) * n)
-        deferred = []
-        for j in range(n):
-            p = yield TEST, j
-            if j < immediate or p == 0:
-                yield EXEC_TESTED, j
-            else:
-                heappush(deferred, (p, j))
-        yield from _drain(deferred)
+            return _blind_test_defer(range(n))
+        k = math.ceil(max(0.0, analysis.ute_beta(rho, limit)) * n)
+        return _blind_test_defer((), (range(k), math.inf), (range(k, n), 0))
     return gen
 
 
 # ---------------------------------------------------------------------------
 # Schedules played against the adaptive adversary: run a nu-fraction blind,
 # test-and-run a lam-fraction, keep deferring tests until the adversary's
-# long budget is spent, then everything else runs on the spot.
+# long budget is spent (job j is touch j + 1, deferred while j < floor(delta
+# n)), then everything else runs on the spot.
 
 
 def make_lb_schedule(nu, lam, delta):
@@ -205,27 +198,12 @@ def make_lb_schedule(nu, lam, delta):
         raise ConfigurationError("nu + lam must not exceed 1")
 
     def gen(view):
-        n, _ = view
-        m_nu = math.floor(nu * n)
-        m_lam = math.floor(lam * n)
-        m_delta = math.floor(delta * n)
-        touches = 0
-        deferred = []
-        for j in range(m_nu):
-            touches += 1
-            yield EXEC_UNTESTED, j
-        for j in range(m_nu, min(m_nu + m_lam, n)):
-            touches += 1
-            yield TEST, j
-            yield EXEC_TESTED, j
-        for j in range(min(m_nu + m_lam, n), n):
-            touches += 1
-            p = yield TEST, j
-            if touches <= m_delta:
-                heappush(deferred, (p, j))
-            else:
-                yield EXEC_TESTED, j
-        yield from _drain(deferred)
+        n = view[0]
+        a = math.floor(nu * n)
+        b = min(a + math.floor(lam * n), n)
+        d = min(max(b, math.floor(delta * n)), n)
+        return _blind_test_defer(range(a), (range(a, b), math.inf), (range(b, d), -1),
+                                 (range(d, n), math.inf))
     return gen
 
 
@@ -366,11 +344,6 @@ def build_algorithm(name, params=None):
         ))
     raise ConfigurationError(f"unknown algorithm: {name!r}")
 
-
-ALGORITHM_NAMES = (
-    "threshold", "delay_all", "random", "beat", "combined", "ute",
-    "lb_schedule", "makespan_det", "makespan_rand",
-)
 
 SUM_ALGORITHM_NAMES = ("threshold", "delay_all", "random", "beat", "combined", "ute")
 

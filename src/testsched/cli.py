@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import product
 
 from . import analysis, generators
 from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
@@ -87,7 +88,7 @@ def _evaluate(alg, inst, objective, trials, seed, exact=False):
         raise InstanceError("offline optimum is zero; ratio undefined")
     makespan = objective == "makespan"
     if alg.randomized or exact:
-        res = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(),
+        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(),
                            trials=trials, seed=seed, exact=exact)
         if makespan:
             return res.makespan, opt, res.makespan_stderr, res
@@ -142,10 +143,10 @@ def _sweep_values(spec):
 
 
 def _sweep_point(task):
-    (index, alg_text, gen_name, params, objective, trials, seed) = task
+    (alg_text, gen_name, params, objective, trials, seed) = task
     inst = generators.build_instance(gen_name, params)
     cost, opt, stderr, _ = _evaluate(parse_algorithm(alg_text), inst, objective, trials, seed)
-    return index, float(cost), float(opt), float(cost) / float(opt), "" if stderr is None else stderr
+    return float(cost), float(opt), float(cost) / float(opt), "" if stderr is None else stderr
 
 
 def cmd_sweep(args):
@@ -157,21 +158,13 @@ def cmd_sweep(args):
     if not axes:
         raise ConfigurationError("need at least one --sweep axis")
 
-    def grid(prefix, rest):
-        if not rest:
-            yield prefix
-            return
-        name, vals = rest[0]
-        for v in vals:
-            yield from grid(prefix + [(name, v)], rest[1:])
-
-    points = list(grid([], axes))
+    names = [name for name, _ in axes]
+    points = list(product(*(vals for _, vals in axes)))  # row-major: the last axis varies fastest
     tasks = []
-    for index, assignment in enumerate(points):
-        params = dict(base)
-        params.update(assignment)
+    for index, point in enumerate(points):
+        params = {**base, **dict(zip(names, point))}
         seed = f"{args.seed}:{index}" if args.seed is not None else None
-        tasks.append((index, args.algorithm, args.gen, params, args.objective or alg.objective,
+        tasks.append((args.algorithm, args.gen, params, args.objective or alg.objective,
                       args.trials, seed))
 
     raw = os.environ.get("TESTSCHED_WORKERS", "1")
@@ -187,21 +180,11 @@ def cmd_sweep(args):
     else:
         results = [_sweep_point(t) for t in tasks]
 
-    names = [name for name, _ in axes]
-    rows = []
-    for (index, assignment), (ridx, cost, opt, ratio, stderr) in zip(
-            enumerate(points), results):
-        assert index == ridx
-        row = {name: value for name, value in assignment}
-        row.update({"alg_cost": cost, "opt_cost": opt, "ratio": ratio, "stderr": stderr})
-        rows.append(row)
-
-    fieldnames = names + ["alg_cost", "opt_cost", "ratio", "stderr"]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(names + ["alg_cost", "opt_cost", "ratio", "stderr"])
+        writer.writerows(point + result for point, result in zip(points, results))
     finally:
         if args.out:
             out.close()

@@ -62,9 +62,6 @@ class StaticSource:
     def realized_instance(self) -> Instance:
         return self.inst
 
-    def describe(self) -> str:
-        return f"instance(n={self.inst.n})"
-
 
 class AdaptiveSource:
     """Fixes each hidden time when the job is first touched.
@@ -74,9 +71,8 @@ class AdaptiveSource:
     Single-use: one run per source.
     """
 
-    def __init__(self, rule, label: str = "adaptive"):
+    def __init__(self, rule):
         self.rule = rule
-        self.label = label
         self._uppers = None
         self._committed: dict[int, Num] = {}
 
@@ -107,9 +103,6 @@ class AdaptiveSource:
             raise ProtocolError("realized instance is only defined after a complete run")
         jobs = tuple(Job(j, self._uppers[j], self._committed[j]) for j in range(self._n))
         return Instance(jobs)
-
-    def describe(self) -> str:
-        return self.label
 
 
 def run(algorithm, source, n: int, upper_limits) -> Trace:

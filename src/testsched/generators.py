@@ -71,7 +71,7 @@ def det_lb_adversary(n, delta, p_bar):
             return upper
         return 0
 
-    return AdaptiveSource(rule, label=f"long-on-test adversary (delta={delta}, limit={p_bar})")
+    return AdaptiveSource(rule)
 
 
 def adversary_view(n, p_bar):

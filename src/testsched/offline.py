@@ -125,23 +125,14 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     if objective != "sum":
         raise ValueError(f"unknown objective {objective!r}")
 
+    # Exact mode scales every duration to a common denominator and enumerates
+    # in ints; float mode enumerates the durations as they are (denom = 1).
     exact = not any(isinstance(v, float) for pair in pairs for v in pair)
+    denom = 1
     if exact:
-        # Scale all durations to a common denominator and enumerate in ints.
         fracs = [(Fraction(a), Fraction(b)) for a, b in pairs]
-        denom = 1
-        for a, b in fracs:
-            denom = denom * a.denominator // math.gcd(denom, a.denominator)
-            denom = denom * b.denominator // math.gcd(denom, b.denominator)
-        scaled = [(int(a * denom), int(b * denom)) for a, b in fracs]
-        best_int = None
-        weights = tuple(range(n, 0, -1))
-        for durs in product(*scaled):
-            for perm in permutations(durs):
-                c = sum(map(mul, weights, perm))
-                if best_int is None or c < best_int:
-                    best_int = c
-        return Fraction(best_int, denom)
+        denom = math.lcm(*(v.denominator for pair in fracs for v in pair))
+        pairs = [(int(a * denom), int(b * denom)) for a, b in fracs]
     best = None
     weights = tuple(range(n, 0, -1))
     for durs in product(*pairs):
@@ -149,4 +140,4 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
             c = sum(map(mul, weights, perm))
             if best is None or c < best:
                 best = c
-    return best
+    return Fraction(best, denom) if exact else best

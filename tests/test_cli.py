@@ -177,6 +177,41 @@ class TestSweep:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: offline optimum is zero; ratio undefined"]
 
+    PINNED_CSV = {
+        "random": (["--gen", "four_type", "--param", "n=12", "--sweep", "alpha=0.1:0.2:0.1",
+                    "--sweep", "beta=0.1:0.2:0.1", "--sweep", "gamma=0:0.1:0.1",
+                    "--seed", "s3", "--trials", "4"],
+                   "alpha,beta,gamma,alg_cost,opt_cost,ratio,stderr\n"
+                   "0.1,0.1,0.0,106.35242500000001,81.3515,1.3073197789837927,3.150004223376799\n"
+                   "0.1,0.1,0.1,119.97695100000001,85.818601,1.3980296765732643,9.485277162573237\n"
+                   "0.1,0.2,0.0,128.402925,85.8186,1.4962132334948368,8.83923076982899\n"
+                   "0.1,0.2,0.1,132.90762600000002,92.146601,1.442349740062577,1.981532449214918\n"
+                   "0.2,0.1,0.0,118.49762500000001,83.5874,1.4176493705989182,7.983028352216445\n"
+                   "0.2,0.1,0.1,137.723651,88.799801,1.5509454914206393,3.665361244020389\n"
+                   "0.2,0.2,0.0,129.770175,88.7998,1.461379135989045,6.773332786053334\n"
+                   "0.2,0.2,0.1,148.999726,95.873101,1.5541348349627284,5.299421773705601\n"),
+        "ute": (["--gen", "uniform_mixed", "--param", "n=20", "--sweep", "p_bar=1.5:2.5:1",
+                 "--sweep", "long_frac=0.2:0.4:0.2", "--sweep", "mid_frac=0:0.2:0.2"],
+                "p_bar,long_frac,mid_frac,alg_cost,opt_cost,ratio,stderr\n"
+                "1.5,0.2,0.0,315.0,215.0,1.4651162790697674,\n"
+                "1.5,0.2,0.2,315.0,228.0,1.381578947368421,\n"
+                "1.5,0.4,0.0,315.0,228.0,1.381578947368421,\n"
+                "1.5,0.4,0.2,315.0,249.0,1.2650602409638554,\n"
+                "2.5,0.2,0.0,348.0,225.0,1.5466666666666666,\n"
+                "2.5,0.2,0.2,429.0,264.0,1.625,\n"
+                "2.5,0.4,0.0,447.0,264.0,1.6931818181818181,\n"
+                "2.5,0.4,0.2,536.0,327.0,1.6391437308868502,\n"),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("rule", sorted(PINNED_CSV))
+    def test_three_axis_csv_is_pinned(self, tmp_path, monkeypatch, rule, workers):
+        args, text = self.PINNED_CSV[rule]
+        monkeypatch.setenv("TESTSCHED_WORKERS", workers)
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", rule] + args + ["--out", str(out)]) == 0
+        assert out.read_text() == text
+
     def test_bad_axis_spec(self, tmp_path, capsys):
         rc = main(["sweep", "threshold", "--gen", "extreme_uniform",
                    "--param", "n=10", "--param", "p_bar=2.5",

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from testsched.algorithms import parse_algorithm
-from testsched.core import Instance, check_trace_durations, cost_of_trace, validate_instance
+from testsched.core import (
+    Instance,
+    check_trace_durations,
+    cost_of_trace,
+    numbers_equal,
+    validate_instance,
+)
 from testsched.engine import run
 from testsched.generators import det_lb_adversary, gen_random
 from testsched.offline import (
@@ -147,3 +153,11 @@ class TestBruteForce:
                                     (Fraction(7, 3), Fraction(7, 3))])
         # keys 4/3 (tested) and 7/3 (blind): total 4/3 + (4/3 + 7/3)
         assert brute_force_optimum(inst) == Fraction(4, 3) + Fraction(11, 3)
+
+    def test_float_mode_matches_optimal_sum(self):
+        for i in range(60):
+            n = random.Random(f"fn:{i}").randrange(1, 7)
+            inst = gen_random(n, seed=f"bf-float:{i}")
+            best = brute_force_optimum(inst)
+            assert isinstance(best, float)
+            assert numbers_equal(best, optimal_sum(inst).total)

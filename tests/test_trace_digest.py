@@ -1,24 +1,35 @@
-"""Pinned digest of every rule's schedules on a seeded corpus.
+"""Pinned digests of every rule's schedules on seeded corpora.
 
-The digest covers the `repr` of each engine trace's steps, total and
+`PINNED` covers the `repr` of each engine trace's steps, total and
 makespan, the exact expectations for n <= 6, and the error text of rules
-that reject an instance.  A refactor of the engine, the ledger or the
-strategy bodies must leave it unchanged; a change of behaviour changes it.
+that reject an instance.  `PINNED_LB` covers the adversary schedules
+`lb_schedule[nu,lam,delta]`, which that corpus skips: the steps and the
+realized instance on static instances and against the adaptive adversary.
+A refactor of the engine, the ledger or the strategy bodies must leave both
+unchanged; a change of behaviour changes them.
 """
 
 import hashlib
 import random
 from fractions import Fraction
 
-from testsched.algorithms import ConfigurationError, parse_algorithm
+from testsched.algorithms import ConfigurationError, build_algorithm, parse_algorithm
+from testsched.analysis import DET_LB_DELTA, DET_LB_PBAR
 from testsched.core import Instance
 from testsched.engine import StaticSource, run, run_expected
+from testsched.generators import det_lb_adversary
 
 RULES = ("threshold", "delay_all", "random", "beat", "combined", "ute",
          "makespan_det", "makespan_rand")
 
 # sha256 over outcome_lines() of the corpus below; any change of a schedule changes it
 PINNED = "06397ca31c13bae0ebbc44ba23b23a58a074076db2964678a6612d24ff5f79bf"
+
+# sha256 over lb_lines(); any change of an adversary schedule changes it
+PINNED_LB = "9f6abbf562ee44ba357628a4393d0fc00c4055d0bbfdeffa91c6fdb362ae96bc"
+
+LB_FRACTIONS = (0, 0.1, 0.25, 1 / 3, 0.5, DET_LB_DELTA, 0.75, 1)
+LB_SIZES = tuple(range(1, 14)) + (40,)
 
 
 def corpus(count=200):
@@ -61,14 +72,46 @@ def outcome_lines(inst, index):
                 yield f"{index} {name} exact {type(exc).__name__}: {exc}"
 
 
-def digest():
+def lb_lines():
+    """lb_schedule on a quarter-grid static instance and on the adversary, per (nu, lam, delta, n).
+
+    The static times repeat, so ties in the deferred tail are covered; the
+    adversary plays at the schedule's own delta (DET_LB_DELTA when that is 0).
+    """
+    rng = random.Random("lb-digest")
+    statics = {n: Instance.from_pairs([(2, rng.randint(0, 8) / 4) for _ in range(n)])
+               for n in LB_SIZES}
+    for nu in LB_FRACTIONS:
+        for lam in LB_FRACTIONS:
+            if nu + lam > 1:
+                continue
+            for delta in LB_FRACTIONS:
+                alg = build_algorithm("lb_schedule", {"nu": nu, "lam": lam, "delta": delta})
+                for n in LB_SIZES:
+                    inst = statics[n]
+                    tr = run(alg.generator(), StaticSource(inst), n, inst.uppers())
+                    yield f"{nu} {lam} {delta} {n} static {tr.steps!r} {inst!r}"
+                    source = det_lb_adversary(n, delta or DET_LB_DELTA, DET_LB_PBAR)
+                    tr = run(alg.generator(), source, n, [DET_LB_PBAR] * n)
+                    yield f"{nu} {lam} {delta} {n} adversary {tr.steps!r} {source.realized_instance()!r}"
+
+
+def sha256_lines(lines):
     h = hashlib.sha256()
-    for index, inst in enumerate(corpus()):
-        for line in outcome_lines(inst, index):
-            h.update(line.encode())
-            h.update(b"\n")
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
     return h.hexdigest()
+
+
+def digest():
+    return sha256_lines(line for index, inst in enumerate(corpus())
+                        for line in outcome_lines(inst, index))
 
 
 def test_traces_match_pinned_digest():
     assert digest() == PINNED
+
+
+def test_lb_schedules_match_pinned_digest():
+    assert sha256_lines(lb_lines()) == PINNED_LB
