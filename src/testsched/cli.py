@@ -159,6 +159,8 @@ def cmd_sweep(args):
         raise ConfigurationError("need at least one --sweep axis")
 
     names = [name for name, _ in axes]
+    if len(set(names)) < len(names):
+        raise ConfigurationError(f"sweep axis {max(names, key=names.count)!r} given twice")
     points = list(product(*(vals for _, vals in axes)))  # row-major: the last axis varies fastest
     tasks = []
     for index, point in enumerate(points):
@@ -295,7 +297,7 @@ def cmd_gen(args):
     if args.out:
         dump_instance(inst, args.out)
     else:
-        rows = [{"upper": float(j.upper), "proc": float(j.proc)} for j in inst.jobs]
+        rows = [{"upper": float(u), "proc": float(p)} for u, p in zip(inst.uppers(), inst.procs())]
         sys.stdout.write(json.dumps(rows, indent=1) + "\n")
     return 0
 

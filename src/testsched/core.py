@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import le
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Num = Union[int, float, Fraction]
@@ -49,81 +49,89 @@ def numbers_equal(a: Num, b: Num) -> bool:
     return a == b
 
 
-def _finite(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
-        return False
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return True
-
-
 class Job(NamedTuple):
     """One job.  `upper` is public, `proc` is hidden until tested.
 
-    An immutable named tuple: it unpacks as (id, upper, proc, lower) and
-    equals a plain tuple of the same values, but only a `Job` passes
-    `validate_instance`.  The optional lower limit is accepted on input for
-    completeness but no algorithm here uses it.
+    An immutable named tuple: it equals a plain tuple of the same values,
+    but only a `Job` is a row of an instance.
     """
 
     id: int
     upper: Num
     proc: Num
-    lower: Num = 0
 
 
-_UPPER, _PROC = itemgetter(1), itemgetter(2)
-
-
-@dataclass(frozen=True)
 class Instance:
-    """Jobs with ids 0..n-1, checked once by `validate_instance` when built."""
+    """Jobs with ids 0..n-1, kept as two columns and checked once, when built.
 
-    jobs: tuple[Job, ...]
+    `uppers()` and `procs()` return the columns.  `Instance(jobs)` splits
+    `Job` rows into them and `from_pairs` builds them directly; `jobs` gives
+    the rows back, built on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "jobs", tuple(self.jobs))  # a list could change after the check
+    __slots__ = ("_uppers", "_procs", "_jobs")
+
+    def __init__(self, jobs: Iterable[Job]):
+        rows = self._jobs = tuple(jobs)  # a list could change after the check
+        if not {Job}.issuperset(map(type, rows)):
+            _check_rows(rows)  # names the first row that is no Job; a Job subclass passes
+        ids, self._uppers, self._procs = tuple(zip(*rows)) or ((), (), ())
+        if ids != tuple(range(len(rows))):
+            _check_rows(rows)
         validate_instance(self)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Num, Num]]) -> "Instance":
+        """Build an instance from (upper, proc) pairs, ids in given order."""
+        self = cls.__new__(cls)
+        self._uppers, self._procs = tuple(zip(*pairs, strict=True)) or ((), ())
+        self._jobs = None
+        validate_instance(self)
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.jobs)
+        return len(self._uppers)
+
+    @property
+    def jobs(self) -> tuple[Job, ...]:
+        if self._jobs is None:
+            self._jobs = tuple(map(Job, range(self.n), self._uppers, self._procs))
+        return self._jobs
 
     def uppers(self) -> tuple[Num, ...]:
-        return tuple(map(_UPPER, self.jobs))
+        return self._uppers
 
     def procs(self) -> tuple[Num, ...]:
-        return tuple(map(_PROC, self.jobs))
+        return self._procs
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Num, Num]]) -> "Instance":
-        """Build an instance from (upper, proc) pairs, ids in given order."""
-        new = tuple.__new__  # what Job(i, u, p) runs, without its Python-level call
-        return Instance(tuple([new(Job, (i, u, p, 0)) for i, (u, p) in enumerate(pairs)]))
+    def __repr__(self):
+        return f"Instance(uppers={self._uppers!r}, procs={self._procs!r})"
 
 
-_EXACT_TYPES = frozenset((int, float, Fraction))
+_NUMBER_TYPES = frozenset((int, float, Fraction))  # a bool is no number here
 
 
 def validate_instance(inst: Instance) -> None:
     """Raise InstanceError unless `inst` is well formed.
 
-    Checks: every row a `Job`, at least one job, consecutive ids from 0,
-    finite numeric values, 0 <= lower <= proc <= upper.  `Instance` calls
-    this once, when built; the engine and the offline solvers rely on it.
-    A `Job` of plain int, float or Fraction values passes on one chained
-    comparison; any other row goes to `_check_job`, which names the fault.
+    Checks: at least one job, finite int, float or Fraction values (not
+    bool) and 0 <= proc <= upper.  `Instance` calls this once, when built;
+    the engine and the offline solvers rely on it.  It runs C-level passes
+    over the columns (the `le` pass sees a NaN that `min` or `max` skip);
+    only if one fails does `_check_job` walk the rows to name the first fault.
     """
-    if not isinstance(inst, Instance) or inst.n == 0:
+    if not isinstance(inst, Instance) or not inst.n:
         raise InstanceError("instance must contain at least one job")
-    exact = _EXACT_TYPES
-    inf = math.inf
-    for i, job in enumerate(inst.jobs):
-        if job.__class__ is Job:  # a plain 4-tuple unpacks too, but is no job
-            jid, u, p, lo = job
-            if (jid == i and type(u) in exact and type(p) in exact and type(lo) in exact
-                    and 0 <= lo <= p <= u < inf):
-                continue
+    uppers, procs = inst.uppers(), inst.procs()
+    types = {*map(type, uppers), *map(type, procs)}
+    if not (types <= _NUMBER_TYPES and min(procs) >= 0 and (float not in types or max(uppers) < math.inf)
+            and all(map(le, procs, uppers))):
+        _check_rows(inst.jobs)
+
+
+def _check_rows(rows) -> None:
+    for i, job in enumerate(rows):
         _check_job(i, job)
 
 
@@ -133,15 +141,15 @@ def _check_job(i: int, job: Job) -> None:
         raise InstanceError(f"job {i}: not a Job")
     if job.id != i:
         raise InstanceError(f"job {i}: id {job.id} out of order (ids must be 0..n-1)")
-    for name in ("upper", "proc", "lower"):
-        if not _finite(getattr(job, name)):
+    for name in ("upper", "proc"):
+        x = getattr(job, name)
+        if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
+                or isinstance(x, float) and not math.isfinite(x)):
             raise InstanceError(f"job {i}: {name} is not a finite number")
-    if job.proc < 0 or job.lower < 0:
+    if job.proc < 0:
         raise InstanceError(f"job {i}: negative time")
     if job.proc > job.upper:
         raise InstanceError(f"job {i}: proc {job.proc} exceeds upper limit {job.upper}")
-    if job.lower > job.proc:
-        raise InstanceError(f"job {i}: lower limit {job.lower} exceeds proc {job.proc}")
 
 
 @dataclass
@@ -212,13 +220,9 @@ def cost_of_trace(trace: Trace) -> tuple[Num, Num]:
 
 def check_trace_durations(trace: Trace, inst: Instance) -> None:
     """Check every action duration against the instance (replay validation)."""
+    uppers, procs = inst.uppers(), inst.procs()
     for i, (kind, job, _start, dur) in enumerate(trace.steps):
-        if kind == TEST:
-            want = 1
-        elif kind == EXEC_TESTED:
-            want = inst.jobs[job].proc
-        else:
-            want = inst.jobs[job].upper
+        want = 1 if kind == TEST else procs[job] if kind == EXEC_TESTED else uppers[job]
         if not numbers_equal(dur, want):
             raise TraceError(f"action {i}: duration {dur} does not match {kind} of job {job} (expected {want})")
 
@@ -233,33 +237,27 @@ def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
 
 # ---------------------------------------------------------------------------
 # File formats.  Instances are a JSON array of {"upper":..,"proc":..}, traces
-# are JSON lines {"t":..,"kind":..,"job":..,"dur":..}.
+# are JSON lines {"t":..,"kind":..,"job":..,"dur":..}.  Exact mode reads every
+# number as a Fraction.
+
+_AS_FRACTIONS = {"parse_float": Fraction, "parse_int": Fraction}
 
 
 def load_instance(path, exact: bool = False) -> Instance:
     with open(path) as f:
-        if exact:
-            raw = json.load(f, parse_float=Fraction, parse_int=Fraction)
-        else:
-            raw = json.load(f)
+        raw = json.load(f, **(_AS_FRACTIONS if exact else {}))
     if not isinstance(raw, list):
         raise InstanceError("instance file must contain a JSON array of jobs")
-    jobs = []
     for i, row in enumerate(raw):
         if not isinstance(row, dict) or "upper" not in row or "proc" not in row:
             raise InstanceError(f"job {i}: expected an object with 'upper' and 'proc'")
-        lower = row.get("lower", 0)
-        jobs.append(Job(i, row["upper"], row["proc"], lower))
-    return Instance(tuple(jobs))
+        if "lower" in row:
+            raise InstanceError(f"job {i}: unknown key 'lower' (a job has only 'upper' and 'proc')")
+    return Instance.from_pairs((row["upper"], row["proc"]) for row in raw)
 
 
 def dump_instance(inst: Instance, path) -> None:
-    rows = []
-    for j in inst.jobs:
-        row = {"upper": _plain(j.upper), "proc": _plain(j.proc)}
-        if j.lower:
-            row["lower"] = _plain(j.lower)
-        rows.append(row)
+    rows = [{"upper": _plain(u), "proc": _plain(p)} for u, p in zip(inst.uppers(), inst.procs())]
     with open(path, "w") as f:
         json.dump(rows, f, indent=1)
         f.write("\n")
@@ -268,8 +266,7 @@ def dump_instance(inst: Instance, path) -> None:
 def dump_trace(trace: Trace, path) -> None:
     with open(path, "w") as f:
         for kind, job, start, dur in trace.steps:
-            f.write(json.dumps({"t": _plain(start), "kind": kind, "job": job, "dur": _plain(dur)}))
-            f.write("\n")
+            f.write(json.dumps({"t": _plain(start), "kind": kind, "job": job, "dur": _plain(dur)}) + "\n")
 
 
 def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
@@ -279,12 +276,8 @@ def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
             line = line.strip()
             if not line:
                 continue
-            if exact:
-                row = json.loads(line, parse_float=Fraction, parse_int=Fraction)
-                row["job"] = int(row["job"])
-            else:
-                row = json.loads(line)
-            steps.append((row["kind"], row["job"], row["t"], row["dur"]))
+            row = json.loads(line, **(_AS_FRACTIONS if exact else {}))
+            steps.append((row["kind"], int(row["job"]) if exact else row["job"], row["t"], row["dur"]))
     if n is None:
         n = 1 + max((s[1] for s in steps), default=-1)
     return build_trace(n, steps)
@@ -293,9 +286,7 @@ def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
 def _plain(x: Num):
     """JSON-friendly number: ints stay ints, rationals become floats if needed."""
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return float(x)
+        return int(x) if x.denominator == 1 else float(x)
     return x
 
 
@@ -314,7 +305,6 @@ class RatioReport:
     stderr: float | None = None
     exact: bool = False
     seed: object = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = {
@@ -322,8 +312,8 @@ class RatioReport:
             "source": self.source,
             "n": self.n,
             "objective": self.objective,
-            "alg_cost": _plain(self.alg_cost) if isinstance(self.alg_cost, Fraction) else self.alg_cost,
-            "opt_cost": _plain(self.opt_cost) if isinstance(self.opt_cost, Fraction) else self.opt_cost,
+            "alg_cost": _plain(self.alg_cost),
+            "opt_cost": _plain(self.opt_cost),
             "ratio": float(self.ratio),
             "exact": self.exact,
         }
@@ -333,5 +323,4 @@ class RatioReport:
             d["stderr"] = float(self.stderr)
         if self.seed is not None:
             d["seed"] = self.seed
-        d.update(self.extra)
         return d

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     DONE,
@@ -26,7 +27,6 @@ from .core import (
     TESTED,
     UNTOUCHED,
     Instance,
-    Job,
     Num,
     Trace,
     action_fault,
@@ -40,7 +40,11 @@ class ProtocolError(RuntimeError):
 
 
 class StaticSource:
-    """Reveals the fixed processing times of an instance (checked when built)."""
+    """Reveals the fixed processing times of an instance (checked when built).
+
+    It keeps the instance's own columns, so `begin` accepts a view that is
+    `inst.uppers()` itself without comparing its limits.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -50,7 +54,7 @@ class StaticSource:
     def begin(self, n: int, uppers) -> None:
         if n != self.inst.n:
             raise ProtocolError(f"source holds {self.inst.n} jobs, run asked for {n}")
-        if tuple(uppers) != self._uppers:
+        if uppers is not self._uppers and tuple(uppers) != self._uppers:
             raise ProtocolError("view's upper limits differ from the source instance's")
 
     def reveal(self, job: int) -> Num:
@@ -101,8 +105,7 @@ class AdaptiveSource:
     def realized_instance(self) -> Instance:
         if self._uppers is None or len(self._committed) != self._n:
             raise ProtocolError("realized instance is only defined after a complete run")
-        jobs = tuple(Job(j, self._uppers[j], self._committed[j]) for j in range(self._n))
-        return Instance(jobs)
+        return Instance.from_pairs(zip(self._uppers, map(self._committed.__getitem__, range(self._n))))
 
 
 def run(algorithm, source, n: int, upper_limits) -> Trace:
@@ -116,10 +119,18 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
 
 
 def _check_view(n: int, upper_limits) -> tuple:
-    """The view's limits as a tuple; ProtocolError unless n >= 1 finite limits >= 0."""
+    """The view's limits as a tuple; ProtocolError unless n >= 1 finite limits >= 0.
+
+    Limits all int or Fraction, or all float, pass on C-level passes: the
+    sum of floats is below inf only if none is inf or NaN (which `min` can
+    skip), and then `min` rules out a negative one.  Others go to the walk.
+    """
     uppers = tuple(upper_limits)
     if n < 1 or len(uppers) != n:
         raise ProtocolError(f"bad view: n={n} with {len(uppers)} upper limits")
+    types = set(map(type, uppers))
+    if (types <= {int, Fraction} or types == {float} and sum(uppers) < math.inf) and min(uppers) >= 0:
+        return uppers
     for j, u in enumerate(uppers):
         if u < 0 or (isinstance(u, float) and not math.isfinite(u)):
             raise ProtocolError(f"job {j}: upper limit {u} invalid")

@@ -89,10 +89,7 @@ def gen_rand_lb(n, q, seed, exact=False):
         raise InstanceError(f"q must be in (0, 1), got {q}")
     rng = random.Random(seed)
     limit = Fraction(q) ** -1 if exact else 1 / q
-    pairs = []
-    for _ in range(n):
-        pairs.append((limit, 0 if rng.random() < q else limit))
-    return Instance.from_pairs(pairs)
+    return Instance.from_pairs([(limit, 0 if rng.random() < q else limit) for _ in range(n)])
 
 
 def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
@@ -166,26 +163,22 @@ def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
     return Instance.from_pairs(pairs)
 
 
-GENERATOR_NAMES = (
-    "threshold_worstcase", "four_type", "rand_lb", "extreme_uniform",
-    "uniform_mixed", "random",
-)
+GENERATORS = {
+    "threshold_worstcase": gen_threshold_worstcase,
+    "four_type": gen_four_type,
+    "rand_lb": gen_rand_lb,
+    "extreme_uniform": gen_extreme_uniform,
+    "uniform_mixed": gen_uniform_mixed,
+    "random": gen_random,
+}
+GENERATOR_NAMES = tuple(GENERATORS)
 
 
 def build_instance(name, params):
     """Dispatch for the command line: generator name plus keyword params."""
-    table = {
-        "threshold_worstcase": gen_threshold_worstcase,
-        "four_type": gen_four_type,
-        "rand_lb": gen_rand_lb,
-        "extreme_uniform": gen_extreme_uniform,
-        "uniform_mixed": gen_uniform_mixed,
-        "random": gen_random,
-    }
-    if name not in table:
-        raise InstanceError(f"unknown generator {name!r}; pick from {sorted(table)}")
-    fn = table[name]
+    if name not in GENERATORS:
+        raise InstanceError(f"unknown generator {name!r}; pick from {sorted(GENERATORS)}")
     try:
-        return fn(**params)
+        return GENERATORS[name](**params)
     except TypeError as exc:
         raise InstanceError(f"bad parameters for {name}: {exc}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count, permutations, product
 from operator import mul
 
 from .core import (
@@ -52,16 +52,11 @@ def should_test(job) -> bool:
     return 1 + job.proc < job.upper
 
 
-def optimal_sum(inst: Instance) -> OptPlan:
-    """Exact optimal sum of completion times (shortest key first, ties by id).
-
-    `inst` was checked when built, so job ids are the indices sorted here.
-    Each key is `job_key`'s min(1 + proc, upper), the first argument on a
-    tie, and a job is tested exactly when `should_test` holds.
-    """
+def _keys(inst: Instance) -> tuple[list, list]:
+    """Each job's `job_key` (1 + proc on a tie) and the ids `should_test` picks, in id order."""
     keys: list = []
     tested = []
-    for jid, u, p, _ in inst.jobs:
+    for jid, u, p in zip(count(), inst.uppers(), inst.procs()):
         c = 1 + p
         if u < c:
             keys.append(u)
@@ -69,6 +64,15 @@ def optimal_sum(inst: Instance) -> OptPlan:
             keys.append(c)
             if c < u:
                 tested.append(jid)
+    return keys, tested
+
+
+def optimal_sum(inst: Instance) -> OptPlan:
+    """Exact optimal sum of completion times (shortest key first, ties by id).
+
+    `inst` was checked when built, so job ids are the indices sorted here.
+    """
+    keys, tested = _keys(inst)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     t: Num = 0
     total: Num = 0
@@ -80,26 +84,27 @@ def optimal_sum(inst: Instance) -> OptPlan:
 
 def optimal_makespan(inst: Instance) -> tuple[Num, frozenset]:
     """Minimal makespan and the set of jobs tested to achieve it."""
+    keys, tested = _keys(inst)
     value: Num = 0
-    for j in inst.jobs:
-        value = value + job_key(j)
-    return value, frozenset(j.id for j in inst.jobs if should_test(j))
+    for key in keys:
+        value = value + key
+    return value, frozenset(tested)
 
 
 def plan_trace(inst: Instance, plan: OptPlan) -> Trace:
     """Materialize an OptPlan as a replayable trace."""
+    uppers, procs = inst.uppers(), inst.procs()
     steps = []
     t: Num = 0
     for jid in plan.order:
-        job = inst.jobs[jid]
         if jid in plan.tested:
             steps.append((TEST, jid, t, 1))
             t = t + 1
-            steps.append((EXEC_TESTED, jid, t, job.proc))
-            t = t + job.proc
+            steps.append((EXEC_TESTED, jid, t, procs[jid]))
+            t = t + procs[jid]
         else:
-            steps.append((EXEC_UNTESTED, jid, t, job.upper))
-            t = t + job.upper
+            steps.append((EXEC_UNTESTED, jid, t, uppers[jid]))
+            t = t + uppers[jid]
     return build_trace(inst.n, steps)
 
 
@@ -114,7 +119,7 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleSizeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N}")
-    pairs = [(1 + j.proc, j.upper) for j in inst.jobs]
+    pairs = [(1 + p, u) for u, p in zip(inst.uppers(), inst.procs())]
     if objective == "makespan":
         best = None
         for durs in product(*pairs):

@@ -114,6 +114,13 @@ class TestRoundTrip:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay", "--instance", str(inst), "--trace", str(trace)]) == 1
 
+    def test_lower_key_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('[{"upper": 2, "proc": 1, "lower": 0.5}]')
+        assert main(["simulate", "threshold", "--instance", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: job 0: unknown key 'lower' (a job has only 'upper' and 'proc')\n"
+
 
 class TestSweep:
     def run_sweep(self, out, extra=()):
@@ -217,6 +224,15 @@ class TestSweep:
                    "--param", "n=10", "--param", "p_bar=2.5",
                    "--sweep", "gamma=0.2:0.4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_duplicate_axis_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "threshold", "--gen", "extreme_uniform",
+                   "--param", "n=10", "--param", "p_bar=2.5", "--sweep", "gamma=0.2:0.4:0.2",
+                   "--sweep", "gamma=0.6:0.6:0.1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sweep axis 'gamma' given twice\n"
+        assert not out.exists()
 
 
 class TestVerifyConstants:

@@ -1,6 +1,7 @@
 """Trace accounting, instance validation, and file round-trips."""
 
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -122,6 +123,15 @@ class TestDurationCheck:
             check_trace_durations(bad, inst)
 
 
+def verdict(check):
+    """The InstanceError text `check()` raises, or None if it passes."""
+    try:
+        check()
+    except InstanceError as exc:
+        return str(exc)
+    return None
+
+
 class TestValidateInstance:
     def test_good_instance(self):
         validate_instance(Instance.from_pairs([(2, 1), (Fraction(3, 2), Fraction(1, 2))]))
@@ -173,20 +183,45 @@ class TestValidateInstance:
         edges = [0, -0.0, 0.5, -1, math.nan, math.inf, -math.inf, True,
                  Fraction(1, 3), 10**400, Int(1), Float(0.25), "1", None]
 
-        def verdict(check):
-            try:
-                check()
-            except InstanceError as exc:
-                return str(exc)
-            return None
-
         accepted = 0
-        for job_id, u, p, lo in itertools.product((0, 1), edges, edges, edges):
-            job = Job(job_id, u, p, lo)
+        for job_id, u, p in itertools.product((0, 1), edges, edges):
+            job = Job(job_id, u, p)
             want = verdict(lambda: _check_job(0, job))
-            assert verdict(lambda: Instance((job,))) == want, (job_id, u, p, lo)
+            assert verdict(lambda: Instance((job,))) == want, (job_id, u, p)
+            if job_id == 0:
+                assert verdict(lambda: Instance.from_pairs([(u, p)])) == want, (u, p)
             accepted += want is None
         assert accepted > 0  # the table reaches both verdicts
+
+    # (upper, proc) faults placed in a column of five good (2, 1) jobs; NaN and a
+    # negative value in one column make `min` and `max` depend on the order
+    COLUMN_FAULTS = {
+        "proc_nan_first": {0: (2, math.nan)},
+        "proc_nan_middle": {2: (2, math.nan)},
+        "proc_nan_last": {4: (2, math.nan)},
+        "proc_negative_middle": {2: (2, -1)},
+        "proc_nan_then_negative": {1: (2, math.nan), 3: (2, -1)},
+        "proc_negative_then_nan": {1: (2, -1), 3: (2, math.nan)},
+        "upper_nan_first": {0: (math.nan, 1)},
+        "upper_nan_middle": {2: (math.nan, 1)},
+        "upper_nan_last": {4: (math.nan, 1)},
+        "upper_nan_then_negative": {1: (math.nan, 1), 3: (-1, 1)},
+        "upper_inf_then_nan": {1: (math.inf, 1), 3: (math.nan, 1)},
+        "proc_above_upper_last": {4: (2, 3)},
+        "string_then_nan": {1: ("2", 1), 2: (math.nan, 1)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_FAULTS))
+    def test_first_faulty_job_is_named(self, name):
+        pairs = [(2, 1)] * 5
+        for i, pair in self.COLUMN_FAULTS[name].items():
+            pairs[i] = pair
+        rows = [Job(i, u, p) for i, (u, p) in enumerate(pairs)]
+        first = min(self.COLUMN_FAULTS[name])
+        want = verdict(lambda: _check_job(first, rows[first]))
+        assert want is not None and want.startswith(f"job {first}: ")
+        assert verdict(lambda: Instance.from_pairs(pairs)) == want
+        assert verdict(lambda: Instance(rows)) == want
 
     @pytest.mark.parametrize("rows, message", [
         (((0, 2, 1, 0),), "job 0: not a Job"),
@@ -198,12 +233,24 @@ class TestValidateInstance:
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             Instance(rows)
 
+    def test_columns_and_rows_agree(self):
+        pairs = [(2, 1), (Fraction(3, 2), 0), (2.5, 2.5)]
+        rows = tuple(Job(i, u, p) for i, (u, p) in enumerate(pairs))
+        inst = Instance.from_pairs(pairs)
+        assert inst.uppers() == (2, Fraction(3, 2), 2.5) and inst.procs() == (1, 0, 2.5)
+        assert inst.uppers() is inst.uppers() and inst.procs() is inst.procs()
+        assert inst.jobs == rows and inst.jobs is inst.jobs
+        assert inst.jobs[1].upper == Fraction(3, 2) and inst.jobs[2].proc == 2.5
+        from_rows = Instance(list(rows))
+        assert from_rows.uppers() == inst.uppers() and from_rows.procs() == inst.procs()
+        assert from_rows.jobs == rows
+
     def test_job_is_an_immutable_named_tuple(self):
         job = Job(id=0, upper=2, proc=1)
-        assert job == (0, 2, 1, 0) and hash(job) == hash((0, 2, 1, 0))
-        jid, upper, proc, lower = job
-        assert (jid, upper, proc, lower) == (0, 2, 1, 0)
-        assert repr(job) == "Job(id=0, upper=2, proc=1, lower=0)"
+        assert job == (0, 2, 1) and hash(job) == hash((0, 2, 1))
+        jid, upper, proc = job
+        assert (jid, upper, proc) == (0, 2, 1)
+        assert repr(job) == "Job(id=0, upper=2, proc=1)"
         with pytest.raises(AttributeError):
             job.upper = 3
 
@@ -249,6 +296,18 @@ class TestRoundTrips:
         path = tmp_path / "t.jsonl"
         dump_trace(tr, path)
         assert load_trace(path).n == 1
+
+    def test_lower_key_rejected(self, tmp_path):
+        path = tmp_path / "lower.json"
+        path.write_text('[{"upper": 2, "proc": 1}, {"upper": 2, "proc": 1, "lower": 0}]')
+        message = "job 1: unknown key 'lower' (a job has only 'upper' and 'proc')"
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            load_instance(path)
+
+    def test_dump_writes_upper_and_proc_only(self, tmp_path):
+        path = tmp_path / "inst.json"
+        dump_instance(Instance.from_pairs([(2, 0), (Fraction(5, 2), Fraction(1, 2))]), path)
+        assert json.loads(path.read_text()) == [{"upper": 2, "proc": 0}, {"upper": 2.5, "proc": 0.5}]
 
     def test_bad_instance_file(self, tmp_path):
         path = tmp_path / "bad.json"

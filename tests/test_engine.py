@@ -20,6 +20,7 @@ from testsched.engine import (
     AdaptiveSource,
     ProtocolError,
     StaticSource,
+    _check_view,
     run,
     run_expected,
     trial_seed,
@@ -271,6 +272,49 @@ def test_bad_view_rejected(mode, name):
             run_expected(alg, lambda: StaticSource(inst), n, uppers, trials=3, seed="s")
         else:
             run_expected(alg, StaticSource(inst), n, uppers, trials=3, seed="s", exact=mode == "exact")
+
+
+# (view, message or None if accepted): each must keep the per-limit walk's verdict.
+# `min` skips a NaN that is not first, so the fast path must see it another way.
+ODD_VIEWS = {
+    "nan first": ((math.nan, 2.0, 2.0), "job 0: upper limit nan invalid"),
+    "nan middle": ((2.0, math.nan, 2.0), "job 1: upper limit nan invalid"),
+    "nan last": ((2.0, 2.0, math.nan), "job 2: upper limit nan invalid"),
+    "nan then negative": ((2.0, math.nan, -1.0), "job 1: upper limit nan invalid"),
+    "negative then nan": ((2.0, -1.0, math.nan), "job 1: upper limit -1.0 invalid"),
+    "inf middle": ((2.0, math.inf, 2.0), "job 1: upper limit inf invalid"),
+    "minus inf first": ((-math.inf, 2.0, 2.0), "job 0: upper limit -inf invalid"),
+    "nan among ints": ((2, math.nan, 2), "job 1: upper limit nan invalid"),
+    "negative fraction": ((2, Fraction(-1, 2), 2), "job 1: upper limit -1/2 invalid"),
+    "minus zero": ((-0.0, 2.0, 2.0), None),
+    "minus zero among ints": ((2, -0.0, 2), None),
+    "fraction and int": ((Fraction(5, 2), 2, 3), None),
+    "bool": ((2, True, 2.5), None),
+}
+
+
+@pytest.mark.parametrize("mode", ["run", "mc"])
+@pytest.mark.parametrize("name", sorted(ODD_VIEWS))
+def test_view_check_keeps_its_verdict(mode, name):
+    view, message = ODD_VIEWS[name]
+    alg = parse_algorithm("random")
+
+    def go(uppers, inst):
+        if mode == "run":
+            return run(alg.generator("s"), StaticSource(inst), 3, uppers).total
+        return run_expected(alg, StaticSource(inst), 3, uppers, trials=3, seed="s").total
+
+    if message is not None:
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            go(view, Instance.from_pairs([(2, 1)] * 3))
+    else:  # the same limits as floats: the source accepts the view, the costs agree
+        inst = Instance.from_pairs([(float(u), float(u)) for u in view])
+        assert go(list(view), inst) == go(inst.uppers(), inst)
+
+
+def test_view_with_an_int_beyond_float_range():
+    # sum() of such an int and a float overflows; the per-limit walk accepts the view
+    assert _check_view(2, [10**400, 2.5]) == (10**400, 2.5)
 
 
 def test_exact_short_view_is_a_protocol_error():

@@ -72,6 +72,18 @@ def outcome_lines(inst, index):
                 yield f"{index} {name} exact {type(exc).__name__}: {exc}"
 
 
+def pinned_repr(inst):
+    """The instance in the text `PINNED_LB` was computed over.
+
+    That text is the `repr` an instance had when it was a tuple of `Job`
+    rows that carried a lower limit of 0; it is rebuilt here from the
+    columns, so the digest still pins every limit and time of the instance.
+    """
+    rows = [f"Job(id={j}, upper={u!r}, proc={p!r}, lower=0)"
+            for j, (u, p) in enumerate(zip(inst.uppers(), inst.procs()))]
+    return f"Instance(jobs=({', '.join(rows)}{',' if len(rows) == 1 else ''}))"
+
+
 def lb_lines():
     """lb_schedule on a quarter-grid static instance and on the adversary, per (nu, lam, delta, n).
 
@@ -90,10 +102,11 @@ def lb_lines():
                 for n in LB_SIZES:
                     inst = statics[n]
                     tr = run(alg.generator(), StaticSource(inst), n, inst.uppers())
-                    yield f"{nu} {lam} {delta} {n} static {tr.steps!r} {inst!r}"
+                    yield f"{nu} {lam} {delta} {n} static {tr.steps!r} {pinned_repr(inst)}"
                     source = det_lb_adversary(n, delta or DET_LB_DELTA, DET_LB_PBAR)
                     tr = run(alg.generator(), source, n, [DET_LB_PBAR] * n)
-                    yield f"{nu} {lam} {delta} {n} adversary {tr.steps!r} {source.realized_instance()!r}"
+                    realized = pinned_repr(source.realized_instance())
+                    yield f"{nu} {lam} {delta} {n} adversary {tr.steps!r} {realized}"
 
 
 def sha256_lines(lines):
