@@ -22,12 +22,6 @@ from typing import Callable, Optional
 from . import analysis
 from .core import EXEC_TESTED, EXEC_UNTESTED, TEST, numbers_equal
 
-DEFAULT_RANDOM_T = analysis.RANDOM_T_PUBLISHED
-DEFAULT_RANDOM_E = analysis.RANDOM_E_PUBLISHED
-DEFAULT_COMBINED_T1 = analysis.COMBINED_T1_PUBLISHED
-DEFAULT_COMBINED_T2 = analysis.COMBINED_T2_PUBLISHED
-DEFAULT_UTE_RHO = analysis.ute_rho_star()
-
 
 class ConfigurationError(ValueError):
     """Bad algorithm name, parameter, or instance/algorithm mismatch."""
@@ -103,6 +97,9 @@ def delay_all_generator(view):
 
 
 def make_random_order(T, E):
+    if not 1 < T <= E:
+        raise ConfigurationError(f"random rule needs 1 < T <= E, got T={T}, E={E}")
+
     def build(seed):
         def gen(view):
             blind, rest = _split(view[1], T)
@@ -158,12 +155,15 @@ def beat_generator(view):
 # Combined rule: pick the regime by the common limit.
 
 
-def make_combined(t1, t2):
+def make_combined(T1, T2):
+    if not 1 < T1 <= T2:
+        raise ConfigurationError(f"combined rule needs 1 < T1 <= T2, got {T1}, {T2}")
+
     def gen(view):
         limit = _uniform_limit(view[1], "combined rule")
-        if limit < t1:
+        if limit < T1:
             return _blind_test_defer(range(view[0]))
-        return beat_generator(view) if limit <= t2 else threshold_generator(view)
+        return beat_generator(view) if limit <= T2 else threshold_generator(view)
     return gen
 
 
@@ -174,6 +174,9 @@ def make_combined(t1, t2):
 
 
 def make_ute(rho):
+    if not rho > 1:
+        raise ConfigurationError(f"extreme-uniform rule needs rho > 1, got {rho}")
+
     def gen(view):
         n, uppers = view
         limit = _uniform_limit(uppers, "extreme-uniform rule")
@@ -275,74 +278,48 @@ class OnlineAlgorithm:
         return [(1, self.build(None))]
 
 
-def _fixed(gen_fn):
-    return lambda seed: gen_fn
+# One row per rule: (label template over the parameters, parameter defaults,
+# maker, randomized, objective, exact maker).  `maker(**params)` checks the
+# parameters and returns the generator function, or a seed -> generator
+# function factory if randomized; an exact maker returns the outcomes.
+_RULES = {
+    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum", None),
+    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum", None),
+    "random": ("random-order rule (T={T}, E={E})",
+               {"T": analysis.RANDOM_T_PUBLISHED, "E": analysis.RANDOM_E_PUBLISHED},
+               make_random_order, True, "sum", make_random_order_exact),
+    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum", None),
+    "combined": ("combined rule (T1={T1}, T2={T2})",
+                 {"T1": analysis.COMBINED_T1_PUBLISHED, "T2": analysis.COMBINED_T2_PUBLISHED},
+                 make_combined, False, "sum", None),
+    "ute": ("extreme-uniform rule (rho={rho})", {"rho": analysis.ute_rho_star()}, make_ute,
+            False, "sum", None),
+    "lb_schedule": ("adversary schedule (nu={nu}, lam={lam}, delta={delta})",
+                    {"nu": 0.0, "lam": 0.0, "delta": analysis.DET_LB_DELTA}, make_lb_schedule,
+                    False, "sum", None),
+    "makespan_det": ("golden-ratio makespan rule", {}, lambda: makespan_det_generator,
+                     False, "makespan", None),
+    "makespan_rand": ("randomized makespan rule", {}, lambda: make_makespan_rand,
+                      True, "makespan", lambda: makespan_rand_exact),
+}
 
 
 def build_algorithm(name, params=None):
-    """Construct a wrapped strategy from its registry name and parameters."""
-    params = dict(params or {})
+    """Construct a wrapped strategy from its `_RULES` row and parameters.
 
-    def take(key, default):
-        return params.pop(key, default)
-
-    def done(alg):
-        if params:
-            raise ConfigurationError(f"unknown parameters for {name}: {sorted(params)}")
-        return alg
-
-    if name == "threshold":
-        return done(OnlineAlgorithm("threshold", "threshold rule", _fixed(threshold_generator)))
-    if name == "delay_all":
-        return done(OnlineAlgorithm("delay_all", "delay-everything rule", _fixed(delay_all_generator)))
-    if name == "random":
-        T = take("T", DEFAULT_RANDOM_T)
-        E = take("E", DEFAULT_RANDOM_E)
-        if not 1 < T <= E:
-            raise ConfigurationError(f"random rule needs 1 < T <= E, got T={T}, E={E}")
-        return done(OnlineAlgorithm(
-            "random", f"random-order rule (T={T}, E={E})", make_random_order(T, E),
-            randomized=True, params={"T": T, "E": E}, exact=make_random_order_exact(T, E),
-        ))
-    if name == "beat":
-        return done(OnlineAlgorithm("beat", "balance rule", _fixed(beat_generator)))
-    if name == "combined":
-        t1 = take("T1", DEFAULT_COMBINED_T1)
-        t2 = take("T2", DEFAULT_COMBINED_T2)
-        if not 1 < t1 <= t2:
-            raise ConfigurationError(f"combined rule needs 1 < T1 <= T2, got {t1}, {t2}")
-        return done(OnlineAlgorithm(
-            "combined", f"combined rule (T1={t1}, T2={t2})", _fixed(make_combined(t1, t2)),
-            params={"T1": t1, "T2": t2},
-        ))
-    if name == "ute":
-        rho = take("rho", DEFAULT_UTE_RHO)
-        if not rho > 1:
-            raise ConfigurationError(f"extreme-uniform rule needs rho > 1, got {rho}")
-        return done(OnlineAlgorithm(
-            "ute", f"extreme-uniform rule (rho={rho})", _fixed(make_ute(rho)),
-            params={"rho": rho},
-        ))
-    if name == "lb_schedule":
-        nu = take("nu", 0.0)
-        lam = take("lam", 0.0)
-        delta = take("delta", analysis.DET_LB_DELTA)
-        return done(OnlineAlgorithm(
-            "lb_schedule", f"adversary schedule (nu={nu}, lam={lam}, delta={delta})",
-            _fixed(make_lb_schedule(nu, lam, delta)),
-            params={"nu": nu, "lam": lam, "delta": delta},
-        ))
-    if name == "makespan_det":
-        return done(OnlineAlgorithm(
-            "makespan_det", "golden-ratio makespan rule", _fixed(makespan_det_generator),
-            objective="makespan",
-        ))
-    if name == "makespan_rand":
-        return done(OnlineAlgorithm(
-            "makespan_rand", "randomized makespan rule", make_makespan_rand,
-            randomized=True, objective="makespan", exact=makespan_rand_exact,
-        ))
-    raise ConfigurationError(f"unknown algorithm: {name!r}")
+    Missing parameters take the row's defaults; the row's maker checks the
+    values before any unknown parameter name is reported.
+    """
+    if name not in _RULES:
+        raise ConfigurationError(f"unknown algorithm: {name!r}")
+    label, defaults, maker, randomized, objective, exact_maker = _RULES[name]
+    given = dict(params or {})
+    values = {key: given.pop(key, default) for key, default in defaults.items()}
+    made = maker(**values)
+    if given:
+        raise ConfigurationError(f"unknown parameters for {name}: {sorted(given)}")
+    return OnlineAlgorithm(name, label.format(**values), made if randomized else lambda seed: made,
+                           randomized, objective, values, exact_maker and exact_maker(**values))
 
 
 SUM_ALGORITHM_NAMES = ("threshold", "delay_all", "random", "beat", "combined", "ute")

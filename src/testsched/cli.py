@@ -21,11 +21,11 @@ from itertools import product
 from . import analysis, generators
 from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
 from .core import (
+    InputFileError,
     InstanceError,
     RatioReport,
     TraceError,
     check_trace_durations,
-    cost_of_trace,
     dump_instance,
     dump_trace,
     load_instance,
@@ -264,13 +264,13 @@ def _lower_bound_rand(args):
     analytic = analysis.rand_lb_value(q)
     names = [s.strip() for s in args.algorithms.split(",")] if args.algorithms \
         else list(SUM_ALGORITHM_NAMES)
+    algs = {name: parse_algorithm(name) for name in names}
     sums = {name: 0.0 for name in names}
     opt_sum = 0.0
     for i in range(trials):
         inst = generators.gen_rand_lb(n, q, seed=f"{args.seed}:inst:{i}")
         opt_sum += float(optimal_sum(inst).total)
-        for name in names:
-            alg = parse_algorithm(name)
+        for name, alg in algs.items():
             gen = alg.generator(f"{args.seed}:{name}:{i}" if alg.randomized else None)
             trace = run(gen, StaticSource(inst), inst.n, inst.uppers())
             sums[name] += float(trace.total)
@@ -306,12 +306,11 @@ def cmd_replay(args):
     exact_numbers = args.mode == "rational"
     inst = load_instance(args.instance, exact=exact_numbers)
     trace = load_trace(args.trace, n=inst.n, exact=exact_numbers)
-    total, makespan = cost_of_trace(trace)
     check_trace_durations(trace, inst)
     payload = {
         "n": inst.n,
-        "total": float(total),
-        "makespan": float(makespan),
+        "total": float(trace.total),
+        "makespan": float(trace.makespan),
         "opt_total": float(optimal_sum(inst).total),
         "opt_makespan": float(optimal_makespan(inst)[0]),
         "ok": True,
@@ -392,8 +391,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "trials", 1) < 1:  # the one check for every command that takes --trials
+            raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
         return args.fn(args)
-    except (ConfigurationError, InstanceError) as exc:
+    except (ConfigurationError, InstanceError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ProtocolError, TraceError) as exc:

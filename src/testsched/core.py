@@ -42,6 +42,10 @@ class TraceError(ValueError):
     """A trace violates the schedule structure."""
 
 
+class InputFileError(ValueError):
+    """An input file that cannot be read or parsed, named with the line where there is one."""
+
+
 def numbers_equal(a: Num, b: Num) -> bool:
     """Equality that is exact for rationals and tolerant for floats."""
     if isinstance(a, float) or isinstance(b, float):
@@ -52,8 +56,8 @@ def numbers_equal(a: Num, b: Num) -> bool:
 class Job(NamedTuple):
     """One job.  `upper` is public, `proc` is hidden until tested.
 
-    An immutable named tuple: it equals a plain tuple of the same values,
-    but only a `Job` is a row of an instance.
+    The read-only row type of `Instance.jobs`; an immutable named tuple that
+    equals a plain tuple of the same values.
     """
 
     id: int
@@ -62,32 +66,24 @@ class Job(NamedTuple):
 
 
 class Instance:
-    """Jobs with ids 0..n-1, kept as two columns and checked once, when built.
+    """Jobs 0..n-1 as two columns, `uppers` and `procs`, checked once, when built.
 
-    `uppers()` and `procs()` return the columns.  `Instance(jobs)` splits
-    `Job` rows into them and `from_pairs` builds them directly; `jobs` gives
-    the rows back, built on first use.
+    `Instance(uppers, procs)` is the only constructor; `from_pairs` transposes
+    (upper, proc) pairs into it.  `uppers()` and `procs()` return the columns,
+    and `jobs` is a read-only view of them as `Job` rows, built on first use.
     """
 
     __slots__ = ("_uppers", "_procs", "_jobs")
 
-    def __init__(self, jobs: Iterable[Job]):
-        rows = self._jobs = tuple(jobs)  # a list could change after the check
-        if not {Job}.issuperset(map(type, rows)):
-            _check_rows(rows)  # names the first row that is no Job; a Job subclass passes
-        ids, self._uppers, self._procs = tuple(zip(*rows)) or ((), (), ())
-        if ids != tuple(range(len(rows))):
-            _check_rows(rows)
+    def __init__(self, uppers: Iterable[Num], procs: Iterable[Num]):
+        self._uppers, self._procs = tuple(uppers), tuple(procs)  # a list could change after the check
+        self._jobs = None
         validate_instance(self)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Num, Num]]) -> "Instance":
         """Build an instance from (upper, proc) pairs, ids in given order."""
-        self = cls.__new__(cls)
-        self._uppers, self._procs = tuple(zip(*pairs, strict=True)) or ((), ())
-        self._jobs = None
-        validate_instance(self)
-        return self
+        return cls(*(tuple(zip(*pairs, strict=True)) or ((), ())))
 
     @property
     def n(self) -> int:
@@ -115,41 +111,34 @@ _NUMBER_TYPES = frozenset((int, float, Fraction))  # a bool is no number here
 def validate_instance(inst: Instance) -> None:
     """Raise InstanceError unless `inst` is well formed.
 
-    Checks: at least one job, finite int, float or Fraction values (not
-    bool) and 0 <= proc <= upper.  `Instance` calls this once, when built;
-    the engine and the offline solvers rely on it.  It runs C-level passes
-    over the columns (the `le` pass sees a NaN that `min` or `max` skip);
-    only if one fails does `_check_job` walk the rows to name the first fault.
+    Checks: at least one job, equal column lengths, finite int, float or
+    Fraction values (not bool) and 0 <= proc <= upper.  `Instance` calls this
+    once, when built; the engine and the offline solvers rely on it.  It runs
+    C-level passes over the columns (the `le` pass sees a NaN that `min` or
+    `max` skip); if one fails, `_check_job` walks the jobs to name the first.
     """
     if not isinstance(inst, Instance) or not inst.n:
         raise InstanceError("instance must contain at least one job")
     uppers, procs = inst.uppers(), inst.procs()
+    if len(procs) != len(uppers):
+        raise InstanceError(f"{len(uppers)} upper limits but {len(procs)} processing times")
     types = {*map(type, uppers), *map(type, procs)}
     if not (types <= _NUMBER_TYPES and min(procs) >= 0 and (float not in types or max(uppers) < math.inf)
             and all(map(le, procs, uppers))):
-        _check_rows(inst.jobs)
+        for i, (upper, proc) in enumerate(zip(uppers, procs)):
+            _check_job(i, upper, proc)
 
 
-def _check_rows(rows) -> None:
-    for i, job in enumerate(rows):
-        _check_job(i, job)
-
-
-def _check_job(i: int, job: Job) -> None:
+def _check_job(i: int, upper: Num, proc: Num) -> None:
     """Per-field check of job `i`; raises InstanceError naming the first fault."""
-    if not isinstance(job, Job):
-        raise InstanceError(f"job {i}: not a Job")
-    if job.id != i:
-        raise InstanceError(f"job {i}: id {job.id} out of order (ids must be 0..n-1)")
-    for name in ("upper", "proc"):
-        x = getattr(job, name)
+    for name, x in (("upper", upper), ("proc", proc)):
         if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
                 or isinstance(x, float) and not math.isfinite(x)):
             raise InstanceError(f"job {i}: {name} is not a finite number")
-    if job.proc < 0:
+    if proc < 0:
         raise InstanceError(f"job {i}: negative time")
-    if job.proc > job.upper:
-        raise InstanceError(f"job {i}: proc {job.proc} exceeds upper limit {job.upper}")
+    if proc > upper:
+        raise InstanceError(f"job {i}: proc {proc} exceeds upper limit {upper}")
 
 
 @dataclass
@@ -176,14 +165,20 @@ def action_fault(kind, job, state) -> str:
     return f"job {job} executed untested after its test"
 
 
-def _replay(trace: Trace) -> tuple[list, Num, Num]:
-    """One checked walk of the steps: (completions, total, makespan), see cost_of_trace."""
-    n = trace.n
+def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
+    """Assemble a Trace from (kind, job, start, dur) rows, validating it.
+
+    Checks the schedule structure: actions contiguous from 0, tests take
+    exactly one unit, at most one test per job and only before its
+    execution, exactly one execution per job, no untested execution of a
+    tested job.  The first offending action index is named in the error.
+    """
+    steps = list(steps)
     state = bytearray(n)
     completions: list = [None] * n
     t: Num = 0
-    for i, (kind, job, start, dur) in enumerate(trace.steps):
-        if not isinstance(job, int) or not 0 <= job < n:
+    for i, (kind, job, start, dur) in enumerate(steps):
+        if type(job) is not int or not 0 <= job < n:  # a bool is no job id
             raise TraceError(f"action {i}: unknown job id {job!r}")
         if not numbers_equal(start, t):
             raise TraceError(f"action {i}: starts at {start}, schedule time is {t} (gap or overlap)")
@@ -203,19 +198,13 @@ def _replay(trace: Trace) -> tuple[list, Num, Num]:
     for j in range(n):
         if state[j] != DONE:
             raise TraceError(f"job {j} never executed")
-    return completions, sum(completions), t
+    return Trace(n, steps, tuple(completions), sum(completions), t)
 
 
 def cost_of_trace(trace: Trace) -> tuple[Num, Num]:
-    """Recompute (sum of completions, makespan) from the action list alone.
-
-    Validates the schedule structure on the way: actions contiguous from 0,
-    tests take exactly one unit, at most one test per job and only before
-    its execution, exactly one execution per job, no untested execution of
-    a tested job.  The first offending action index is named in the error.
-    """
-    _, total, makespan = _replay(trace)
-    return total, makespan
+    """Recompute (sum of completions, makespan) from the action list alone, checked as in build_trace."""
+    replayed = build_trace(trace.n, trace.steps)
+    return replayed.total, replayed.makespan
 
 
 def check_trace_durations(trace: Trace, inst: Instance) -> None:
@@ -227,25 +216,27 @@ def check_trace_durations(trace: Trace, inst: Instance) -> None:
             raise TraceError(f"action {i}: duration {dur} does not match {kind} of job {job} (expected {want})")
 
 
-def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
-    """Assemble a Trace from (kind, job, start, dur) rows, validating it."""
-    tr = Trace(n=n, steps=list(steps), completions=(), total=0, makespan=0)
-    completions, tr.total, tr.makespan = _replay(tr)
-    tr.completions = tuple(completions)
-    return tr
-
-
 # ---------------------------------------------------------------------------
 # File formats.  Instances are a JSON array of {"upper":..,"proc":..}, traces
-# are JSON lines {"t":..,"kind":..,"job":..,"dur":..}.  Exact mode reads every
-# number as a Fraction.
+# are JSON lines {"t":..,"kind":..,"job":..,"dur":..}.  Exact mode reads each
+# number of an instance, and each fractional number of a trace, as a Fraction.
 
 _AS_FRACTIONS = {"parse_float": Fraction, "parse_int": Fraction}
 
 
+def _read(path) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_instance(path, exact: bool = False) -> Instance:
-    with open(path) as f:
-        raw = json.load(f, **(_AS_FRACTIONS if exact else {}))
+    try:
+        raw = json.loads(_read(path), **(_AS_FRACTIONS if exact else {}))
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{path}: not a JSON document ({exc})") from exc
     if not isinstance(raw, list):
         raise InstanceError("instance file must contain a JSON array of jobs")
     for i, row in enumerate(raw):
@@ -270,16 +261,25 @@ def dump_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
+    """Read a trace file and replay it; a job id must be a JSON integer in either mode."""
     steps = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line, **(_AS_FRACTIONS if exact else {}))
-            steps.append((row["kind"], int(row["job"]) if exact else row["job"], row["t"], row["dur"]))
+    for lineno, line in enumerate(_read(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line, parse_float=Fraction if exact else float)
+            t, kind, job, dur = row["t"], row["kind"], row["job"], row["dur"]
+            ok = {type(t), type(dur)} <= _NUMBER_TYPES
+        except (ValueError, TypeError, KeyError):
+            ok = False
+        if not ok:
+            raise InputFileError(f"{path}, line {lineno}: expected a JSON object with "
+                                  "numbers 't' and 'dur', a 'kind' and a 'job'")
+        if exact and type(job) is not int:  # name it as float mode does, not as a Fraction
+            job = json.loads(line)["job"]
+        steps.append((kind, job, t, dur))
     if n is None:
-        n = 1 + max((s[1] for s in steps), default=-1)
+        n = 1 + max((s[1] for s in steps if type(s[1]) is int), default=-1)
     return build_trace(n, steps)
 
 

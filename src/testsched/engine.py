@@ -105,7 +105,7 @@ class AdaptiveSource:
     def realized_instance(self) -> Instance:
         if self._uppers is None or len(self._committed) != self._n:
             raise ProtocolError("realized instance is only defined after a complete run")
-        return Instance.from_pairs(zip(self._uppers, map(self._committed.__getitem__, range(self._n))))
+        return Instance(self._uppers, map(self._committed.__getitem__, range(self._n)))
 
 
 def run(algorithm, source, n: int, upper_limits) -> Trace:
@@ -164,7 +164,7 @@ def _drive(gen_fn, source, n: int, uppers: tuple) -> Trace:
                 kind, job = action
             except (TypeError, ValueError):
                 raise ProtocolError(f"action {len(steps)}: not a (kind, job) pair: {action!r}")
-            if not isinstance(job, int) or not 0 <= job < n:
+            if type(job) is not int or not 0 <= job < n:  # a bool is no job id
                 raise ProtocolError(f"action {len(steps)}: unknown job id {job!r}")
             s = state[job]
             if kind == TEST and s == UNTOUCHED:
@@ -215,7 +215,7 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     Exact mode enumerates the algorithm's outcome distribution (all test
     orders, or all test-coin outcomes) and is limited to n <= 8; it returns
     the exact expectation with zero standard error.  Monte Carlo mode runs
-    `trials` independent seeded replicates.  `source` may be a reveal source
+    `trials` (at least 1) independent seeded replicates.  `source` may be a reveal source
     (reused across trials) or a zero-argument factory returning fresh ones.
     The view is checked once, before the first run; each run's source still
     checks it in `begin`.
@@ -225,6 +225,8 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         raise ProtocolError(f"exact expectation limited to n <= {EXACT_ENUMERATION_LIMIT}, got n={n}")
     if not exact and alg.randomized and seed is None:
         raise ProtocolError("randomized run without a master seed")
+    if not exact and alg.randomized and trials < 1:
+        raise ProtocolError(f"Monte Carlo needs trials >= 1, got {trials}")
     uppers = _check_view(n, upper_limits)
     if exact:
         total: Num = 0

@@ -1,6 +1,7 @@
 """Behavioral traces of every strategy against hand-worked schedules."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -279,3 +280,63 @@ class TestUniformLimit:
         with pytest.raises(ConfigurationError,
                            match=r"^balance rule needs a common upper limit on all jobs$"):
             _uniform_limit(uppers, "balance rule")
+
+
+class TestRegistryPins:
+    """What each registry row builds, and the exact text of each rejected spec."""
+
+    BUILT = {
+        "threshold": ("threshold", "threshold rule", False, "sum", {}),
+        "delay_all": ("delay_all", "delay-everything rule", False, "sum", {}),
+        "random": ("random", "random-order rule (T=1.7453, E=2.8609)", True, "sum",
+                   {"T": 1.7453, "E": 2.8609}),
+        "random[T=1.5,E=3]": ("random", "random-order rule (T=1.5, E=3.0)", True, "sum",
+                              {"T": 1.5, "E": 3.0}),
+        "beat": ("beat", "balance rule", False, "sum", {}),
+        "combined": ("combined", "combined rule (T1=1.9338, T2=2.2948)", False, "sum",
+                     {"T1": 1.9338, "T2": 2.2948}),
+        "combined[T1=2,T2=2.5]": ("combined", "combined rule (T1=2.0, T2=2.5)", False, "sum",
+                                  {"T1": 2.0, "T2": 2.5}),
+        "ute": ("ute", "extreme-uniform rule (rho=1.8667603991738622)", False, "sum",
+                {"rho": 1.8667603991738622}),
+        "ute[rho=2]": ("ute", "extreme-uniform rule (rho=2.0)", False, "sum", {"rho": 2.0}),
+        "lb_schedule": ("lb_schedule", "adversary schedule (nu=0.0, lam=0.0, delta=0.6306655)",
+                        False, "sum", {"nu": 0.0, "lam": 0.0, "delta": 0.6306655}),
+        "lb_schedule[nu=0.1,lam=0.2,delta=0.5]": (
+            "lb_schedule", "adversary schedule (nu=0.1, lam=0.2, delta=0.5)", False, "sum",
+            {"nu": 0.1, "lam": 0.2, "delta": 0.5}),
+        "makespan_det": ("makespan_det", "golden-ratio makespan rule", False, "makespan", {}),
+        "makespan_rand": ("makespan_rand", "randomized makespan rule", True, "makespan", {}),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(BUILT))
+    def test_built_rule(self, spec):
+        alg = parse_algorithm(spec)
+        got = (alg.key, alg.label, alg.randomized, alg.objective, alg.params)
+        assert got == self.BUILT[spec]
+        assert [type(v) for v in alg.params.values()] == [float] * len(alg.params)
+
+    def test_rational_parameters_in_the_label(self):
+        alg = parse_algorithm("random[T=3/2,E=3]", exact=True)
+        assert alg.label == "random-order rule (T=3/2, E=3)"
+        assert alg.params == {"T": Fraction(3, 2), "E": Fraction(3)}
+        assert all(type(v) is Fraction for v in alg.params.values())
+
+    REJECTED = {
+        "random[T=0.5]": "random rule needs 1 < T <= E, got T=0.5, E=2.8609",
+        "random[T=3,E=2]": "random rule needs 1 < T <= E, got T=3.0, E=2.0",
+        "random[T=0.5,x=1]": "random rule needs 1 < T <= E, got T=0.5, E=2.8609",
+        "random[x=1]": "unknown parameters for random: ['x']",
+        "combined[T1=2.5,T2=2]": "combined rule needs 1 < T1 <= T2, got 2.5, 2.0",
+        "ute[rho=1]": "extreme-uniform rule needs rho > 1, got 1.0",
+        "lb_schedule[nu=0.7,lam=0.5]": "nu + lam must not exceed 1",
+        "lb_schedule[nu=2,x=1]": "nu, lam, delta must lie in [0, 1]",
+        "threshold[x=1]": "unknown parameters for threshold: ['x']",
+        "makespan_rand[q=1]": "unknown parameters for makespan_rand: ['q']",
+        "nope": "unknown algorithm: 'nope'",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(REJECTED))
+    def test_rejected_spec_text(self, spec):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(self.REJECTED[spec])}$"):
+            parse_algorithm(spec)

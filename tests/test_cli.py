@@ -280,6 +280,164 @@ class TestLowerBound:
         assert {r["algorithm"] for r in payload["runs"]} == {"threshold", "random"}
         assert payload["min_observed"] > 1.0
 
+    def test_rand_repeated_name_counts_once(self, capsys):
+        argv = ["lower-bound", "rand", "--n", "10", "--trials", "2", "--seed", "1", "--algorithms"]
+        assert main(argv + ["threshold"]) == 0
+        once = json.loads(capsys.readouterr().out)["runs"]
+        assert main(argv + ["threshold,threshold"]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"] == once * 2
+
     def test_det_rejects_randomized(self, capsys):
         assert main(["lower-bound", "det", "--n", "50",
                      "--algorithms", "random"]) == 2
+
+
+def lb_run(algorithm, label, alg_cost, opt_cost, ratio):
+    return {"algorithm": algorithm, "label": label, "alg_cost": alg_cost, "opt_cost": opt_cost,
+            "ratio": ratio}
+
+
+def rand_run(algorithm, mean_alg, ratio):
+    return {"algorithm": algorithm, "mean_alg": mean_alg, "mean_opt": 1953.64142060011,
+            "ratio": ratio}
+
+
+class TestPinnedOutput:
+    """The exact stdout of three commands; `det` carries every rule label the registry builds."""
+
+    LB_DET = {
+        "bound": "adaptive-deterministic", "delta": 0.6306655, "p_bar": 1.9896202, "n": 200,
+        "analytic": 1.8546281091568344, "min_observed": 1.8506792747649734,
+        "runs": [
+            lb_run("threshold", "threshold rule", 39991.366019999914, 20100.0, 1.9896201999999956),
+            lb_run("delay_all", "delay-everything rule", 39991.366019999914, 20100.0,
+                   1.9896201999999956),
+            lb_run("combined", "combined rule (T1=1.9338, T2=2.2948)", 53925.56059259979,
+                   28017.95122019996, 1.9246789377562108),
+            lb_run("ute", "extreme-uniform rule (rho=1.8667603991738622)", 51861.08217059994,
+                   28017.95122019996, 1.8509948055448793),
+            lb_run("best_schedule",
+                   "adversary schedule (nu=0.0, lam=0.2651646182430998, delta=0.6306655)",
+                   51852.241644600064, 28017.95122019996, 1.8506792747649734),
+        ],
+    }
+    LB_RAND = {
+        "bound": "randomized-two-point", "q": 0.42264973081037416, "n": 50, "trials": 5,
+        "analytic": 1.6257523845831854, "expected_opt_coeff": 1.4553418012614798,
+        "min_observed": 1.6035712152792208,
+        "runs": [
+            rand_run("threshold", 3205.041420600108, 1.6405474345520372),
+            rand_run("delay_all", 3675.441420600108, 1.8813285702506777),
+            rand_run("random", 3132.8031470515416, 1.6035712152792208),
+            rand_run("beat", 3177.729086146993, 1.6265672157846005),
+            rand_run("combined", 3205.041420600108, 1.6405474345520372),
+            rand_run("ute", 3188.383329584903, 1.6320207464712286),
+        ],
+    }
+    # the threshold rule's schedule of (2, 0.1), (0.7, 0.3), (2.2, 1.9), (3.3, 0.2)
+    REPLAY_INSTANCE = ('[{"upper": 2, "proc": 0.1}, {"upper": 0.7, "proc": 0.3}, '
+                       '{"upper": 2.2, "proc": 1.9}, {"upper": 3.3, "proc": 0.2}]')
+    REPLAY_TRACE = (
+        '{"t": 0, "kind": "exec_untested", "job": 1, "dur": 0.7}\n'
+        '{"t": 0.7, "kind": "test", "job": 0, "dur": 1}\n'
+        '{"t": 1.7, "kind": "exec_tested", "job": 0, "dur": 0.1}\n'
+        '{"t": 1.8, "kind": "test", "job": 2, "dur": 1}\n'
+        '{"t": 2.8, "kind": "exec_tested", "job": 2, "dur": 1.9}\n'
+        '{"t": 4.699999999999999, "kind": "test", "job": 3, "dur": 1}\n'
+        '{"t": 5.699999999999999, "kind": "exec_tested", "job": 3, "dur": 0.2}\n'
+    )
+    REPLAY = {"n": 4, "total": 13.099999999999998, "makespan": 5.8999999999999995,
+              "opt_total": 10.7, "opt_makespan": 5.2, "ok": True}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["lower-bound", "det", "--n", "200"], LB_DET),
+        (["lower-bound", "rand", "--n", "50", "--trials", "5", "--seed", "1"], LB_RAND),
+    ], ids=["det", "rand"])
+    def test_lower_bound_text(self, capsys, argv, payload):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def write_replay_files(self, tmp_path):
+        inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+        inst.write_text(self.REPLAY_INSTANCE)
+        trace.write_text(self.REPLAY_TRACE)
+        return ["replay", "--instance", str(inst), "--trace", str(trace)]
+
+    def test_replay_text(self, tmp_path, capsys):
+        assert main(self.write_replay_files(tmp_path)) == 0
+        assert capsys.readouterr().out == json.dumps(self.REPLAY, indent=2) + "\n"
+
+    def test_replay_rational_names_the_float_gap(self, tmp_path, capsys):
+        assert main(self.write_replay_files(tmp_path) + ["--mode", "rational"]) == 1
+        assert capsys.readouterr().err == (
+            "error: action 5: starts at 4699999999999999/1000000000000000, "
+            "schedule time is 47/10 (gap or overlap)\n")
+
+
+def one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (out, err)
+    return err[len("error: "):-1]
+
+
+class TestBadInputFiles:
+    """A file that cannot be read or parsed exits 2 with one line naming it."""
+
+    def test_truncated_instance(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('[{"upper": 2, "proc": 1}, {"upper": 2,')
+        assert main(["simulate", "threshold", "--instance", str(inst)]) == 2
+        assert one_error_line(capsys).startswith(f"{inst}: not a JSON document (")
+
+    @pytest.mark.parametrize("command", [["simulate", "threshold"], ["replay", "--trace", "t.jsonl"]],
+                             ids=["simulate", "replay"])
+    def test_missing_instance(self, tmp_path, capsys, command):
+        inst = tmp_path / "absent.json"
+        assert main(command + ["--instance", str(inst)]) == 2
+        assert one_error_line(capsys) == f"{inst}: No such file or directory"
+
+    def test_missing_trace(self, tmp_path, capsys):
+        inst, trace = tmp_path / "inst.json", tmp_path / "absent.jsonl"
+        inst.write_text('[{"upper": 2, "proc": 1}]')
+        assert main(["replay", "--instance", str(inst), "--trace", str(trace)]) == 2
+        assert one_error_line(capsys) == f"{trace}: No such file or directory"
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("bad_line", [
+        '{"t": 1, "kind": "exec_untested", "job": 1}',
+        '{"t": 1, "kind": "exec_untested", "job": 1, "dur": 2',
+        '[1, "exec_untested", 1, 2]',
+        '{"t": 1, "kind": "exec_untested", "job": 1, "dur": "2"}',
+        '{"t": true, "kind": "exec_untested", "job": 1, "dur": 2}',
+    ], ids=["no_dur", "not_json", "not_an_object", "dur_a_string", "t_a_bool"])
+    def test_malformed_trace_line(self, tmp_path, capsys, bad_line, mode):
+        inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+        inst.write_text('[{"upper": 1, "proc": 1}, {"upper": 2, "proc": 2}]')
+        trace.write_text('{"t": 0, "kind": "exec_untested", "job": 0, "dur": 1}\n\n' + bad_line + "\n")
+        assert main(["replay", "--instance", str(inst), "--trace", str(trace), "--mode", mode]) == 2
+        assert one_error_line(capsys) == (
+            f"{trace}, line 3: expected a JSON object with numbers 't' and 'dur', a 'kind' and a 'job'")
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("job, shown", [("0.5", "0.5"), ('"0"', "'0'"), ("false", "False")],
+                             ids=["fraction", "string", "bool"])
+    def test_job_id_must_be_an_integer(self, tmp_path, capsys, job, shown, mode):
+        inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+        inst.write_text('[{"upper": 2, "proc": 1}]')
+        trace.write_text(f'{{"t": 0, "kind": "exec_untested", "job": {job}, "dur": 2}}\n')
+        assert main(["replay", "--instance", str(inst), "--trace", str(trace), "--mode", mode]) == 1
+        assert one_error_line(capsys) == f"action 0: unknown job id {shown}"
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "random", "--seed", "s", "--gen", "extreme_uniform", "--param", "n=4",
+         "--param", "p_bar=2.0", "--param", "gamma=0.5"],
+        ["simulate", "threshold", "--gen", "extreme_uniform", "--param", "n=4",
+         "--param", "p_bar=2.0", "--param", "gamma=0.5"],
+        ["sweep", "random", "--gen", "extreme_uniform", "--param", "n=4", "--param", "p_bar=2.5",
+         "--sweep", "gamma=0.2:0.4:0.2", "--seed", "s"],
+        ["lower-bound", "rand", "--n", "10", "--seed", "s"],
+    ], ids=["simulate_random", "simulate_threshold", "sweep", "lower_bound_rand"])
+    def test_trials_below_one(self, capsys, argv, trials):
+        assert main(argv + ["--trials", trials]) == 2
+        assert one_error_line(capsys) == f"--trials must be at least 1, got {trials}"

@@ -5,9 +5,10 @@ import json
 import math
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from testsched.core import (
     EXEC_TESTED,
@@ -138,7 +139,7 @@ class TestValidateInstance:
 
     def test_empty_rejected(self):
         with pytest.raises(InstanceError):
-            validate_instance(Instance(()))
+            validate_instance(Instance((), ()))
 
     def test_proc_above_upper_rejected(self):
         with pytest.raises(InstanceError):
@@ -153,21 +154,23 @@ class TestValidateInstance:
             validate_instance(Instance.from_pairs([(math.inf, 1)]))
 
     def test_ids_must_be_consecutive(self):
-        with pytest.raises(InstanceError):
-            validate_instance(Instance((Job(1, 2, 1),)))
+        # ids are positions in the columns, so the row view numbers them 0..n-1
+        inst = Instance([2, 3, 2.5], [1, 0, 2.5])
+        assert [job.id for job in inst.jobs] == [0, 1, 2]
 
     def test_jobs_frozen_as_tuple(self):
-        jobs = [Job(0, 2, 1)]
-        inst = Instance(jobs)
-        jobs.append(Job(7, 1, 5))
+        uppers, procs = [2], [1]
+        inst = Instance(uppers, procs)
+        uppers.append(1)
+        procs.append(5)
         assert inst.jobs == (Job(0, 2, 1),)
+        assert inst.uppers() == (2,) and inst.procs() == (1,)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Instance.from_pairs([(2, 3)]), "job 0: proc 3 exceeds upper limit 2"),
-        (lambda: Instance(()), "instance must contain at least one job"),
-        (lambda: Instance((Job(0, 2, 1), Job(2, 2, 1))),
-         "job 1: id 2 out of order (ids must be 0..n-1)"),
-    ], ids=["proc_above_upper", "empty", "ids_out_of_order"])
+        (lambda: Instance((), ()), "instance must contain at least one job"),
+        (lambda: Instance((2, 2), (1,)), "2 upper limits but 1 processing times"),
+    ], ids=["proc_above_upper", "empty", "columns_unequal"])
     def test_constructor_raises(self, build, message):
         # no validate_instance call: the constructor checks, with today's messages
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
@@ -184,12 +187,10 @@ class TestValidateInstance:
                  Fraction(1, 3), 10**400, Int(1), Float(0.25), "1", None]
 
         accepted = 0
-        for job_id, u, p in itertools.product((0, 1), edges, edges):
-            job = Job(job_id, u, p)
-            want = verdict(lambda: _check_job(0, job))
-            assert verdict(lambda: Instance((job,))) == want, (job_id, u, p)
-            if job_id == 0:
-                assert verdict(lambda: Instance.from_pairs([(u, p)])) == want, (u, p)
+        for u, p in itertools.product(edges, edges):
+            want = verdict(lambda: _check_job(0, u, p))
+            assert verdict(lambda: Instance((u,), (p,))) == want, (u, p)
+            assert verdict(lambda: Instance.from_pairs([(u, p)])) == want, (u, p)
             accepted += want is None
         assert accepted > 0  # the table reaches both verdicts
 
@@ -216,22 +217,12 @@ class TestValidateInstance:
         pairs = [(2, 1)] * 5
         for i, pair in self.COLUMN_FAULTS[name].items():
             pairs[i] = pair
-        rows = [Job(i, u, p) for i, (u, p) in enumerate(pairs)]
         first = min(self.COLUMN_FAULTS[name])
-        want = verdict(lambda: _check_job(first, rows[first]))
+        want = verdict(lambda: _check_job(first, *pairs[first]))
         assert want is not None and want.startswith(f"job {first}: ")
         assert verdict(lambda: Instance.from_pairs(pairs)) == want
-        assert verdict(lambda: Instance(rows)) == want
-
-    @pytest.mark.parametrize("rows, message", [
-        (((0, 2, 1, 0),), "job 0: not a Job"),
-        ((None,), "job 0: not a Job"),
-        ((SimpleNamespace(id=0, upper=2, proc=1, lower=0),), "job 0: not a Job"),
-        ((Job(0, 2, 1), (1, 2, 1, 0)), "job 1: not a Job"),
-    ], ids=["plain_tuple", "none", "duck_typed", "tuple_after_job"])
-    def test_non_job_rows_rejected(self, rows, message):
-        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
-            Instance(rows)
+        uppers, procs = zip(*pairs)
+        assert verdict(lambda: Instance(list(uppers), iter(procs))) == want
 
     def test_columns_and_rows_agree(self):
         pairs = [(2, 1), (Fraction(3, 2), 0), (2.5, 2.5)]
@@ -241,9 +232,9 @@ class TestValidateInstance:
         assert inst.uppers() is inst.uppers() and inst.procs() is inst.procs()
         assert inst.jobs == rows and inst.jobs is inst.jobs
         assert inst.jobs[1].upper == Fraction(3, 2) and inst.jobs[2].proc == 2.5
-        from_rows = Instance(list(rows))
-        assert from_rows.uppers() == inst.uppers() and from_rows.procs() == inst.procs()
-        assert from_rows.jobs == rows
+        from_columns = Instance([2, Fraction(3, 2), 2.5], (1, 0, 2.5))
+        assert from_columns.uppers() == inst.uppers() and from_columns.procs() == inst.procs()
+        assert from_columns.jobs == rows
 
     def test_job_is_an_immutable_named_tuple(self):
         job = Job(id=0, upper=2, proc=1)
@@ -253,6 +244,39 @@ class TestValidateInstance:
         assert repr(job) == "Job(id=0, upper=2, proc=1)"
         with pytest.raises(AttributeError):
             job.upper = 3
+
+
+# Column values for the property test: ints, Fractions and floats with every
+# float edge, bools and strings; GOOD_JOBS makes accepted instances common.
+VALUES = st.one_of(
+    st.integers(-2, 4), st.fractions(-2, 4, max_denominator=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), st.booleans(), st.text(max_size=2))
+GOOD_JOBS = st.integers(0, 3).flatmap(lambda p: st.tuples(st.integers(p, 6) | st.floats(p, 6), st.just(p)))
+
+
+def per_job_walk(uppers, procs):
+    """The reference verdict: the instance-level checks, then `_check_job` job by job."""
+    if not uppers:
+        return "instance must contain at least one job"
+    if len(uppers) != len(procs):
+        return f"{len(uppers)} upper limits but {len(procs)} processing times"
+    for i, (upper, proc) in enumerate(zip(uppers, procs)):
+        fault = verdict(lambda: _check_job(i, upper, proc))
+        if fault:
+            return fault
+    return None
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.lists(GOOD_JOBS | st.tuples(VALUES, VALUES), max_size=6), st.sampled_from([0, 0, 0, -1, 1]))
+def test_instance_check_agrees_with_the_per_job_walk(jobs, skew):
+    uppers = [u for u, _ in jobs]
+    procs = [p for _, p in jobs][:len(jobs) + skew] + [1] * skew
+    want = per_job_walk(uppers, procs)
+    assert verdict(lambda: Instance(uppers, procs)) == want
+    if not skew:
+        assert verdict(lambda: Instance.from_pairs(jobs)) == want
 
 
 class TestNumbersEqual:

@@ -134,6 +134,7 @@ ILLEGAL = {
     "unhashable kind": ([([TEST], 0)], "unknown kind ['test']"),
     "unknown job": ([(EXEC_UNTESTED, 5)], "unknown job id 5"),
     "non-integer job": ([(EXEC_UNTESTED, "0")], "unknown job id '0'"),
+    "bool job": ([(EXEC_UNTESTED, 0), (EXEC_UNTESTED, True)], "unknown job id True"),
 }
 
 
@@ -215,6 +216,13 @@ class TestRunExpected:
         inst = Instance.from_pairs([(2, 0), (2, 0)])
         with pytest.raises(ProtocolError, match="seed"):
             run_expected(parse_algorithm("random"), StaticSource(inst), 2, inst.uppers())
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_monte_carlo_needs_a_trial(self, trials):
+        inst = Instance.from_pairs([(2, 0), (2, 0)])
+        with pytest.raises(ProtocolError, match=f"^Monte Carlo needs trials >= 1, got {trials}$"):
+            run_expected(parse_algorithm("random"), StaticSource(inst), 2, inst.uppers(),
+                         trials=trials, seed="s")
 
     def test_seeded_runs_reproduce(self):
         inst = gen_random(20, seed="mc")
