@@ -18,7 +18,6 @@ from .core import (
     Instance,
     InstanceError,
     Job,
-    RatioReport,
     Trace,
     TraceError,
     cost_of_trace,
@@ -49,7 +48,6 @@ __all__ = [
     "OnlineAlgorithm",
     "OptPlan",
     "ProtocolError",
-    "RatioReport",
     "StaticSource",
     "Trace",
     "TraceError",

@@ -11,7 +11,10 @@ bisection for roots.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
+
+from .core import InstanceError
 
 # Published rounded values of the tuned parameters; solvers recompute them.
 RANDOM_T_PUBLISHED = 1.7453
@@ -167,8 +170,8 @@ def det_lb_best_schedule(delta, p_bar):
 
 def det_lb_value(delta, p_bar):
     """Lower bound on every deterministic algorithm's ratio at (delta, p_bar)."""
-    if not (0 < delta <= 1) or p_bar <= 1:
-        raise ValueError(f"need 0 < delta <= 1 and p_bar > 1, got ({delta}, {p_bar})")
+    if not (0 < delta <= 1 and p_bar > 1):
+        raise InstanceError(f"need 0 < delta <= 1 and p_bar > 1, got ({delta}, {p_bar})")
     nu, lam = det_lb_best_schedule(delta, p_bar)
     return det_lb_alg(nu, lam, delta, p_bar) / det_lb_opt(nu, delta, p_bar)
 
@@ -295,7 +298,7 @@ def rand_lb_opt_coeff(q):
 def rand_lb_value(q):
     """Lower bound on every algorithm's expected ratio at parameter q."""
     if not 0 < q < 1:
-        raise ValueError(f"q must be in (0, 1), got {q}")
+        raise InstanceError(f"q must be in (0, 1), got {q}")
     return (1 / q) / rand_lb_opt_coeff(q)
 
 
@@ -471,10 +474,11 @@ def solve_ute_rho():
 
 
 def makespan_test_probability(p_bar):
-    """Test probability of the randomized makespan rule."""
+    """Test probability of the randomized makespan rule; exact for an int or Fraction limit."""
     if p_bar <= 1:
         return 0.0
-    return 1 - 1 / (p_bar * p_bar - p_bar + 1)
+    d = p_bar * p_bar - p_bar + 1
+    return 1 - (1 / d if isinstance(d, float) else Fraction(1, d))
 
 
 def makespan_det_curve(p_bar):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,11 +24,10 @@ from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm
 from .core import (
     InputFileError,
     InstanceError,
-    RatioReport,
     TraceError,
     check_trace_durations,
-    dump_instance,
     dump_trace,
+    instance_text,
     load_instance,
     load_trace,
 )
@@ -56,8 +56,16 @@ def _parse_params(items, exact=False):
     return out
 
 
+def _report_number(x):
+    """A Fraction in a report: an int when whole, else its float (reports are never read back)."""
+    return x.numerator if x.denominator == 1 else float(x)
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, default=float) + "\n"
+    _write(json.dumps(payload, indent=2, default=_report_number) + "\n", out_path)
+
+
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -74,19 +82,12 @@ def _load_or_generate(args, exact):
     raise ConfigurationError("provide --instance FILE or --gen NAME")
 
 
-def _optimum(inst, objective):
-    if objective == "makespan":
-        value, _ = optimal_makespan(inst)
-        return value
-    return optimal_sum(inst).total
-
-
 def _evaluate(alg, inst, objective, trials, seed, exact=False):
     """(cost, OPT, stderr or None, Trace or ExpectedRun); random or exact runs are expectations."""
-    opt = _optimum(inst, objective)
+    makespan = objective == "makespan"
+    opt = optimal_makespan(inst)[0] if makespan else optimal_sum(inst).total
     if opt <= 0:
         raise InstanceError("offline optimum is zero; ratio undefined")
-    makespan = objective == "makespan"
     if alg.randomized or exact:
         res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(),
                            trials=trials, seed=seed, exact=exact)
@@ -109,14 +110,16 @@ def cmd_simulate(args):
 
     cost, opt, stderr, res = _evaluate(alg, inst, objective, args.trials, args.seed, args.exact)
     expected = isinstance(res, ExpectedRun)
-    report = RatioReport(
-        alg.key, args.instance or args.gen, inst.n, objective, cost, opt, cost / opt,
-        trials=res.trials if expected else None, stderr=stderr,
-        exact=expected and res.exact, seed=args.seed if expected else None,
-    )
+    report = {"algorithm": alg.key, "source": args.instance or args.gen, "n": inst.n,
+              "objective": objective, "alg_cost": cost, "opt_cost": opt, "ratio": float(cost / opt),
+              "exact": expected and res.exact}
+    if expected:
+        report.update(trials=res.trials, stderr=float(stderr))
+        if args.seed is not None:
+            report["seed"] = args.seed
     if args.trace_out:
         dump_trace(res, args.trace_out)
-    _emit(report.to_dict(), args.out)
+    _emit(report, args.out)
     return 0
 
 
@@ -128,17 +131,15 @@ def _sweep_values(spec):
     parts = rng.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"expected lo:hi:step in {spec!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ConfigurationError(f"bad range in {spec!r}")
+    try:
+        lo, hi, step = bounds = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigurationError(f"expected numbers lo:hi:step in {spec!r}") from None
+    if not (all(map(math.isfinite, bounds)) and step > 0 and hi >= lo):
+        raise ConfigurationError(f"bad range in {spec!r}: need finite lo <= hi and step > 0")
     vals = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-12:
-            break
+    while (v := lo + len(vals) * step) <= hi + 1e-12:
         vals.append(round(v, 12))
-        k += 1
     return name.strip(), vals
 
 
@@ -194,12 +195,11 @@ def cmd_sweep(args):
 
 
 def cmd_verify_constants(args):
-    overrides = {}
-    for item in args.override or []:
-        if "=" not in item:
-            raise ConfigurationError(f"expected NAME=VALUE, got {item!r}")
-        name, raw = item.split("=", 1)
-        overrides[name.strip()] = float(raw)
+    overrides = _parse_params(args.override)
+    for name, value in overrides.items():
+        if isinstance(value, str):
+            raise ConfigurationError(f"{name}: expected a number, got {value!r}")
+        overrides[name] = float(value)
     try:
         report = analysis.verify_constants(overrides)
     except KeyError as exc:
@@ -291,14 +291,8 @@ def _lower_bound_rand(args):
 
 
 def cmd_gen(args):
-    exact_numbers = args.mode == "rational"
-    params = _parse_params(args.param, exact_numbers)
-    inst = generators.build_instance(args.name, params)
-    if args.out:
-        dump_instance(inst, args.out)
-    else:
-        rows = [{"upper": float(u), "proc": float(p)} for u, p in zip(inst.uppers(), inst.procs())]
-        sys.stdout.write(json.dumps(rows, indent=1) + "\n")
+    params = _parse_params(args.param, args.mode == "rational")
+    _write(instance_text(generators.build_instance(args.name, params)), args.out)
     return 0
 
 
@@ -324,9 +318,10 @@ def build_parser():
                                 description="Workbench for scheduling with testing on one machine.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, trials=True):
-        sp.add_argument("--mode", choices=("float", "rational"), default="float",
-                        help="number handling for instances and parameters")
+    def common(sp, seed=True, trials=True, mode=True):
+        if mode:
+            sp.add_argument("--mode", choices=("float", "rational"), default="float",
+                            help="number handling for instances and parameters")
         sp.add_argument("--out", help="write the report here instead of stdout")
         if seed:
             sp.add_argument("--seed", help="master seed for randomized runs")
@@ -353,7 +348,7 @@ def build_parser():
     sp.add_argument("--sweep", action="append", default=[], required=True,
                     help="axis as name=lo:hi:step (repeatable, row-major)")
     sp.add_argument("--objective", choices=("sum", "makespan"), help="default: the rule's own")
-    common(sp)
+    common(sp, mode=False)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify-constants", help="recompute the published constants")
@@ -369,7 +364,7 @@ def build_parser():
     sp.add_argument("--q", type=float, default=1 - 1 / 3 ** 0.5)
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--algorithms", help="comma-separated names (det: best_schedule allowed)")
-    common(sp)
+    common(sp, mode=False)
     sp.set_defaults(fn=cmd_lower_bound)
 
     sp = sub.add_parser("gen", help="write an instance file")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -222,6 +223,7 @@ def check_trace_durations(trace: Trace, inst: Instance) -> None:
 # number of an instance, and each fractional number of a trace, as a Fraction.
 
 _AS_FRACTIONS = {"parse_float": Fraction, "parse_int": Fraction}
+_RATIO = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def _read(path) -> str:
@@ -232,11 +234,25 @@ def _read(path) -> str:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _number(x, exact: bool):
+    """A "p/q" string (see `_plain`) as its Fraction in exact mode, else its nearest float; else `x`."""
+    if type(x) is str and _RATIO.fullmatch(x):
+        try:
+            x = Fraction(x) if exact else float(Fraction(x))
+        except (ValueError, ArithmeticError):  # over the digit limit, a zero denominator, past a float
+            pass
+    return x
+
+
 def load_instance(path, exact: bool = False) -> Instance:
+    """Read an instance file: JSON numbers as written (all Fractions in exact mode), "p/q" by `_number`."""
+    text = _read(path)  # before the parse, so a missing file is not named a bad document
     try:
-        raw = json.loads(_read(path), **(_AS_FRACTIONS if exact else {}))
+        raw = json.loads(text, **(_AS_FRACTIONS if exact else {}))
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{path}: not a JSON document ({exc})") from exc
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise InputFileError(f"{path}: {exc}") from exc
     if not isinstance(raw, list):
         raise InstanceError("instance file must contain a JSON array of jobs")
     for i, row in enumerate(raw):
@@ -244,14 +260,19 @@ def load_instance(path, exact: bool = False) -> Instance:
             raise InstanceError(f"job {i}: expected an object with 'upper' and 'proc'")
         if "lower" in row:
             raise InstanceError(f"job {i}: unknown key 'lower' (a job has only 'upper' and 'proc')")
-    return Instance.from_pairs((row["upper"], row["proc"]) for row in raw)
+    return Instance.from_pairs((_number(row["upper"], exact), _number(row["proc"], exact)) for row in raw)
+
+
+def instance_text(inst: Instance) -> str:
+    """The text of an instance file, every number written by `_plain`."""
+    rows = [{"upper": _plain(u), "proc": _plain(p)} for u, p in zip(inst.uppers(), inst.procs())]
+    return json.dumps(rows, indent=1) + "\n"
 
 
 def dump_instance(inst: Instance, path) -> None:
-    rows = [{"upper": _plain(u), "proc": _plain(p)} for u, p in zip(inst.uppers(), inst.procs())]
+    """Write `instance_text(inst)` to `path`; `load_instance` reads it back equal."""
     with open(path, "w") as f:
-        json.dump(rows, f, indent=1)
-        f.write("\n")
+        f.write(instance_text(inst))
 
 
 def dump_trace(trace: Trace, path) -> None:
@@ -261,14 +282,14 @@ def dump_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
-    """Read a trace file and replay it; a job id must be a JSON integer in either mode."""
+    """Read a trace file and replay it; "p/q" times by `_number`, a job id a JSON integer in either mode."""
     steps = []
     for lineno, line in enumerate(_read(path).split("\n"), 1):
         if not line.strip():
             continue
         try:
             row = json.loads(line, parse_float=Fraction if exact else float)
-            t, kind, job, dur = row["t"], row["kind"], row["job"], row["dur"]
+            t, kind, job, dur = _number(row["t"], exact), row["kind"], row["job"], _number(row["dur"], exact)
             ok = {type(t), type(dur)} <= _NUMBER_TYPES
         except (ValueError, TypeError, KeyError):
             ok = False
@@ -284,43 +305,15 @@ def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
 
 
 def _plain(x: Num):
-    """JSON-friendly number: ints stay ints, rationals become floats if needed."""
+    """A number as an instance or trace file writes it, so that it reads back equal: an int or
+    float as it is, a whole Fraction as an int, any other as the float whose repr is exactly it
+    (5/2 is 2.5) or, where there is none, the string "p/q" (1/3 is "1/3")."""
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
+        if x.denominator == 1:
+            return x.numerator
+        try:
+            f = float(x)
+        except OverflowError:
+            return str(x)
+        return f if Fraction(repr(f)) == x else str(x)
     return x
-
-
-@dataclass
-class RatioReport:
-    """Result of comparing an online algorithm against the offline optimum."""
-
-    algorithm: str
-    source: str
-    n: int
-    objective: str
-    alg_cost: float
-    opt_cost: float
-    ratio: float
-    trials: int | None = None
-    stderr: float | None = None
-    exact: bool = False
-    seed: object = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "algorithm": self.algorithm,
-            "source": self.source,
-            "n": self.n,
-            "objective": self.objective,
-            "alg_cost": _plain(self.alg_cost),
-            "opt_cost": _plain(self.opt_cost),
-            "ratio": float(self.ratio),
-            "exact": self.exact,
-        }
-        if self.trials is not None:
-            d["trials"] = self.trials
-        if self.stderr is not None:
-            d["stderr"] = float(self.stderr)
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d

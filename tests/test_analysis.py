@@ -253,6 +253,8 @@ class TestMakespanCurves:
         assert A.makespan_test_probability(0.8) == 0.0
         assert A.makespan_test_probability(1) == 0.0
         assert A.makespan_test_probability(Fraction(2)) == Fraction(2, 3)
+        assert A.makespan_test_probability(3) == Fraction(6, 7)
+        assert A.makespan_test_probability(3.0) == 1 - 1 / 7.0
 
     def test_scanned_maxima(self):
         got = A.makespan_ratios()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,30 @@ class TestRoundTrip:
         lines.append(lines[-1])  # a job executed twice
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay", "--instance", str(inst), "--trace", str(trace)]) == 1
+
+    def test_rational_thirds_replay_exactly(self, tmp_path, capsys):
+        inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+        assert main(["gen", "extreme_uniform", "--mode", "rational", "--param", "n=3",
+                     "--param", "p_bar=7/3", "--param", "gamma=1/3", "--out", str(inst)]) == 0
+        assert '"7/3"' in inst.read_text()
+        assert main(["simulate", "threshold", "--mode", "rational", "--instance", str(inst),
+                     "--trace-out", str(trace), "--out", str(tmp_path / "r.json")]) == 0
+        assert '"7/3"' in trace.read_text()
+        capsys.readouterr()
+        assert main(["replay", "--mode", "rational", "--instance", str(inst), "--trace", str(trace)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "threshold_worstcase", "--param", "a=1", "--param", "b=1", "--param", "c=1"],
+        ["gen", "extreme_uniform", "--mode", "rational", "--param", "n=3", "--param", "p_bar=7/3",
+         "--param", "gamma=1/3"],
+    ], ids=["float", "rational"])
+    def test_gen_prints_the_file_it_writes(self, tmp_path, capsys, argv):
+        out = tmp_path / "inst.json"
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert printed == out.read_text()
 
     def test_lower_key_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -373,6 +398,49 @@ class TestPinnedOutput:
             "error: action 5: starts at 4699999999999999/1000000000000000, "
             "schedule time is 47/10 (gap or overlap)\n")
 
+    SIMULATE_FLOAT = {"algorithm": "threshold", "source": "threshold_worstcase", "n": 3,
+                      "objective": "sum", "alg_cost": 16.000001, "opt_cost": 9.000001000000001,
+                      "ratio": 1.777777691358034, "exact": False}
+    SIMULATE_MC = {"algorithm": "random", "source": "extreme_uniform", "n": 8, "objective": "sum",
+                   "alg_cost": 81.3, "opt_cost": 51.0, "ratio": 1.5941176470588234, "exact": False,
+                   "trials": 50, "stderr": 1.3545840539382095, "seed": "s"}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["simulate", "threshold", "--gen", "threshold_worstcase",
+          "--param", "a=1", "--param", "b=1", "--param", "c=1"], SIMULATE_FLOAT),
+        (["simulate", "random", "--seed", "s", "--trials", "50", "--gen", "extreme_uniform",
+          "--param", "n=8", "--param", "p_bar=2.5", "--param", "gamma=0.5"], SIMULATE_MC),
+    ], ids=["float", "monte_carlo"])
+    def test_simulate_text(self, capsys, argv, payload):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_simulate_rational_text_keeps_whole_costs_integers(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('[{"upper": 2, "proc": 1}, {"upper": 3, "proc": 0}, {"upper": 1, "proc": 1}]')
+        assert main(["simulate", "threshold", "--mode", "rational", "--instance", str(inst)]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "algorithm": "threshold",\n  "source": ' + json.dumps(str(inst)) + ',\n'
+            '  "n": 3,\n  "objective": "sum",\n  "alg_cost": 8,\n  "opt_cost": 7,\n'
+            '  "ratio": 1.1428571428571428,\n  "exact": false\n}\n')
+
+    GEN_FLOAT = ('[\n {\n  "upper": 2.000001,\n  "proc": 2.000001\n },\n'
+                 ' {\n  "upper": 2,\n  "proc": 2\n },\n {\n  "upper": 2,\n  "proc": 0\n }\n]\n')
+    GEN_DECIMAL = ('[\n {\n  "upper": 1.75,\n  "proc": 0\n },\n {\n  "upper": 1.75,\n  "proc": 1.75\n },\n'
+                   ' {\n  "upper": 2.5,\n  "proc": 2.5\n },\n {\n  "upper": 2.51,\n  "proc": 2.51\n }\n]\n')
+
+    @pytest.mark.parametrize("argv, text", [
+        (["gen", "threshold_worstcase", "--param", "a=1", "--param", "b=1", "--param", "c=1"],
+         GEN_FLOAT),
+        (["gen", "four_type", "--mode", "rational", "--param", "n=4", "--param", "alpha=1/4",
+          "--param", "beta=1/4", "--param", "gamma=1/4", "--param", "T=7/4", "--param", "E=5/2",
+          "--param", "epsilon=1/100"], GEN_DECIMAL),
+    ], ids=["float", "decimal_rational"])
+    def test_gen_out_bytes(self, tmp_path, argv, text):
+        out = tmp_path / "inst.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
 
 def one_error_line(capsys):
     out, err = capsys.readouterr()
@@ -441,3 +509,62 @@ class TestBadInputFiles:
     def test_trials_below_one(self, capsys, argv, trials):
         assert main(argv + ["--trials", trials]) == 2
         assert one_error_line(capsys) == f"--trials must be at least 1, got {trials}"
+
+
+class TestBadValues:
+    """A bad value on the command line or in a file exits 2 with one `error:` line."""
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_instance_integer_over_the_digit_limit(self, tmp_path, capsys, mode):
+        inst = tmp_path / "big.json"
+        inst.write_text(f'[{{"upper": {"9" * 5000}, "proc": 1}}]')
+        assert main(["simulate", "threshold", "--mode", mode, "--instance", str(inst)]) == 2
+        assert one_error_line(capsys).startswith(f"{inst}: Exceeds the limit (4300 digits)")
+
+    def test_override_not_a_number(self, capsys):
+        assert main(["verify-constants", "--override", "threshold_sum_ratio=abc"]) == 2
+        assert one_error_line(capsys) == "threshold_sum_ratio: expected a number, got 'abc'"
+
+    def test_sweep_bound_not_a_number(self, capsys):
+        assert main(["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4",
+                     "--param", "p_bar=2.5", "--sweep", "gamma=a:1:0.1"]) == 2
+        assert one_error_line(capsys) == "expected numbers lo:hi:step in 'gamma=a:1:0.1'"
+
+    @pytest.mark.parametrize("axis", ["gamma=0:inf:0.1", "gamma=0:nan:0.1", "gamma=0:1:nan",
+                                      "gamma=-inf:1:0.1", "gamma=0:1:inf", "gamma=1:0:0.1", "gamma=0:1:0"])
+    def test_sweep_range_must_be_finite_and_increasing(self, capsys, axis):
+        assert main(["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4",
+                     "--param", "p_bar=2.5", "--sweep", axis]) == 2
+        assert one_error_line(capsys) == f"bad range in {axis!r}: need finite lo <= hi and step > 0"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lower-bound", "rand", "--q", "1.5", "--seed", "1"], "q must be in (0, 1), got 1.5"),
+        (["lower-bound", "det", "--delta", "2"],
+         "need 0 < delta <= 1 and p_bar > 1, got (2.0, 1.9896202)"),
+        (["lower-bound", "det", "--p-bar", "nan"],
+         "need 0 < delta <= 1 and p_bar > 1, got (0.6306655, nan)"),
+    ], ids=["rand_q", "det_delta", "det_p_bar_nan"])
+    def test_lower_bound_parameters(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert one_error_line(capsys) == message
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4", "--param", "p_bar=2.5",
+         "--sweep", "gamma=0:1:0.5"],
+        ["lower-bound", "det", "--n", "10"],
+    ], ids=["sweep", "lower_bound"])
+    def test_mode_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mode", "rational"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode rational" in capsys.readouterr().err
+
+
+def test_makespan_rand_is_exact_for_an_integer_limit(capsys):
+    argv = ["simulate", "makespan_rand", "--exact", "--mode", "rational", "--gen", "extreme_uniform",
+            "--param", "n=3", "--param", "gamma=0.5", "--param"]
+    assert main(argv + ["p_bar=3"]) == 0
+    as_int = capsys.readouterr().out
+    assert main(argv + ["p_bar=3.0"]) == 0
+    assert as_int == capsys.readouterr().out
+    assert json.loads(as_int)["alg_cost"] == float(Fraction(45, 7))

@@ -7,18 +7,21 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from testsched.algorithms import parse_algorithm
 from testsched.core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
     TEST,
     Instance,
+    InputFileError,
     InstanceError,
     Job,
     TraceError,
     _check_job,
+    _plain,
     build_trace,
     check_trace_durations,
     cost_of_trace,
@@ -29,6 +32,7 @@ from testsched.core import (
     numbers_equal,
     validate_instance,
 )
+from testsched.engine import StaticSource, run
 
 
 def staircase_steps(num=Fraction):
@@ -338,3 +342,96 @@ class TestRoundTrips:
         path.write_text('{"upper": 2}')
         with pytest.raises(InstanceError):
             load_instance(path)
+
+
+class TestLosslessNumbers:
+    """`_plain` writes a number the loaders read back equal; "p/q" only where no float is exact."""
+
+    @pytest.mark.parametrize("x, plain", [
+        (3, 3), (2.5, 2.5), (Fraction(4, 2), 2), (Fraction(5, 2), 2.5), (Fraction(1, 10), 0.1),
+        (Fraction(1, 3), "1/3"), (Fraction(-7, 3), "-7/3"), (Fraction(1, 10**400), f"1/{10**400}"),
+        (Fraction(10**400 + 1, 2), f"{10**400 + 1}/2"),
+    ], ids=["int", "float", "whole", "half", "tenth", "third", "negative", "tiny", "past_a_float"])
+    def test_plain(self, x, plain):
+        assert _plain(x) == plain and type(_plain(x)) is type(plain)
+
+    def test_third_round_trips_in_both_files(self, tmp_path):
+        inst = Instance.from_pairs([(Fraction(2, 3), Fraction(1, 3)), (2, 1)])
+        path = tmp_path / "inst.json"
+        dump_instance(inst, path)
+        assert '"upper": "2/3",\n  "proc": "1/3"' in path.read_text()
+        back = load_instance(path, exact=True)
+        assert back.uppers() == (Fraction(2, 3), 2) and back.procs() == (Fraction(1, 3), 1)
+        assert load_instance(path).uppers() == (2 / 3, 2)
+        trace_path = tmp_path / "trace.jsonl"
+        trace = run(parse_algorithm("threshold", exact=True).generator(), StaticSource(inst), 2, inst.uppers())
+        dump_trace(trace, trace_path)
+        assert '"dur": "2/3"' in trace_path.read_text()
+        assert load_trace(trace_path, exact=True).steps == trace.steps
+        assert [s[3] for s in load_trace(trace_path).steps] == [float(s[3]) for s in trace.steps]
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("value", ['"2"', '"1/0"', '"1 /3"', '"0x1/3"', '"1/3.0"', '"+1/3"'],
+                             ids=["no_slash", "zero_denominator", "space", "hex", "decimal", "plus"])
+    def test_other_strings_are_not_numbers(self, tmp_path, value, exact):
+        path = tmp_path / "inst.json"
+        path.write_text(f'[{{"upper": {value}, "proc": 0}}]')
+        with pytest.raises(InstanceError, match=r"^job 0: upper is not a finite number$"):
+            load_instance(path, exact=exact)
+
+    def test_past_a_float_is_exact_or_not_finite(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(f'[{{"upper": "{10**400}/3", "proc": 0}}]')
+        assert load_instance(path, exact=True).uppers() == (Fraction(10**400, 3),)
+        with pytest.raises(InstanceError, match=r"^job 0: upper is not a finite number$"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+    def test_over_the_digit_limit_is_an_input_error(self, tmp_path, exact):
+        path = tmp_path / "big.json"
+        path.write_text(f'[{{"upper": {"9" * 5000}, "proc": 1}}]')
+        with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}: Exceeds the limit"):
+            load_instance(path, exact=exact)
+
+
+# Round-trip properties: ints and Fractions with any denominator for rational
+# mode, ints and finite floats for float mode; each pair sorted so proc <= upper.
+def sorted_pairs(values):
+    return st.lists(st.tuples(values, values).map(lambda t: (max(t), min(t))), min_size=1, max_size=6)
+
+
+RATIONAL_PAIRS = sorted_pairs(st.integers(0, 10**9) | st.fractions(0, 10**9))
+FLOAT_PAIRS = sorted_pairs(st.integers(0, 10**9) | st.floats(0, 1e300))
+ROUND_TRIP = settings(derandomize=True, max_examples=150, database=None, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@ROUND_TRIP
+@given(RATIONAL_PAIRS)
+def test_rational_instance_reads_back_equal(tmp_path, pairs):
+    inst = Instance.from_pairs(pairs)
+    dump_instance(inst, tmp_path / "inst.json")
+    back = load_instance(tmp_path / "inst.json", exact=True)
+    assert back.uppers() == inst.uppers() and back.procs() == inst.procs()
+    assert {*map(type, back.uppers()), *map(type, back.procs())} <= {int, Fraction}
+
+
+@ROUND_TRIP
+@given(FLOAT_PAIRS)
+def test_float_instance_reads_back_equal(tmp_path, pairs):
+    inst = Instance.from_pairs(pairs)
+    dump_instance(inst, tmp_path / "inst.json")
+    back = load_instance(tmp_path / "inst.json")
+    assert back.uppers() == inst.uppers() and back.procs() == inst.procs()
+    assert list(map(type, back.uppers() + back.procs())) == list(map(type, inst.uppers() + inst.procs()))
+
+
+@ROUND_TRIP
+@given(st.sampled_from([True, False]).flatmap(
+    lambda exact: st.tuples(st.just(exact), RATIONAL_PAIRS if exact else FLOAT_PAIRS)))
+def test_threshold_trace_reads_back_equal(tmp_path, case):
+    exact, pairs = case
+    inst = Instance.from_pairs(pairs)
+    trace = run(parse_algorithm("threshold", exact=exact).generator(), StaticSource(inst), inst.n, inst.uppers())
+    dump_trace(trace, tmp_path / "trace.jsonl")
+    assert load_trace(tmp_path / "trace.jsonl", n=inst.n, exact=exact).steps == trace.steps
