@@ -57,8 +57,14 @@ def _parse_params(items, exact=False):
 
 
 def _report_number(x):
-    """A Fraction in a report: an int when whole, else its float (reports are never read back)."""
-    return x.numerator if x.denominator == 1 else float(x)
+    """A Fraction in a report: an int when whole, else its float (reports are never read back),
+    or the string "p/q" when it is past a float's range."""
+    if x.denominator == 1:
+        return x.numerator
+    try:
+        return float(x)
+    except OverflowError:
+        return str(x)
 
 
 def _emit(payload, out_path):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -107,16 +108,19 @@ class Instance:
 
 
 _NUMBER_TYPES = frozenset((int, float, Fraction))  # a bool is no number here
+_FLOAT_MAX = sys.float_info.max
 
 
 def validate_instance(inst: Instance) -> None:
     """Raise InstanceError unless `inst` is well formed.
 
     Checks: at least one job, equal column lengths, finite int, float or
-    Fraction values (not bool) and 0 <= proc <= upper.  `Instance` calls this
-    once, when built; the engine and the offline solvers rely on it.  It runs
-    C-level passes over the columns (the `le` pass sees a NaN that `min` or
-    `max` skip); if one fails, `_check_job` walks the jobs to name the first.
+    Fraction values (not bool), 0 <= proc <= upper and, in an instance with
+    a float, no value past a float's range (its arithmetic is in floats).
+    `Instance` calls this once, when built; the engine and the offline
+    solvers rely on it.  It runs C-level passes over the columns (the `le`
+    pass sees a NaN that `min` or `max` skip); if one fails, `_check_job`
+    walks the jobs to name the first.
     """
     if not isinstance(inst, Instance) or not inst.n:
         raise InstanceError("instance must contain at least one job")
@@ -124,18 +128,22 @@ def validate_instance(inst: Instance) -> None:
     if len(procs) != len(uppers):
         raise InstanceError(f"{len(uppers)} upper limits but {len(procs)} processing times")
     types = {*map(type, uppers), *map(type, procs)}
-    if not (types <= _NUMBER_TYPES and min(procs) >= 0 and (float not in types or max(uppers) < math.inf)
+    if not (types <= _NUMBER_TYPES and min(procs) >= 0 and (float not in types or max(uppers) <= _FLOAT_MAX)
             and all(map(le, procs, uppers))):
+        most = _FLOAT_MAX if any(issubclass(t, float) for t in types) else math.inf
         for i, (upper, proc) in enumerate(zip(uppers, procs)):
-            _check_job(i, upper, proc)
+            _check_job(i, upper, proc, most)
 
 
-def _check_job(i: int, upper: Num, proc: Num) -> None:
-    """Per-field check of job `i`; raises InstanceError naming the first fault."""
+def _check_job(i: int, upper: Num, proc: Num, most: Num = math.inf) -> None:
+    """Per-field check of job `i`, whose values may not exceed `most`; raises
+    InstanceError naming the first fault."""
     for name, x in (("upper", upper), ("proc", proc)):
         if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
                 or isinstance(x, float) and not math.isfinite(x)):
             raise InstanceError(f"job {i}: {name} is not a finite number")
+        if x > most:
+            raise InstanceError(f"job {i}: {name} is past a float's range, in an instance with floats")
     if proc < 0:
         raise InstanceError(f"job {i}: negative time")
     if proc > upper:

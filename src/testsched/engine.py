@@ -8,9 +8,15 @@ therefore only reach an algorithm through a completed test, which is the
 whole information model enforced structurally.
 
 Reveal sources answer the engine's two questions: what a test reveals, and
-what value a job committed to when it was executed untested.  A static
-source replays a fixed instance; an adaptive source fixes each value at the
-moment the job is first touched, which is how adversary lower bounds run.
+what value a job committed to when it was executed untested.  A source's
+`reveal` and `settle_untested` may be any callables taking a job id.  A
+static source replays a fixed instance; an adaptive source fixes each value
+at the moment the job is first touched, which is how adversary lower bounds
+run.
+
+`run` returns the full trace.  Expectation runs (`run_expected`) read only
+each run's total and makespan, so they drive the same protocol loop with
+the same checks but keep no step list.
 """
 
 from __future__ import annotations
@@ -43,7 +49,11 @@ class StaticSource:
     """Reveals the fixed processing times of an instance (checked when built).
 
     It keeps the instance's own columns, so `begin` accepts a view that is
-    `inst.uppers()` itself without comparing its limits.
+    `inst.uppers()` itself without comparing its limits.  Its answers are
+    plain methods, though a source's may be any callables: on CPython 3.11
+    a tuple's `__getitem__` is a slot wrapper, slower per call than a
+    method, and a list copy's C-level lookup made no run measurably faster
+    while it made each source dearer to build.
     """
 
     def __init__(self, inst: Instance):
@@ -137,15 +147,21 @@ def _check_view(n: int, upper_limits) -> tuple:
     return uppers
 
 
-def _drive(gen_fn, source, n: int, uppers: tuple) -> Trace:
-    """`run` on a view `_check_view` passed; the source still checks it, per run."""
+def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
+    """`run` on a view `_check_view` passed; the source still checks it, per run.
+
+    With `record=False` no step is kept and the result is `(total, makespan)`,
+    the two values the Trace would carry: expectation runs read nothing else.
+    Both modes make the same checks, and an error names the action by its
+    index, counted from the ledger (tests so far plus jobs done).
+    """
     source.begin(n, uppers)
     reveal = source.reveal
     settle_untested = source.settle_untested
     gen = gen_fn((n, uppers))
     send = gen.send
     state = bytearray(n)
-    revealed: list = [None] * n
+    revealed: list = [None] * n  # a revealed time is never None, so the Nones are the untested jobs
     completions: list = [None] * n
     steps: list[tuple] = []
     append = steps.append
@@ -157,38 +173,51 @@ def _drive(gen_fn, source, n: int, uppers: tuple) -> Trace:
             try:
                 action = send(send_value)
             except StopIteration:
-                raise ProtocolError(
-                    f"algorithm stopped after action {len(steps)} with {remaining} jobs unfinished")
+                raise ProtocolError(f"algorithm stopped after action {_actions_done(revealed, remaining)}"
+                                    f" with {remaining} jobs unfinished")
             send_value = None
             try:
                 kind, job = action
             except (TypeError, ValueError):
-                raise ProtocolError(f"action {len(steps)}: not a (kind, job) pair: {action!r}")
+                raise ProtocolError(
+                    f"action {_actions_done(revealed, remaining)}: not a (kind, job) pair: {action!r}")
             if type(job) is not int or not 0 <= job < n:  # a bool is no job id
-                raise ProtocolError(f"action {len(steps)}: unknown job id {job!r}")
+                raise ProtocolError(f"action {_actions_done(revealed, remaining)}: unknown job id {job!r}")
             s = state[job]
             if kind == TEST and s == UNTOUCHED:
                 send_value = revealed[job] = reveal(job)
                 state[job] = TESTED
-                append((TEST, job, t, 1))
+                if record:
+                    append((TEST, job, t, 1))
                 t = t + 1
                 continue
             if kind == EXEC_TESTED and s == TESTED:
                 dur = revealed[job]
-                append((EXEC_TESTED, job, t, dur))
+                if record:
+                    append((EXEC_TESTED, job, t, dur))
             elif kind == EXEC_UNTESTED and s == UNTOUCHED:
                 settle_untested(job)
                 dur = uppers[job]
-                append((EXEC_UNTESTED, job, t, dur))
+                if record:
+                    append((EXEC_UNTESTED, job, t, dur))
             else:
-                raise ProtocolError(f"action {len(steps)}: {action_fault(kind, job, s)}")
+                raise ProtocolError(
+                    f"action {_actions_done(revealed, remaining)}: {action_fault(kind, job, s)}")
             t = t + dur
             completions[job] = t
             state[job] = DONE
             remaining -= 1
     finally:
         gen.close()
+    if not record:
+        return sum(completions), t
     return Trace(n=n, steps=steps, completions=tuple(completions), total=sum(completions), makespan=t)
+
+
+def _actions_done(revealed: list, remaining: int) -> int:
+    """Actions a run has made: its tests plus its executions (the ledger's, not a step list's)."""
+    n = len(revealed)
+    return (n - revealed.count(None)) + (n - remaining)
 
 
 @dataclass
@@ -218,7 +247,8 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     `trials` (at least 1) independent seeded replicates.  `source` may be a reveal source
     (reused across trials) or a zero-argument factory returning fresh ones.
     The view is checked once, before the first run; each run's source still
-    checks it in `begin`.
+    checks it in `begin`.  Each run goes through the protocol loop with every
+    check `run` makes, but keeps no step list: only its total and makespan.
     """
     make_source = source if callable(source) else (lambda: source)
     if exact and n > EXACT_ENUMERATION_LIMIT:
@@ -234,9 +264,9 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         weight_sum: Num = 0
         count = 0
         for weight, gen_fn in alg.exact_outcomes(n, uppers):
-            tr = _drive(gen_fn, make_source(), n, uppers)
-            total = total + weight * tr.total
-            makespan = makespan + weight * tr.makespan
+            cost, span = _drive(gen_fn, make_source(), n, uppers, record=False)
+            total = total + weight * cost
+            makespan = makespan + weight * span
             weight_sum = weight_sum + weight
             count += 1
         if not math.isclose(float(weight_sum), 1.0, rel_tol=1e-12, abs_tol=1e-12):
@@ -247,9 +277,9 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     count = trials if alg.randomized else 1
     for i in range(count):
         gen_fn = alg.generator(trial_seed(seed, i) if alg.randomized else None)
-        tr = _drive(gen_fn, make_source(), n, uppers)
-        totals.append(tr.total)
-        spans.append(tr.makespan)
+        cost, span = _drive(gen_fn, make_source(), n, uppers, record=False)
+        totals.append(cost)
+        spans.append(span)
     mean_t = sum(totals) / len(totals)
     mean_m = sum(spans) / len(spans)
     return ExpectedRun(mean_t, mean_m, _stderr(totals), _stderr(spans), count, False)

@@ -25,6 +25,16 @@ class TestSimulate:
         assert report["n"] == 3
         assert report["ratio"] == pytest.approx(16.000001 / 9.000001, rel=1e-9)
 
+    def test_cost_past_a_float_is_written_as_p_over_q(self, tmp_path, capsys):
+        big = f"{10**400}/3"
+        inst = tmp_path / "big.json"
+        inst.write_text(f'[{{"upper": "{big}", "proc": "{big}"}}]')
+        assert main(["simulate", "threshold", "--mode", "rational", "--instance", str(inst)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["opt_cost"] == big
+        assert report["alg_cost"] == f"{10**400 + 3}/3"  # tested: 1 + p
+        assert report["ratio"] == 1.0
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["simulate", "delay_all", "--gen", "extreme_uniform",
@@ -520,6 +530,16 @@ class TestBadValues:
         inst.write_text(f'[{{"upper": {"9" * 5000}, "proc": 1}}]')
         assert main(["simulate", "threshold", "--mode", mode, "--instance", str(inst)]) == 2
         assert one_error_line(capsys).startswith(f"{inst}: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("mode, status", [("float", 2), ("rational", 0)])
+    def test_instance_int_past_a_float_beside_a_float(self, tmp_path, capsys, mode, status):
+        inst = tmp_path / "big.json"
+        inst.write_text(f'[{{"upper": {10**400}, "proc": {10**400}}}, {{"upper": 2.5, "proc": 1.5}}]')
+        assert main(["simulate", "threshold", "--mode", mode, "--instance", str(inst)]) == status
+        if status:
+            assert one_error_line(capsys) == "job 0: upper is past a float's range, in an instance with floats"
+        else:  # rational mode reads 2.5 as 5/2, so no float meets the big int
+            assert json.loads(capsys.readouterr().out)["opt_cost"] == 10**400 + 5  # 5/2, then 5/2 + 10**400
 
     def test_override_not_a_number(self, capsys):
         assert main(["verify-constants", "--override", "threshold_sum_ratio=abc"]) == 2

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -192,7 +193,7 @@ class TestValidateInstance:
 
         accepted = 0
         for u, p in itertools.product(edges, edges):
-            want = verdict(lambda: _check_job(0, u, p))
+            want = verdict(lambda: _check_job(0, u, p, float_most((u, p))))
             assert verdict(lambda: Instance((u,), (p,))) == want, (u, p)
             assert verdict(lambda: Instance.from_pairs([(u, p)])) == want, (u, p)
             accepted += want is None
@@ -228,6 +229,25 @@ class TestValidateInstance:
         uppers, procs = zip(*pairs)
         assert verdict(lambda: Instance(list(uppers), iter(procs))) == want
 
+    PAST_A_FLOAT = "is past a float's range, in an instance with floats"
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(10**400, 10**400), (2.5, 1.5)], f"job 0: upper {PAST_A_FLOAT}"),
+        ([(2.5, 1.5), (10**400, 1)], f"job 1: upper {PAST_A_FLOAT}"),
+        ([(Fraction(10**400, 3), 1), (2, 0.5)], f"job 0: upper {PAST_A_FLOAT}"),
+        ([(10**400, 1), (2.5, math.nan)], f"job 0: upper {PAST_A_FLOAT}"),
+        ([(2.5, math.nan), (10**400, 1)], "job 0: proc is not a finite number"),
+        ([(10**400, 10**400), (2, 1)], None),  # no float: the arithmetic is exact
+        ([(Fraction(10**400, 3), 1), (2, 1)], None),
+        ([(sys.float_info.max, 1), (int(sys.float_info.max), 0.5)], None),
+        ([(int(sys.float_info.max) + 1, 1), (2, 0.5)], f"job 0: upper {PAST_A_FLOAT}"),
+    ], ids=["int", "int_second", "fraction", "int_then_nan", "nan_then_int", "ints_only",
+            "fractions_only", "largest_float", "just_past"])
+    def test_float_instance_keeps_to_a_float_s_range(self, pairs, message):
+        # float arithmetic on 10**400 raises OverflowError, so such an instance is refused
+        assert verdict(lambda: Instance.from_pairs(pairs)) == message
+        assert per_job_walk(*zip(*pairs)) == message
+
     def test_columns_and_rows_agree(self):
         pairs = [(2, 1), (Fraction(3, 2), 0), (2.5, 2.5)]
         rows = tuple(Job(i, u, p) for i, (u, p) in enumerate(pairs))
@@ -259,14 +279,20 @@ VALUES = st.one_of(
 GOOD_JOBS = st.integers(0, 3).flatmap(lambda p: st.tuples(st.integers(p, 6) | st.floats(p, 6), st.just(p)))
 
 
+def float_most(values):
+    """The largest value `_check_job` allows among `values`: a float's range if one is a float."""
+    return sys.float_info.max if any(isinstance(x, float) for x in values) else math.inf
+
+
 def per_job_walk(uppers, procs):
     """The reference verdict: the instance-level checks, then `_check_job` job by job."""
     if not uppers:
         return "instance must contain at least one job"
     if len(uppers) != len(procs):
         return f"{len(uppers)} upper limits but {len(procs)} processing times"
+    most = float_most([*uppers, *procs])
     for i, (upper, proc) in enumerate(zip(uppers, procs)):
-        fault = verdict(lambda: _check_job(i, upper, proc))
+        fault = verdict(lambda: _check_job(i, upper, proc, most))
         if fault:
             return fault
     return None

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from testsched.algorithms import parse_algorithm
+from testsched.algorithms import OnlineAlgorithm, parse_algorithm
 from testsched.core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
@@ -21,6 +21,7 @@ from testsched.engine import (
     ProtocolError,
     StaticSource,
     _check_view,
+    _stderr,
     run,
     run_expected,
     trial_seed,
@@ -159,6 +160,86 @@ def test_engine_and_trace_ledgers_agree(name):
     assert str(engine_err.value) == str(trace_err.value) == f"action {len(actions) - 1}: {fault}"
 
 
+def scripted_alg(actions):
+    """A deterministic rule that yields `actions` in order, whatever the view."""
+    def scripted(view):
+        for action in actions:
+            yield action
+
+    return OnlineAlgorithm("scripted", "scripted rule", lambda seed: scripted)
+
+
+# Early stops and malformed actions, beside ILLEGAL's ledger faults.
+STOPPED = {
+    "stop at once": ([], "algorithm stopped after action 0 with 2 jobs unfinished"),
+    "stop after a test": ([(TEST, 1)], "algorithm stopped after action 1 with 2 jobs unfinished"),
+    "stop after a job": ([(TEST, 1), (EXEC_TESTED, 1)], "algorithm stopped after action 2 with 1 jobs unfinished"),
+    "not a pair": ([(TEST, 0), (EXEC_UNTESTED, 1), "x"], "action 2: not a (kind, job) pair: 'x'"),
+    "not a sequence": ([(EXEC_UNTESTED, 1), 7], "action 1: not a (kind, job) pair: 7"),
+}
+ALL_FAULTS = {**{k: (a, f"action {len(a) - 1}: {f}") for k, (a, f) in ILLEGAL.items()}, **STOPPED}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", sorted(ALL_FAULTS))
+def test_expectation_runs_name_the_same_action(name, exact):
+    """`run_expected` raises the text `run` raises, counting actions from the ledger."""
+    actions, message = ALL_FAULTS[name]
+    alg = scripted_alg(actions)
+    inst = Instance.from_pairs([(2, 1), (2, 1)])
+    with pytest.raises(ProtocolError) as run_err:
+        run(alg.generator(), StaticSource(inst), 2, inst.uppers())
+    with pytest.raises(ProtocolError) as expected_err:
+        run_expected(alg, StaticSource(inst), 2, inst.uppers(), exact=exact)
+    assert str(expected_err.value) == str(run_err.value) == message
+
+
+class TestStaticSource:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_answers_with_the_instance_times(self, exact):
+        inst = gen_random(9, seed="src", exact=exact)
+        src = StaticSource(inst)
+        src.begin(inst.n, inst.uppers())
+        assert [src.reveal(j) for j in range(inst.n)] == list(inst.procs())
+        assert [src.settle_untested(j) for j in range(inst.n)] == list(inst.procs())
+        assert all(type(src.reveal(j)) is type(p) for j, p in enumerate(inst.procs()))
+        assert src.realized_instance() is inst
+
+    def test_begin_checks_the_view(self):
+        inst = Instance.from_pairs([(2, 1), (3, 1)])
+        src = StaticSource(inst)
+        src.begin(2, [2, 3])  # an equal view that is not the instance's own tuple
+        with pytest.raises(ProtocolError, match="^source holds 2 jobs, run asked for 3$"):
+            src.begin(3, (2, 3, 3))
+        with pytest.raises(ProtocolError, match="^view's upper limits differ from the source instance's$"):
+            src.begin(2, (3, 2))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_source_serves_many_trials(self, exact):
+        inst = gen_random(25, seed="reuse", exact=exact)
+        alg = parse_algorithm("random", exact=exact)
+        shared = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=20, seed="r")
+        fresh = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(), trials=20, seed="r")
+        assert shared == fresh
+
+
+def test_a_source_may_answer_with_any_callables():
+    inst = gen_random(20, seed="duck")
+
+    class Lookup:  # answers through a list's C-level __getitem__
+        def __init__(self):
+            self.reveal = self.settle_untested = list(inst.procs()).__getitem__
+
+        def begin(self, n, uppers):
+            pass
+
+    alg = parse_algorithm("random")
+    looked_up = run_expected(alg, Lookup(), inst.n, inst.uppers(), trials=5, seed="d")
+    assert looked_up == run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=5, seed="d")
+    trace = run(parse_algorithm("threshold").generator(), Lookup(), inst.n, inst.uppers())
+    assert trace == run(parse_algorithm("threshold").generator(), StaticSource(inst), inst.n, inst.uppers())
+
+
 class TestAdaptiveSource:
     def test_commit_happens_once(self):
         calls = []
@@ -257,6 +338,56 @@ class TestRunExpected:
                            lambda: StaticSource(inst), 1, inst.uppers(), exact=True)
         # test w.p. 2/3 costs 1, otherwise the full limit 2
         assert res.makespan == Fraction(4, 3)
+
+
+# A float instance and a Fraction one; each randomized rule runs in the instance's own mode.
+PIN_INSTANCES = {
+    "float": gen_random(30, seed="pin"),
+    "fraction": Instance([Fraction(k % 7 + 3, 2) for k in range(12)], [Fraction(k % 4, 3) for k in range(12)]),
+}
+
+
+class TestExpectationMatchesRuns:
+    """Each expectation equals the one computed from `run` traces of the same generators."""
+
+    @pytest.mark.parametrize("rule", ["random", "makespan_rand"])
+    @pytest.mark.parametrize("kind", sorted(PIN_INSTANCES))
+    def test_one_trial_is_one_run(self, rule, kind):
+        inst = PIN_INSTANCES[kind]
+        alg = parse_algorithm(rule, exact=kind == "fraction")
+        for seed in ["a", 1, 7, "918"]:
+            res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=1, seed=seed)
+            tr = run(alg.generator(trial_seed(seed, 0)), StaticSource(inst), inst.n, inst.uppers())
+            assert (res.total, res.makespan) == (tr.total, tr.makespan)
+            assert (type(res.total), type(res.makespan)) == (type(tr.total), type(tr.makespan))
+
+    @pytest.mark.parametrize("rule", ["random", "makespan_rand"])
+    @pytest.mark.parametrize("kind", sorted(PIN_INSTANCES))
+    def test_mean_of_runs(self, rule, kind):
+        inst = PIN_INSTANCES[kind]
+        alg = parse_algorithm(rule, exact=kind == "fraction")
+        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=15, seed="k")
+        traces = [run(alg.generator(trial_seed("k", i)), StaticSource(inst), inst.n, inst.uppers())
+                  for i in range(15)]
+        totals = [tr.total for tr in traces]
+        spans = [tr.makespan for tr in traces]
+        assert res.trials == 15
+        assert res.total == sum(totals) / 15
+        assert res.makespan == sum(spans) / 15
+        assert (res.total_stderr, res.makespan_stderr) == (_stderr(totals), _stderr(spans))
+
+    @pytest.mark.parametrize("rule", ["random", "makespan_rand"])
+    def test_exact_is_the_weighted_sum_of_runs(self, rule):
+        inst = Instance([Fraction(k + 3, 2) for k in range(5)], [Fraction(k % 3, 2) for k in range(5)])
+        alg = parse_algorithm(rule, exact=True)
+        res = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(), exact=True)
+        total = makespan = 0
+        for weight, gen_fn in alg.exact_outcomes(inst.n, inst.uppers()):
+            tr = run(gen_fn, StaticSource(inst), inst.n, inst.uppers())
+            total += weight * tr.total
+            makespan += weight * tr.makespan
+        assert type(res.total) is type(res.makespan) is Fraction
+        assert (res.total, res.makespan) == (total, makespan)
 
 
 BAD_VIEWS = {
