@@ -6,7 +6,8 @@ the value of a "test" yield; nothing else about the hidden times is
 reachable from here, which is the whole point of the protocol.
 
 Strategies are wrapped in OnlineAlgorithm records carrying a seedable
-builder and, where meaningful, an exact enumeration of random outcomes.
+builder and, where meaningful, an exact enumeration of random outcomes and
+the closed form of their expected cost.
 """
 
 from __future__ import annotations
@@ -116,6 +117,33 @@ def make_random_order_exact(T, E):
         for perm in permutations(rest):
             yield weight, lambda view, order=perm: _blind_test_defer(blind, (order, E))
     return outcomes
+
+
+def make_random_order_expected(T, E):
+    """The exact (E[total], E[makespan], outcome count) of random[T,E], by linearity.
+
+    The blind prefix ends at S.  A tested job's chunk c_j is 1 + p_j when it
+    runs at once, else 1; L sums the chunks.  Each other chunk precedes c_j
+    with probability 1/2, so a job run at once finishes on average at
+    S + c_j + (L - c_j)/2.  The deferred tail runs shortest first from S + L.
+    """
+    def expected(uppers, procs):
+        blind, rest = _split(uppers, T)
+        t = twice = 0  # twice the expected total keeps the halves whole
+        for j in blind:
+            t = t + uppers[j]
+            twice = twice + 2 * t
+        now = [1 + procs[j] for j in rest if procs[j] <= E]
+        late = sorted((procs[j], j) for j in rest if not procs[j] <= E)
+        chunks = sum(now)
+        length = chunks + len(late)
+        twice = twice + len(now) * (2 * t + length) + chunks
+        t = t + length
+        for p, _ in late:
+            t = t + p
+            twice = twice + 2 * t
+        return Fraction(twice, 2), Fraction(t), math.factorial(len(rest))
+    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +277,29 @@ def makespan_rand_exact(n, uppers):
         yield weight, lambda view, flags=[tested for _, tested in combo]: _per_job(flags)
 
 
+def makespan_rand_expected(uppers, procs):
+    """The exact (E[total], E[makespan], outcome count) of makespan_rand, job by job.
+
+    Job j takes 1 + p_j with its test probability q_j, else u_j, and sits in
+    the n - j completions from its own on.  A job with q_j == 0 takes u_j as
+    it is, so the float 0.0 never enters an exact sum.
+    """
+    n = len(uppers)
+    total = span = 0
+    count = 1
+    for j in range(n):
+        u = uppers[j]
+        q = analysis.makespan_test_probability(u)
+        if q == 0:
+            d = u
+        else:
+            d = q * (1 + procs[j]) + (1 - q) * u
+            count *= 2
+        span = span + d
+        total = total + (n - j) * d
+    return total, span, count
+
+
 # ---------------------------------------------------------------------------
 # Wrapping and the registry.
 
@@ -264,6 +315,9 @@ class OnlineAlgorithm:
     objective: str = "sum"
     params: dict = field(default_factory=dict)
     exact: Optional[Callable] = None
+    # (uppers, procs) -> exact (E[total], E[makespan], outcome count) for int
+    # and Fraction columns, equal in value and type to the enumeration's sums
+    expected_cost: Optional[Callable] = None
 
     def generator(self, seed=None):
         """Generator function for one run; a randomized rule needs a seed."""
@@ -279,28 +333,30 @@ class OnlineAlgorithm:
 
 
 # One row per rule: (label template over the parameters, parameter defaults,
-# maker, randomized, objective, exact maker).  `maker(**params)` checks the
-# parameters and returns the generator function, or a seed -> generator
-# function factory if randomized; an exact maker returns the outcomes.
+# maker, randomized, objective, exact maker, expected-cost maker).
+# `maker(**params)` checks the parameters and returns the generator function,
+# or a seed -> generator function factory if randomized; an exact maker
+# returns the outcomes, an expected-cost maker the `expected_cost` hook.
 _RULES = {
-    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum", None),
-    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum", None),
+    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum", None, None),
+    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum", None,
+                  None),
     "random": ("random-order rule (T={T}, E={E})",
                {"T": analysis.RANDOM_T_PUBLISHED, "E": analysis.RANDOM_E_PUBLISHED},
-               make_random_order, True, "sum", make_random_order_exact),
-    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum", None),
+               make_random_order, True, "sum", make_random_order_exact, make_random_order_expected),
+    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum", None, None),
     "combined": ("combined rule (T1={T1}, T2={T2})",
                  {"T1": analysis.COMBINED_T1_PUBLISHED, "T2": analysis.COMBINED_T2_PUBLISHED},
-                 make_combined, False, "sum", None),
+                 make_combined, False, "sum", None, None),
     "ute": ("extreme-uniform rule (rho={rho})", {"rho": analysis.ute_rho_star()}, make_ute,
-            False, "sum", None),
+            False, "sum", None, None),
     "lb_schedule": ("adversary schedule (nu={nu}, lam={lam}, delta={delta})",
                     {"nu": 0.0, "lam": 0.0, "delta": analysis.DET_LB_DELTA}, make_lb_schedule,
-                    False, "sum", None),
+                    False, "sum", None, None),
     "makespan_det": ("golden-ratio makespan rule", {}, lambda: makespan_det_generator,
-                     False, "makespan", None),
+                     False, "makespan", None, None),
     "makespan_rand": ("randomized makespan rule", {}, lambda: make_makespan_rand,
-                      True, "makespan", lambda: makespan_rand_exact),
+                      True, "makespan", lambda: makespan_rand_exact, lambda: makespan_rand_expected),
 }
 
 
@@ -312,14 +368,15 @@ def build_algorithm(name, params=None):
     """
     if name not in _RULES:
         raise ConfigurationError(f"unknown algorithm: {name!r}")
-    label, defaults, maker, randomized, objective, exact_maker = _RULES[name]
+    label, defaults, maker, randomized, objective, exact_maker, expected_maker = _RULES[name]
     given = dict(params or {})
     values = {key: given.pop(key, default) for key, default in defaults.items()}
     made = maker(**values)
     if given:
         raise ConfigurationError(f"unknown parameters for {name}: {sorted(given)}")
     return OnlineAlgorithm(name, label.format(**values), made if randomized else lambda seed: made,
-                           randomized, objective, values, exact_maker and exact_maker(**values))
+                           randomized, objective, values, exact_maker and exact_maker(**values),
+                           expected_maker and expected_maker(**values))
 
 
 SUM_ALGORITHM_NAMES = ("threshold", "delay_all", "random", "beat", "combined", "ute")

@@ -67,6 +67,14 @@ def _report_number(x):
         return str(x)
 
 
+def _ratio(cost, opt):
+    """cost / opt as a float, or as the string "p/q" when it is past a float's range."""
+    try:
+        return float(cost / opt)
+    except OverflowError:
+        return str(Fraction(cost) / Fraction(opt))
+
+
 def _emit(payload, out_path):
     _write(json.dumps(payload, indent=2, default=_report_number) + "\n", out_path)
 
@@ -117,7 +125,7 @@ def cmd_simulate(args):
     cost, opt, stderr, res = _evaluate(alg, inst, objective, args.trials, args.seed, args.exact)
     expected = isinstance(res, ExpectedRun)
     report = {"algorithm": alg.key, "source": args.instance or args.gen, "n": inst.n,
-              "objective": objective, "alg_cost": cost, "opt_cost": opt, "ratio": float(cost / opt),
+              "objective": objective, "alg_cost": cost, "opt_cost": opt, "ratio": _ratio(cost, opt),
               "exact": expected and res.exact}
     if expected:
         report.update(trials=res.trials, stderr=float(stderr))
@@ -342,7 +350,7 @@ def build_parser():
     sp.add_argument("--param", action="append", default=[], help="generator key=value")
     sp.add_argument("--objective", choices=("sum", "makespan"), help="default: the rule's own")
     sp.add_argument("--exact", action="store_true",
-                    help="exact expectation by outcome enumeration (small n)")
+                    help="exact expectation, in closed form or by outcome enumeration (n <= 8)")
     sp.add_argument("--trace-out", help="write the schedule trace (deterministic runs)")
     common(sp)
     sp.set_defaults(fn=cmd_simulate)

@@ -16,7 +16,9 @@ run.
 
 `run` returns the full trace.  Expectation runs (`run_expected`) read only
 each run's total and makespan, so they drive the same protocol loop with
-the same checks but keep no step list.
+the same checks but keep no step list.  An exact expectation on exact
+numbers and a plain static source comes from the rule's closed form when
+it has one, with no run at all.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import (
     action_fault,
 )
 
-EXACT_ENUMERATION_LIMIT = 8  # n! / outcome enumeration only up to this n
+EXACT_ENUMERATION_LIMIT = 8  # exact expectations (closed form or n! enumeration) only up to this n
 
 
 class ProtocolError(RuntimeError):
@@ -133,7 +135,9 @@ def _check_view(n: int, upper_limits) -> tuple:
 
     Limits all int or Fraction, or all float, pass on C-level passes: the
     sum of floats is below inf only if none is inf or NaN (which `min` can
-    skip), and then `min` rules out a negative one.  Others go to the walk.
+    skip), and then `min` rules out a negative one.  Others go to the walk,
+    which also refuses an int or Fraction past a float's range next to a
+    float: the run would overflow on adding them.
     """
     uppers = tuple(upper_limits)
     if n < 1 or len(uppers) != n:
@@ -141,9 +145,15 @@ def _check_view(n: int, upper_limits) -> tuple:
     types = set(map(type, uppers))
     if (types <= {int, Fraction} or types == {float} and sum(uppers) < math.inf) and min(uppers) >= 0:
         return uppers
+    floats = any(isinstance(u, float) for u in uppers)
     for j, u in enumerate(uppers):
         if u < 0 or (isinstance(u, float) and not math.isfinite(u)):
             raise ProtocolError(f"job {j}: upper limit {u} invalid")
+        if floats and not isinstance(u, float):
+            try:
+                float(u)
+            except OverflowError:
+                raise ProtocolError(f"job {j}: upper limit past a float's range among float limits") from None
     return uppers
 
 
@@ -241,10 +251,15 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
                  exact: bool = False) -> ExpectedRun:
     """Expected cost of `alg` (an OnlineAlgorithm) under its own randomness.
 
-    Exact mode enumerates the algorithm's outcome distribution (all test
-    orders, or all test-coin outcomes) and is limited to n <= 8; it returns
-    the exact expectation with zero standard error.  Monte Carlo mode runs
-    `trials` (at least 1) independent seeded replicates.  `source` may be a reveal source
+    Exact mode is limited to n <= 8 and returns the exact expectation with
+    zero standard error.  When the rule has an `expected_cost` hook, the
+    source is exactly a `StaticSource` and every limit and time is an int or
+    a Fraction, the hook's closed form gives it after one `begin`; `trials`
+    is still the number of outcomes.  Otherwise it enumerates the rule's
+    outcome distribution (all test orders, or all test-coin outcomes), one
+    run each, which keeps float results bit-identical and lets a subclassed
+    or adaptive source see every run.  Monte Carlo mode runs `trials` (at
+    least 1) independent seeded replicates.  `source` may be a reveal source
     (reused across trials) or a zero-argument factory returning fresh ones.
     The view is checked once, before the first run; each run's source still
     checks it in `begin`.  Each run goes through the protocol loop with every
@@ -259,12 +274,18 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         raise ProtocolError(f"Monte Carlo needs trials >= 1, got {trials}")
     uppers = _check_view(n, upper_limits)
     if exact:
+        first = make_source()
+        if (alg.expected_cost is not None and type(first) is StaticSource
+                and {*map(type, uppers), *map(type, first.inst.procs())} <= {int, Fraction}):
+            first.begin(n, uppers)
+            total, makespan, count = alg.expected_cost(uppers, first.inst.procs())
+            return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
         total: Num = 0
         makespan: Num = 0
         weight_sum: Num = 0
         count = 0
         for weight, gen_fn in alg.exact_outcomes(n, uppers):
-            cost, span = _drive(gen_fn, make_source(), n, uppers, record=False)
+            cost, span = _drive(gen_fn, make_source() if count else first, n, uppers, record=False)
             total = total + weight * cost
             makespan = makespan + weight * span
             weight_sum = weight_sum + weight

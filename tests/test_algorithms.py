@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from testsched import analysis
 from testsched.algorithms import (
@@ -16,8 +18,8 @@ from testsched.algorithms import (
     small_limit_prefix,
 )
 from testsched.core import EXEC_TESTED, EXEC_UNTESTED, TEST, Instance
-from testsched.engine import StaticSource, run
-from testsched.generators import gen_threshold_worstcase
+from testsched.engine import StaticSource, run, run_expected
+from testsched.generators import four_type_counts, gen_four_type, gen_threshold_worstcase
 from testsched.offline import optimal_sum
 
 
@@ -340,3 +342,55 @@ class TestRegistryPins:
     def test_rejected_spec_text(self, spec):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(self.REJECTED[spec])}$"):
             parse_algorithm(spec)
+
+
+# The expected-cost hook against the enumeration it replaces: T <= E pairs
+# with denominators up to 4, limits drawn at T and E as well as anywhere, and
+# times at 0, at the limit and at E, so every tie the rules break is common.
+def hook_case(te):
+    T, E = te
+    upper = st.sampled_from([T, E]) | st.integers(0, 6) | st.fractions(0, 6, max_denominator=4)
+    job = upper.flatmap(lambda u: st.tuples(st.just(u), st.sampled_from([0, u, min(E, u)])
+                                            | st.fractions(0, 1, max_denominator=4).map(lambda x: u * x)))
+    return st.tuples(st.just(te), st.lists(job, min_size=1, max_size=7))
+
+
+T_E_PAIRS = st.tuples(st.fractions(1, 4, max_denominator=4).filter(lambda t: t > 1),
+                      st.fractions(0, 2, max_denominator=4)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(derandomize=True, max_examples=120, database=None, deadline=None)
+@given(T_E_PAIRS.flatmap(hook_case))
+@example(((Fraction(2), Fraction(2)), [(1, 0), (0, 0)]))  # no test anywhere: int sums
+@example(((Fraction(2), Fraction(2)), [(Fraction(1, 2), 0), (1, Fraction(1, 3))]))
+def test_expected_cost_hook_equals_the_enumeration(case):
+    (T, E), jobs = case
+    inst = Instance.from_pairs(jobs)
+    for alg in (build_algorithm("random", {"T": T, "E": E}), build_algorithm("makespan_rand")):
+        total = makespan = count = 0
+        for weight, gen_fn in alg.exact_outcomes(inst.n, inst.uppers()):
+            tr = run(gen_fn, StaticSource(inst), inst.n, inst.uppers())
+            total, makespan, count = total + weight * tr.total, makespan + weight * tr.makespan, count + 1
+        want = typed((total, makespan, count))
+        assert typed(alg.expected_cost(inst.uppers(), inst.procs())) == want
+        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), exact=True)
+        assert typed((res.total, res.makespan, res.trials)) == want and res.exact
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+@pytest.mark.parametrize("mix", [(Fraction(1, 4),) * 3, (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)),
+                                 (0, 0, 1), (0, 0, 0)])
+def test_random_hook_matches_the_four_type_closed_form(n, mix):
+    T, E, eps = Fraction(17453, 10000), Fraction(28609, 10000), Fraction(1, 1000)
+    inst = gen_four_type(n, *mix, T=T, E=E, epsilon=eps)
+    counts = four_type_counts(n, *mix)
+    alg = build_algorithm("random", {"T": T, "E": E})
+    total, makespan, count = alg.expected_cost(inst.uppers(), inst.procs())
+    assert total == analysis.random_expected_cost(counts, T, E, eps)
+    # every job is tested, so the deterministic makespan is the phase plus the deferred times
+    assert makespan == n + T * counts[1] + E * counts[2] + (E + eps) * counts[3]
+    assert count == math.factorial(n)

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,17 @@ class TestSimulate:
         assert report["opt_cost"] == big
         assert report["alg_cost"] == f"{10**400 + 3}/3"  # tested: 1 + p
         assert report["ratio"] == 1.0
+
+    @pytest.mark.parametrize("upper, ratio", [(10**400, str(10**400)), (f"{10**400}/3", f"{10**400}/3")],
+                             ids=["whole", "p_over_q"])
+    def test_ratio_past_a_float_is_written_as_p_over_q(self, tmp_path, capsys, upper, ratio):
+        inst = tmp_path / "big.json"
+        inst.write_text(json.dumps([{"upper": upper, "proc": 0}]))
+        assert main(["simulate", "lb_schedule[nu=1,lam=0,delta=1]", "--mode", "rational",
+                     "--instance", str(inst)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["opt_cost"] == 1  # the blind run costs the limit, OPT tests for 1 + 0
+        assert report["ratio"] == ratio
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -588,3 +603,19 @@ def test_makespan_rand_is_exact_for_an_integer_limit(capsys):
     assert main(argv + ["p_bar=3.0"]) == 0
     assert as_int == capsys.readouterr().out
     assert json.loads(as_int)["alg_cost"] == float(Fraction(45, 7))
+
+
+def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "report.json"
+    done = subprocess.run([sys.executable, "-m", "testsched", "simulate", "threshold", "--gen",
+                           "threshold_worstcase", "--param", "a=1", "--param", "b=1", "--param", "c=1",
+                           "--out", str(out)], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(["simulate", "threshold", "--gen", "threshold_worstcase", "--param", "a=1",
+                 "--param", "b=1", "--param", "c=1", "--out", str(tmp_path / "in_process.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "in_process.json").read_bytes()
+    bad = subprocess.run([sys.executable, "-m", "testsched", "simulate", "no_such_rule", "--gen",
+                          "threshold_worstcase"], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert (bad.returncode, bad.stderr) == (2, "error: unknown algorithm: 'no_such_rule'\n")

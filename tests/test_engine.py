@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from testsched.algorithms import OnlineAlgorithm, parse_algorithm
+from testsched.algorithms import OnlineAlgorithm, delay_all_generator, parse_algorithm
 from testsched.core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
@@ -452,8 +452,14 @@ def test_view_check_keeps_its_verdict(mode, name):
 
 
 def test_view_with_an_int_beyond_float_range():
-    # sum() of such an int and a float overflows; the per-limit walk accepts the view
-    assert _check_view(2, [10**400, 2.5]) == (10**400, 2.5)
+    # the clock would add such a limit to a float and overflow, so the walk refuses it by job;
+    # without a float in the view the limits stay exact and pass
+    with pytest.raises(ProtocolError, match="^job 0: upper limit past a float's range among float limits$"):
+        _check_view(2, [10**400, 2.5])
+    with pytest.raises(ProtocolError, match="^job 1: upper limit past a float's range"):
+        run(delay_all_generator, AdaptiveSource(lambda j, v, r, u: u), 3,
+            [Fraction(1, 3), Fraction(10**400), 2.5])
+    assert _check_view(2, [10**400, Fraction(5, 2)]) == (10**400, Fraction(5, 2))
 
 
 def test_exact_short_view_is_a_protocol_error():
@@ -482,3 +488,22 @@ def test_source_begins_every_run(exact, runs):
     # a view that passes the check but not the source's own limits fails in begin
     with pytest.raises(ProtocolError, match="upper limits differ"):
         run_expected(parse_algorithm("random"), src, 2, (3, 3), trials=5, seed="s", exact=exact)
+
+
+@pytest.mark.parametrize("case, begins", [("int", 1), ("float view", 6), ("float", 6), ("subclass", 6)])
+def test_closed_form_only_on_an_exact_static_source(monkeypatch, case, begins):
+    # the hook runs once, after one begin, only for exactly a StaticSource with int or Fraction
+    # numbers; a float anywhere or a subclass's own begin keeps the 3! runs
+    begun = []
+    monkeypatch.setattr(StaticSource, "begin", lambda self, n, uppers: begun.append(n))
+    pairs = [(2, 1), (3, 3), (Fraction(5, 2), 0)]
+    inst = Instance.from_pairs([(float(u), float(p)) for u, p in pairs] if case == "float" else pairs)
+    view = [float(u) for u in inst.uppers()] if case == "float view" else inst.uppers()
+    source = CountingSource(inst) if case == "subclass" else StaticSource(inst)
+    res = run_expected(parse_algorithm("random"), source, 3, view, exact=True)
+    assert (len(begun), res.trials, res.exact) == (begins, 6, True)
+    if case == "subclass":
+        assert source.begins == 6
+    exact_inst = Instance.from_pairs(pairs)
+    want, _, _ = parse_algorithm("random").expected_cost(exact_inst.uppers(), exact_inst.procs())
+    assert res.total == want if case in ("int", "subclass") else math.isclose(res.total, want)
