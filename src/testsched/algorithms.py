@@ -97,15 +97,60 @@ def delay_all_generator(view):
     return _blind_test_defer(blind, (rest, -1))
 
 
+def _seeded_shuffle(items, seed):
+    """A list of `items` in the order `random.Random(seed).shuffle` leaves them.
+
+    The same Fisher-Yates pass with the same draws: position i swaps with
+    r < i + 1, r taken from `getrandbits(k)`, k = (i + 1).bit_length(), until
+    it falls below i + 1, as `_randbelow_with_getrandbits` does.  k is fixed
+    while i + 1 stays in [lo, 2 lo), so it is worked out once per such block,
+    and a draw is one C call where `shuffle` makes a Python call to
+    `_randbelow`.
+    """
+    x = list(items)
+    getrandbits = random.Random(seed).getrandbits
+    n = len(x)
+    while n > 1:
+        k = n.bit_length()
+        lo = 1 << (k - 1)
+        for i in range(n - 1, lo - 2, -1):
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            x[i], x[r] = x[r], x[i]
+        n = lo - 1
+    return x
+
+
 def make_random_order(T, E):
+    """seed -> generator function of random[T, E]: the blind prefix, then the rest shuffled.
+
+    Every seed of one built rule shares a one-entry memo of the last view's
+    split, so Monte Carlo trials on one view (`run_expected` checks it into
+    one tuple) split it once.  The memo keeps the limits tuple itself and
+    serves only that object, so a tuple it no longer holds can never share
+    its id; limits of any other type are split on every run, as a list may
+    change between runs.  Each run shuffles its own copy of the rest with
+    `_seeded_shuffle`, which gives `random.Random(seed).shuffle`'s order.
+    """
     if not 1 < T <= E:
         raise ConfigurationError(f"random rule needs 1 < T <= E, got T={T}, E={E}")
+    last = (None, None)
+
+    def split(uppers):
+        nonlocal last
+        held, parts = last
+        if uppers is held:
+            return parts
+        parts = _split(uppers, T)
+        if type(uppers) is tuple:
+            last = (uppers, parts)
+        return parts
 
     def build(seed):
         def gen(view):
-            blind, rest = _split(view[1], T)
-            random.Random(seed).shuffle(rest)
-            return _blind_test_defer(blind, (rest, E))
+            blind, rest = split(view[1])
+            return _blind_test_defer(blind, (_seeded_shuffle(rest, seed), E))
         return gen
     return build
 

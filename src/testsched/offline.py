@@ -114,8 +114,10 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     A tested job runs immediately after its test (delaying it only adds
     cost), so a schedule is a choice of per-job effective duration, either
     1 + p or the upper limit, plus a permutation.  Cost grows as n! * 2^n;
-    instances beyond n = 10 are refused.
+    instances beyond n = 10 are refused, after an unknown objective is.
     """
+    if objective not in ("sum", "makespan"):
+        raise ValueError(f"unknown objective {objective!r}")
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleSizeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N}")
@@ -127,8 +129,6 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
             if best is None or c < best:
                 best = c
         return best
-    if objective != "sum":
-        raise ValueError(f"unknown objective {objective!r}")
 
     # Exact mode scales every duration to a common denominator and enumerates
     # in ints; float mode enumerates the durations as they are (denom = 1).

@@ -1,8 +1,10 @@
 """Behavioral traces of every strategy against hand-worked schedules."""
 
 import math
+import random
 import re
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,16 +12,25 @@ from hypothesis import strategies as st
 
 from testsched import analysis
 from testsched.algorithms import (
+    SUM_ALGORITHM_NAMES,
     ConfigurationError,
+    _seeded_shuffle,
     _uniform_limit,
     build_algorithm,
     make_lb_schedule,
     parse_algorithm,
     small_limit_prefix,
 )
-from testsched.core import EXEC_TESTED, EXEC_UNTESTED, TEST, Instance
-from testsched.engine import StaticSource, run, run_expected
-from testsched.generators import four_type_counts, gen_four_type, gen_threshold_worstcase
+from testsched.core import (
+    EXEC_TESTED,
+    EXEC_UNTESTED,
+    TEST,
+    Instance,
+    check_trace_durations,
+    cost_of_trace,
+)
+from testsched.engine import StaticSource, run, run_expected, trial_seed
+from testsched.generators import four_type_counts, gen_four_type, gen_random, gen_threshold_worstcase
 from testsched.offline import optimal_sum
 
 
@@ -394,3 +405,114 @@ def test_random_hook_matches_the_four_type_closed_form(n, mix):
     # every job is tested, so the deterministic makespan is the phase plus the deferred times
     assert makespan == n + T * counts[1] + E * counts[2] + (E + eps) * counts[3]
     assert count == math.factorial(n)
+
+
+# random[T, E] as it was written with the stdlib shuffle and nothing shared
+# between runs: the reference every run of the built rule must equal.
+def reference_random_order(T, E, seed):
+    def gen(view):
+        uppers = view[1]
+        ids = range(len(uppers))
+        for j in sorted((j for j in ids if uppers[j] < T), key=lambda j: (uppers[j], j)):
+            yield EXEC_UNTESTED, j
+        rest = [j for j in ids if uppers[j] >= T]
+        random.Random(seed).shuffle(rest)
+        deferred = []
+        for j in rest:
+            p = yield TEST, j
+            if p <= E:
+                yield EXEC_TESTED, j
+            else:
+                heappush(deferred, (p, j))
+        while deferred:
+            yield EXEC_TESTED, heappop(deferred)[1]
+    return gen
+
+
+def drive_actions(gen_fn, uppers, procs):
+    """The actions of gen_fn on the view (len(uppers), uppers), answering tests from procs."""
+    gen = gen_fn((len(uppers), uppers))
+    got, answer = [], None
+    for action in iter(lambda: gen.send(answer), None):
+        got.append(action)
+        answer = procs[action[1]] if action[0] == TEST else None
+    return got
+
+
+class TestRandomOrderTrials:
+    """The random rule's seeded shuffle and its shared split give the stdlib's runs."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 1000])
+    def test_seeded_shuffle_is_the_stdlib_shuffle(self, n):
+        for seed in [*(trial_seed(m, i) for m in (0, "x", 918273) for i in range(12)),
+                     *range(-3, 12), 2**70 + 1]:
+            want = list(range(n))
+            random.Random(seed).shuffle(want)
+            assert _seeded_shuffle(range(n), seed) == want
+
+    @pytest.mark.parametrize("name,args", [
+        ("four_type", (0.3, 0.2, 0.1)), ("four_type", (0.25, 0.25, 0.25)),
+        ("four_type", (0.0, 0.0, 1.0)), ("four_type", (0.0, 0.5, 0.1)),
+        ("random", ("blind:1",)),
+    ])
+    def test_engine_traces_equal_the_reference(self, name, args):
+        inst = gen_four_type(1000, *args) if name == "four_type" else gen_random(1000, seed=args[0])
+        T, E = analysis.RANDOM_T_PUBLISHED, analysis.RANDOM_E_PUBLISHED
+        alg = build_algorithm("random")
+        for seed in ("mc:0", "mc:1", 7):
+            got = run(alg.generator(seed), StaticSource(inst), inst.n, inst.uppers())
+            want = run(reference_random_order(T, E, seed), StaticSource(inst), inst.n, inst.uppers())
+            assert (got.steps, got.total, got.makespan) == (want.steps, want.total, want.makespan)
+        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=4, seed="mc")
+        totals = [run(reference_random_order(T, E, trial_seed("mc", i)), StaticSource(inst), inst.n,
+                      inst.uppers()).total for i in range(4)]
+        assert res.total == sum(totals) / 4
+
+    def test_split_memo_never_serves_a_stale_view(self):
+        alg = build_algorithm("random")
+        view_a = (2.0, 1.0, 3.0, 1.5, 2.5, 1.2)
+        view_b = (1.0, 2.0, 1.7, 3.0, 1.9, 2.2)
+        procs = (0.5, 1.0, 1.6, 0.0, 1.9, 1.2)
+        inst_a, inst_b = Instance(view_a, procs), Instance(view_b, procs)
+        for inst in (inst_a, inst_a, inst_b, inst_a, Instance(list(view_a), procs)):
+            for seed in ("s:0", "s:1", 3):
+                got = run(alg.generator(seed), StaticSource(inst), inst.n, inst.uppers())
+                fresh = build_algorithm("random").generator(seed)
+                assert got.steps == run(fresh, StaticSource(inst), inst.n, inst.uppers()).steps
+        limits = list(view_a)
+        for change in (None, (0, 1.0), (3, 2.0), (1, 2.8)):
+            if change:
+                limits[change[0]] = change[1]
+            got = drive_actions(alg.generator("s:0"), limits, procs)
+            assert got == drive_actions(build_algorithm("random").generator("s:0"), limits, procs)
+        for limits in (view_a, view_b, view_a):
+            assert (drive_actions(alg.generator(5), tuple(list(limits)), procs)
+                    == drive_actions(build_algorithm("random").generator(5), limits, procs))
+
+
+# Every sum rule that accepts an arbitrary rational instance makes a trace the
+# replay accepts, whose cost the replay recomputes and which costs at least OPT.
+RATIONAL = st.integers(0, 4) | st.fractions(0, 4, max_denominator=6)
+JOBS = st.lists(st.tuples(RATIONAL, RATIONAL).map(lambda t: (max(t), min(t))), min_size=1, max_size=8)
+COMMON_LIMIT = st.tuples(RATIONAL, st.lists(st.fractions(0, 1, max_denominator=6), min_size=1,
+                                            max_size=8)).map(lambda c: [(c[0], c[0] * x) for x in c[1]])
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(JOBS | COMMON_LIMIT)
+def test_sum_rules_pay_at_least_the_optimum(jobs):
+    inst = Instance.from_pairs(jobs)
+    opt = optimal_sum(inst).total
+    ran = 0
+    for name in SUM_ALGORITHM_NAMES:
+        alg = build_algorithm(name)
+        try:
+            tr = run(alg.generator("p:0" if alg.randomized else None), StaticSource(inst), inst.n,
+                     inst.uppers())
+        except ConfigurationError:
+            continue
+        ran += 1
+        check_trace_durations(tr, inst)
+        assert cost_of_trace(tr) == (tr.total, tr.makespan)
+        assert tr.total >= opt
+    assert ran >= 3

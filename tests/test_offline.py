@@ -16,6 +16,7 @@ from testsched.core import (
 from testsched.engine import run
 from testsched.generators import det_lb_adversary, gen_random
 from testsched.offline import (
+    BRUTE_FORCE_MAX_N,
     OptPlan,
     OracleSizeError,
     brute_force_optimum,
@@ -147,6 +148,14 @@ class TestBruteForce:
         inst = gen_random(11, seed="big")
         with pytest.raises(OracleSizeError):
             brute_force_optimum(inst)
+
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_unknown_objective_is_named_before_the_size_gate(self, n):
+        with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+            brute_force_optimum(gen_random(n, seed="x"), "bogus")
+        if n > BRUTE_FORCE_MAX_N:
+            with pytest.raises(OracleSizeError):
+                brute_force_optimum(gen_random(n, seed="x"), "makespan")
 
     def test_exact_on_fractions(self):
         inst = Instance.from_pairs([(Fraction(5, 2), Fraction(1, 3)),
