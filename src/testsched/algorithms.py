@@ -52,6 +52,8 @@ def _uniform_limit(uppers, who):
 # Test-then-defer rules, one body: run `blind` untested, then test each
 # segment's `order` in turn, run a job at once when its revealed time is at
 # most that segment's E, and defer the others to one shortest-first tail.
+# The tail is sorted by (p, id) once, after the last test: as every id is
+# distinct, that is the order in which a heap of the pairs would pop them.
 # E = inf runs every tested job at once, E = -1 defers every one.  Each rule
 # is a choice of (blind, segments):
 #   threshold    limits below 2 blind, then (the rest in id order, 2)
@@ -82,9 +84,10 @@ def _blind_test_defer(blind, *segments):
             if p <= E:
                 yield EXEC_TESTED, j
             else:
-                heappush(deferred, (p, j))
-    while deferred:
-        yield EXEC_TESTED, heappop(deferred)[1]
+                deferred.append((p, j))
+    deferred.sort()
+    for _, j in deferred:
+        yield EXEC_TESTED, j
 
 
 def threshold_generator(view):
@@ -205,11 +208,11 @@ def beat_generator(view):
     total_exec = 0
     nxt = 0
     while nxt < n or pending:
-        if pending and total_exec + pending[0][0] <= total_test:
+        if pending and (nxt == n or total_exec + pending[0][0] <= total_test):
             p, j = heappop(pending)
             yield EXEC_TESTED, j
             total_exec += p
-        elif nxt < n:
+        else:
             j = nxt
             nxt += 1
             p = yield TEST, j
@@ -218,10 +221,6 @@ def beat_generator(view):
             else:
                 total_test += 1
                 heappush(pending, (p, j))
-        else:
-            p, j = heappop(pending)
-            yield EXEC_TESTED, j
-            total_exec += p
 
 
 # ---------------------------------------------------------------------------

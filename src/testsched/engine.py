@@ -14,11 +14,12 @@ static source replays a fixed instance; an adaptive source fixes each value
 at the moment the job is first touched, which is how adversary lower bounds
 run.
 
-`run` returns the full trace.  Expectation runs (`run_expected`) read only
-each run's total and makespan, so they drive the same protocol loop with
-the same checks but keep no step list.  An exact expectation on exact
-numbers and a plain static source comes from the rule's closed form when
-it has one, with no run at all.
+The protocol loop keeps one ledger entry per job: untouched, the time its
+test revealed, or done.  `run` returns the full trace.  Expectation runs
+(`run_expected`) read only each run's total and makespan, so they drive the
+same loop with the same checks but keep no step list.  An exact expectation
+on exact numbers and a plain static source comes from the rule's closed
+form when it has one, with no run at all.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
 )
 
 EXACT_ENUMERATION_LIMIT = 8  # exact expectations (closed form or n! enumeration) only up to this n
+_UNTOUCHED, _DONE = object(), object()  # `_drive`'s ledger entries beside a revealed time
 
 
 class ProtocolError(RuntimeError):
@@ -103,7 +105,7 @@ class AdaptiveSource:
             return self._committed[job]
         rank = len(self._committed) + 1
         p = self.rule(job, via_test, rank, self._uppers[job])
-        if p < 0 or p > self._uppers[job]:
+        if not 0 <= p <= self._uppers[job]:  # a NaN fails it too
             raise ProtocolError(f"adversary fixed p={p} outside [0, {self._uppers[job]}] for job {job}")
         self._committed[job] = p
         return p
@@ -162,72 +164,70 @@ def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
 
     With `record=False` no step is kept and the result is `(total, makespan)`,
     the two values the Trace would carry: expectation runs read nothing else.
-    Both modes make the same checks, and an error names the action by its
-    index, counted from the ledger (tests so far plus jobs done).
+    Both modes make the same checks.  An action is checked on its job's
+    ledger entry (`_UNTOUCHED`, the revealed time or `_DONE`), then on its
+    kind; an error names it by its index, the tests so far plus jobs done.
     """
     source.begin(n, uppers)
     reveal = source.reveal
     settle_untested = source.settle_untested
     gen = gen_fn((n, uppers))
     send = gen.send
-    state = bytearray(n)
-    revealed: list = [None] * n  # a revealed time is never None, so the Nones are the untested jobs
+    test, exec_tested, exec_untested = TEST, EXEC_TESTED, EXEC_UNTESTED
+    untouched, done, int_ = _UNTOUCHED, _DONE, int
+    ledger = [untouched] * n
     completions: list = [None] * n
     steps: list[tuple] = []
     append = steps.append
     t: Num = 0
     remaining = n
+    tests = 0
     send_value = None
     try:
         while remaining:
             try:
                 action = send(send_value)
             except StopIteration:
-                raise ProtocolError(f"algorithm stopped after action {_actions_done(revealed, remaining)}"
+                raise ProtocolError(f"algorithm stopped after action {tests + n - remaining}"
                                     f" with {remaining} jobs unfinished")
-            send_value = None
             try:
                 kind, job = action
             except (TypeError, ValueError):
-                raise ProtocolError(
-                    f"action {_actions_done(revealed, remaining)}: not a (kind, job) pair: {action!r}")
-            if type(job) is not int or not 0 <= job < n:  # a bool is no job id
-                raise ProtocolError(f"action {_actions_done(revealed, remaining)}: unknown job id {job!r}")
-            s = state[job]
-            if kind == TEST and s == UNTOUCHED:
-                send_value = revealed[job] = reveal(job)
-                state[job] = TESTED
-                if record:
-                    append((TEST, job, t, 1))
-                t = t + 1
-                continue
-            if kind == EXEC_TESTED and s == TESTED:
-                dur = revealed[job]
-                if record:
-                    append((EXEC_TESTED, job, t, dur))
-            elif kind == EXEC_UNTESTED and s == UNTOUCHED:
+                raise ProtocolError(f"action {tests + n - remaining}: not a (kind, job) pair: {action!r}")
+            if type(job) is not int_ or not 0 <= job < n:  # a bool is no job id
+                raise ProtocolError(f"action {tests + n - remaining}: unknown job id {job!r}")
+            s = ledger[job]
+            if s is untouched:
+                if kind == test:
+                    send_value = ledger[job] = reveal(job)
+                    tests += 1
+                    if record:
+                        append((test, job, t, 1))
+                    t = t + 1
+                    continue
+                if not kind == exec_untested:
+                    raise ProtocolError(f"action {tests + n - remaining}: {action_fault(kind, job, UNTOUCHED)}")
                 settle_untested(job)
                 dur = uppers[job]
                 if record:
-                    append((EXEC_UNTESTED, job, t, dur))
+                    append((exec_untested, job, t, dur))
+            elif s is not done and kind == exec_tested:
+                dur = s
+                if record:
+                    append((exec_tested, job, t, dur))
             else:
-                raise ProtocolError(
-                    f"action {_actions_done(revealed, remaining)}: {action_fault(kind, job, s)}")
+                fault = action_fault(kind, job, DONE if s is done else TESTED)
+                raise ProtocolError(f"action {tests + n - remaining}: {fault}")
             t = t + dur
             completions[job] = t
-            state[job] = DONE
+            ledger[job] = done
             remaining -= 1
+            send_value = None
     finally:
         gen.close()
     if not record:
         return sum(completions), t
     return Trace(n=n, steps=steps, completions=tuple(completions), total=sum(completions), makespan=t)
-
-
-def _actions_done(revealed: list, remaining: int) -> int:
-    """Actions a run has made: its tests plus its executions (the ledger's, not a step list's)."""
-    n = len(revealed)
-    return (n - revealed.count(None)) + (n - remaining)
 
 
 @dataclass

@@ -5,12 +5,13 @@ import random
 import re
 from fractions import Fraction
 from heapq import heappop, heappush
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from testsched import analysis
+from testsched import algorithms, analysis
 from testsched.algorithms import (
     SUM_ALGORITHM_NAMES,
     ConfigurationError,
@@ -516,3 +517,60 @@ def test_sum_rules_pay_at_least_the_optimum(jobs):
         assert cost_of_trace(tr) == (tr.total, tr.makespan)
         assert tr.total >= opt
     assert ran >= 3
+
+
+# The test-then-defer body as it was written with a heap for the deferred
+# tail, one push per deferred job and one pop per tail execution: every rule
+# built on the sorted tail must make the same run with it.
+def heap_blind_test_defer(blind, *segments):
+    for j in blind:
+        yield EXEC_UNTESTED, j
+    deferred = []
+    for order, E in segments:
+        for j in order:
+            p = yield TEST, j
+            if p <= E:
+                yield EXEC_TESTED, j
+            else:
+                heappush(deferred, (p, j))
+    while deferred:
+        yield EXEC_TESTED, heappop(deferred)[1]
+
+
+def equal_forms(halves, form):
+    """halves / 2 as an int (where whole), a Fraction or a float: equal values, three types."""
+    x = Fraction(halves, 2)
+    return (int(x) if x.denominator == 1 else x, x, float(x))[form]
+
+
+# Few distinct times, so revealed times tie, each in any of its three forms.
+TIED = st.builds(equal_forms, st.sampled_from([0, 1, 2, 3, 4, 6]), st.integers(0, 2))
+TIED_JOBS = st.lists(st.tuples(TIED, TIED).map(lambda t: (max(t), min(t))), min_size=1, max_size=12)
+TIED_COMMON = st.tuples(st.sampled_from([4, 6]), st.integers(0, 2), st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, 3, 4]), st.integers(0, 2)), min_size=1, max_size=12)).map(
+    lambda c: [(equal_forms(c[0], c[1]), equal_forms(min(h, c[0]), f)) for h, f in c[2]])
+TAIL_RULES = [("threshold", None, None), ("delay_all", None, None),
+              *(("random", None, seed) for seed in ("t:0", "t:1", 7)), ("ute", None, None),
+              ("lb_schedule", None, None), ("lb_schedule", {"nu": 0.25, "lam": 0.25, "delta": 0.75}, None)]
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(TIED_JOBS | TIED_COMMON)
+@example([(3, 3), (3.0, 3.0), (Fraction(3), Fraction(3)), (3, 3.0), (2.0, Fraction(3, 2)), (3, 1.5)])
+@example([(Fraction(3), 3.0)] * 6 + [(3, 3)] * 6)
+def test_sorted_tail_runs_as_the_heap_did(jobs):
+    inst = Instance.from_pairs(jobs)
+    ran = 0
+    for name, params, seed in TAIL_RULES:
+        try:
+            got = run(build_algorithm(name, params).generator(seed), StaticSource(inst), inst.n,
+                      inst.uppers())
+        except ConfigurationError:
+            continue
+        with mock.patch.object(algorithms, "_blind_test_defer", heap_blind_test_defer):
+            want = run(build_algorithm(name, params).generator(seed), StaticSource(inst), inst.n,
+                       inst.uppers())
+        ran += 1
+        assert [typed(step) for step in got.steps] == [typed(step) for step in want.steps]
+        assert typed((got.total, got.makespan)) == typed((want.total, want.makespan))
+    assert ran >= len(TAIL_RULES) - 1

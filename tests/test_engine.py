@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from testsched.algorithms import OnlineAlgorithm, delay_all_generator, parse_algorithm
+from testsched.algorithms import OnlineAlgorithm, delay_all_generator, parse_algorithm, threshold_generator
 from testsched.core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
@@ -136,7 +136,21 @@ ILLEGAL = {
     "unknown job": ([(EXEC_UNTESTED, 5)], "unknown job id 5"),
     "non-integer job": ([(EXEC_UNTESTED, "0")], "unknown job id '0'"),
     "bool job": ([(EXEC_UNTESTED, 0), (EXEC_UNTESTED, True)], "unknown job id True"),
+    "negative job": ([(EXEC_UNTESTED, -1)], "unknown job id -1"),
+    "job id n": ([(TEST, 2)], "unknown job id 2"),
+    "float job": ([(TEST, 0.0)], "unknown job id 0.0"),
 }
+
+
+def test_kinds_are_compared_by_value():
+    """A kind string equal to a constant, though not the same object, is that kind."""
+    actions = [(TEST, 1), (EXEC_TESTED, 1), (EXEC_UNTESTED, 0)]
+    copies = [("".join(list(kind)), job) for kind, job in actions]
+    assert copies == actions and not any(c[0] is a[0] for c, a in zip(copies, actions))
+    tr = run_static(lambda view: (action for action in copies), [(2, 1), (3, Fraction(1, 2))])
+    assert tr.steps == [(TEST, 1, 0, 1), (EXEC_TESTED, 1, 1, Fraction(1, 2)), (EXEC_UNTESTED, 0, Fraction(3, 2), 2)]
+    assert all(step[0] is kind for step, (kind, _) in zip(tr.steps, actions))  # the constants, not the copies
+    assert (tr.total, tr.makespan) == (5, Fraction(7, 2))
 
 
 @pytest.mark.parametrize("name", sorted(ILLEGAL))
@@ -283,6 +297,16 @@ class TestAdaptiveSource:
 
         with pytest.raises(ProtocolError, match="outside"):
             run(alg, src, 1, (2,))
+
+    @pytest.mark.parametrize("via_test", [True, False])
+    def test_rule_cannot_fix_a_nan(self, via_test):
+        # a NaN is neither below 0 nor above the limit, yet not in [0, upper]; let
+        # through, it makes the total NaN and leaves the deferred tail unordered
+        src = AdaptiveSource(lambda job, via_test, rank, upper: math.nan)
+        gen_fn = threshold_generator if via_test else parse_algorithm("ute[rho=4]").generator()
+        with pytest.raises(ProtocolError) as err:
+            run(gen_fn, src, 2, [3.0, 3.0])
+        assert str(err.value) == "adversary fixed p=nan outside [0, 3.0] for job 0"
 
 
 class TestRunExpected:
