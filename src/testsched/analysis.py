@@ -3,9 +3,9 @@
 Everything here is plain real arithmetic over the asymptotic cost
 expressions (costs per n^2/2 unless said otherwise), so the simulation
 side of the package can be checked against formulas and vice versa.
-Extremizers follow fixed numeric recipes: golden-section with endpoint
-checks for one dimension, a coarse grid with local refinement for two,
-bisection for roots.
+Extremizers follow fixed numeric recipes: a coarse scan, then
+golden-section with endpoint checks, for one dimension; that search nested
+in itself for a job mix on the simplex (`simplex_max`); bisection for roots.
 """
 
 from __future__ import annotations
@@ -93,36 +93,20 @@ def bisect_root(f, a, b, tol=1e-12, max_iter=500):
     return (a + b) / 2
 
 
-def grid_max_2d(f, xlo, xhi, ylo, yhi, steps=200, rounds=4):
-    """Maximum of f over a box: full grid, then shrinking local grids.
+def simplex_max(f, xlo, xhi):
+    """Maximum of f(x, y) over xlo <= x <= xhi, 0 <= y <= 1 - x.
 
-    Returns ((x, y), f(x, y)).  Robust against multiple local maxima at the
-    grid resolution; each refinement round zooms in by a factor of ten.
+    Returns ((x, y), f(x, y)): scan_then_golden_max over x of the same search
+    over y, each scanning 51 points first.  Like that search, it assumes one
+    peak in each bracket the scans leave.
     """
-    best = None
-    bx = by = None
-    sx = (xhi - xlo) / steps
-    sy = (yhi - ylo) / steps
-    for i in range(steps + 1):
-        x = xlo + i * sx
-        for k in range(steps + 1):
-            y = ylo + k * sy
-            v = f(x, y)
-            if best is None or v > best:
-                best, bx, by = v, x, y
-    for _ in range(rounds):
-        nxlo, nxhi = max(xlo, bx - sx), min(xhi, bx + sx)
-        nylo, nyhi = max(ylo, by - sy), min(yhi, by + sy)
-        sx = (nxhi - nxlo) / 20 or sx / 10
-        sy = (nyhi - nylo) / 20 or sy / 10
-        for i in range(21):
-            x = nxlo + i * sx
-            for k in range(21):
-                y = nylo + k * sy
-                v = f(x, y)
-                if v > best:
-                    best, bx, by = v, x, y
-    return (bx, by), best
+
+    def best_y(x):
+        return scan_then_golden_max(lambda y: f(x, y), 0.0, 1.0 - x, steps=50)
+
+    x, _ = scan_then_golden_max(lambda x: best_y(x)[1], xlo, xhi, steps=50)
+    y, v = best_y(x)
+    return (x, y), v
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +154,7 @@ def det_lb_best_schedule(delta, p_bar):
 
 def det_lb_value(delta, p_bar):
     """Lower bound on every deterministic algorithm's ratio at (delta, p_bar)."""
-    if not (0 < delta <= 1 and p_bar > 1):
+    if not (0 < delta <= 1 and 1 < p_bar < math.inf):
         raise InstanceError(f"need 0 < delta <= 1 and p_bar > 1, got ({delta}, {p_bar})")
     nu, lam = det_lb_best_schedule(delta, p_bar)
     return det_lb_alg(nu, lam, delta, p_bar) / det_lb_opt(nu, delta, p_bar)
@@ -270,16 +254,11 @@ def _exec_threshold_on_facet(T):
 def solve_random_params():
     """The (T, E) pair where the two binding certificates vanish together.
 
-    Nested bisection: E is eliminated through the facet certificate, the
-    remaining certificate is a 1-D root in T.  The root lies above the
-    golden ratio.
+    E is eliminated through the facet certificate (the second), and the
+    fourth, `random_conditions(T, E)[3]`, is bisected as a 1-D root in T.
+    The root lies above the golden ratio.
     """
-
-    def residual(T):
-        E = _exec_threshold_on_facet(T)
-        return 4 * E * (1 - (2 - T) * T * T) - (2 * T * (T - 1) - 1) ** 2
-
-    T = bisect_root(residual, 1.7, 1.8)
+    T = bisect_root(lambda T: random_conditions(T, _exec_threshold_on_facet(T))[3], 1.7, 1.8)
     if T <= GOLDEN_RATIO:
         raise ArithmeticError(f"unexpected root T={T} at or below the golden ratio")
     return T, _exec_threshold_on_facet(T)
@@ -347,13 +326,8 @@ def beat_family_ratio(p_bar, long_frac, mid_frac=0.0):
 
 
 def beat_worst_mix(p_bar):
-    """Worst (long_frac, mid_frac) for the balance algorithm; grid + zoom."""
-    def f(lam, mid):
-        if lam + mid > 1 or lam <= 0:
-            return -math.inf
-        return beat_family_ratio(p_bar, lam, mid)
-
-    (lam, mid), _ = grid_max_2d(f, 0.01, 0.99, 0.0, 0.98, steps=200)
+    """Worst (long_frac, mid_frac) for the balance algorithm, by simplex_max."""
+    (lam, mid), _ = simplex_max(lambda lam, mid: beat_family_ratio(p_bar, lam, mid), 0.01, 0.99)
     return lam, mid
 
 
@@ -416,14 +390,9 @@ def thresh_uniform_worst_mix(p_bar):
     return 1 - beta, beta
 
 
-def thresh_uniform_worst_mix_grid(p_bar, steps=200):
-    """Cross-check of the worst mix by 2-D maximization over the simplex."""
-    def f(alpha, beta):
-        if alpha + beta > 1:
-            return -math.inf
-        return thresh_uniform_mix_ratio(p_bar, alpha, beta)
-
-    return grid_max_2d(f, 0.0, 1.0, 0.0, 1.0, steps=steps)
+def thresh_uniform_worst_mix_grid(p_bar):
+    """Cross-check of the worst mix: ((alpha, beta), ratio) by simplex_max."""
+    return simplex_max(lambda alpha, beta: thresh_uniform_mix_ratio(p_bar, alpha, beta), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +464,6 @@ def makespan_rand_curve(p_bar):
     if p_bar <= 1:
         return 1.0
     return p_bar * p_bar / (p_bar * p_bar - p_bar + 1)
-
-
-def makespan_ratios():
-    """Computed makespan guarantees: deterministic and randomized."""
-    _, det = scan_then_golden_max(makespan_det_curve, 0.5, 5.0, steps=1000)
-    _, rand = scan_then_golden_max(makespan_rand_curve, 1.0, 5.0, steps=1000)
-    return {"det": det, "rand": rand}
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +552,10 @@ CONSTANT_CHECKS = (
     ("extreme_uniform_limit_cap", 2.7961, 1e-4, lambda: ute_p_star(solve_ute_rho())),
     ("extreme_uniform_immediate_fraction", 0.2869, 1e-4, lambda: ute_beta(solve_ute_rho(), solve_ute_rho())),
     ("threshold_uniform_limit_ratio", math.sqrt(3), 1e-5, _sqrt3_from_mix),
-    ("makespan_det_ratio", GOLDEN_RATIO, 1e-6, lambda: makespan_ratios()["det"]),
-    ("makespan_rand_ratio", 4 / 3, 1e-6, lambda: makespan_ratios()["rand"]),
+    ("makespan_det_ratio", GOLDEN_RATIO, 1e-6,
+     lambda: scan_then_golden_max(makespan_det_curve, 0.5, 5.0, steps=1000)[1]),
+    ("makespan_rand_ratio", 4 / 3, 1e-6,
+     lambda: scan_then_golden_max(makespan_rand_curve, 1.0, 5.0, steps=1000)[1]),
 )
 
 

@@ -135,12 +135,20 @@ def validate_instance(inst: Instance) -> None:
             _check_job(i, upper, proc, most)
 
 
+def is_finite_number(x) -> bool:
+    """True for a finite int, float or Fraction; a bool is no number here.
+
+    The one rule for a value in an instance, a run's view or an adversary's answer.
+    """
+    return (isinstance(x, (int, float, Fraction)) and not isinstance(x, bool)
+            and (not isinstance(x, float) or math.isfinite(x)))
+
+
 def _check_job(i: int, upper: Num, proc: Num, most: Num = math.inf) -> None:
     """Per-field check of job `i`, whose values may not exceed `most`; raises
     InstanceError naming the first fault."""
     for name, x in (("upper", upper), ("proc", proc)):
-        if (isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
-                or isinstance(x, float) and not math.isfinite(x)):
+        if not is_finite_number(x):
             raise InstanceError(f"job {i}: {name} is not a finite number")
         if x > most:
             raise InstanceError(f"job {i}: {name} is past a float's range, in an instance with floats")

@@ -39,6 +39,7 @@ from .core import (
     Num,
     Trace,
     action_fault,
+    is_finite_number,
 )
 
 EXACT_ENUMERATION_LIMIT = 8  # exact expectations (closed form or n! enumeration) only up to this n
@@ -85,7 +86,8 @@ class AdaptiveSource:
     """Fixes each hidden time when the job is first touched.
 
     `rule(job, via_test, rank, upper)` returns the committed processing
-    time; `rank` is the 1-based count of distinct jobs touched so far.
+    time, a finite int, float or Fraction in [0, upper]; `rank` is the
+    1-based count of distinct jobs touched so far.
     Single-use: one run per source.
     """
 
@@ -105,7 +107,7 @@ class AdaptiveSource:
             return self._committed[job]
         rank = len(self._committed) + 1
         p = self.rule(job, via_test, rank, self._uppers[job])
-        if not 0 <= p <= self._uppers[job]:  # a NaN fails it too
+        if not (is_finite_number(p) and 0 <= p <= self._uppers[job]):
             raise ProtocolError(f"adversary fixed p={p} outside [0, {self._uppers[job]}] for job {job}")
         self._committed[job] = p
         return p
@@ -133,7 +135,8 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
 
 
 def _check_view(n: int, upper_limits) -> tuple:
-    """The view's limits as a tuple; ProtocolError unless n >= 1 finite limits >= 0.
+    """The view's limits as a tuple; ProtocolError unless n >= 1 limits, each >= 0 and
+    a finite int, float or Fraction (`is_finite_number`, so not a bool).
 
     Limits all int or Fraction, or all float, pass on C-level passes: the
     sum of floats is below inf only if none is inf or NaN (which `min` can
@@ -149,7 +152,7 @@ def _check_view(n: int, upper_limits) -> tuple:
         return uppers
     floats = any(isinstance(u, float) for u in uppers)
     for j, u in enumerate(uppers):
-        if u < 0 or (isinstance(u, float) and not math.isfinite(u)):
+        if not is_finite_number(u) or u < 0:
             raise ProtocolError(f"job {j}: upper limit {u} invalid")
         if floats and not isinstance(u, float):
             try:

@@ -29,11 +29,19 @@ def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
     return Instance.from_pairs(pairs)
 
 
+def _count(frac, n):
+    """floor(frac * n), the one rounding of a family's fraction; InstanceError unless it is finite."""
+    try:
+        return math.floor(frac * n)
+    except (ValueError, OverflowError):  # a NaN, an infinity, or an int too large for a float
+        raise InstanceError(f"fraction {frac} of n={n} is not a finite number of jobs") from None
+
+
 def four_type_counts(n, alpha, beta, gamma):
     """(zeros, at T, at E, deferred) counts used by the four-type family."""
-    mt = math.floor(alpha * n)
-    me = math.floor(beta * n)
-    md = math.floor(gamma * n)
+    mt = _count(alpha, n)
+    me = _count(beta, n)
+    md = _count(gamma, n)
     m0 = n - mt - me - md
     if m0 < 0:
         raise InstanceError(f"fractions exceed 1: {(alpha, beta, gamma)}")
@@ -98,7 +106,7 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     gamma is the fraction of long jobs (time equal to the limit); placement
     picks where they sit in id order, which is what a tester meets first.
     """
-    nlong = math.floor(gamma * n)
+    nlong = _count(gamma, n)
     if not 0 <= nlong <= n:
         raise InstanceError(f"bad long fraction {gamma} for n={n}")
     long_job = (p_bar, p_bar)
@@ -127,8 +135,8 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, mid
         mid_value = max(1, p_bar - 1)
     if not 0 < mid_value <= p_bar:
         raise InstanceError(f"mid value {mid_value} outside (0, {p_bar}]")
-    nlong = math.floor(long_frac * n)
-    nmid = math.floor(mid_frac * n)
+    nlong = _count(long_frac, n)
+    nmid = _count(mid_frac, n)
     nzero = n - nlong - nmid - (1 if middle is not None else 0)
     if nzero < 0:
         raise InstanceError(f"fractions exceed 1 for n={n}: {(long_frac, mid_frac)}")

@@ -35,10 +35,12 @@ class TestNumericUtilities:
         with pytest.raises(ValueError, match="sign change"):
             A.bisect_root(lambda x: x * x + 1, 0, 1)
 
-    def test_grid_max_2d(self):
-        (x, y), v = A.grid_max_2d(lambda x, y: -(x - 1) ** 2 - (y - 2) ** 2, 0, 3, 0, 3)
-        assert abs(x - 1) < 1e-4 and abs(y - 2) < 1e-4
-        assert v > -1e-7
+    def test_simplex_max(self):
+        # the peak (1, 2) lies outside the simplex, so the maximum is its nearest corner (0, 1)
+        assert A.simplex_max(lambda x, y: -(x - 1) ** 2 - (y - 2) ** 2, 0, 1) == ((0.0, 1.0), -2.0)
+        (x, y), v = A.simplex_max(lambda x, y: -(x - 0.25) ** 2 - (y - 0.5) ** 2, 0, 1)
+        assert abs(x - 0.25) < 1e-6 and abs(y - 0.5) < 1e-6
+        assert v > -1e-12
 
 
 class TestDeterministicLowerBound:
@@ -257,9 +259,9 @@ class TestMakespanCurves:
         assert A.makespan_test_probability(3.0) == 1 - 1 / 7.0
 
     def test_scanned_maxima(self):
-        got = A.makespan_ratios()
-        assert abs(got["det"] - A.GOLDEN_RATIO) < 1e-9
-        assert abs(got["rand"] - 4 / 3) < 1e-9
+        got = {e["name"]: e["computed_value"] for e in A.verify_constants()["constants"]}
+        assert abs(got["makespan_det_ratio"] - A.GOLDEN_RATIO) < 1e-9
+        assert abs(got["makespan_rand_ratio"] - 4 / 3) < 1e-9
 
 
 class TestFamilyCosts:
@@ -284,6 +286,27 @@ class TestConstantRegistry:
         for entry in report["constants"]:
             assert entry["tolerance"] < 0.01
             assert entry["ok"], entry
+
+    def test_computed_values_are_pinned(self):
+        # exact floats from the solvers; a change to a search routine or formula shows here
+        got = {e["name"]: e["computed_value"] for e in A.verify_constants()["constants"]}
+        assert abs(got.pop("threshold_uniform_limit_ratio") - math.sqrt(3)) <= 1e-15
+        assert got == {
+            "threshold_sum_ratio": 1.99999960000024,
+            "det_lb_ratio": 1.8546281091568344,
+            "random_test_threshold": 1.7452628308477867,
+            "random_exec_threshold": 2.8609095731282155,
+            "rand_lb_ratio": 1.6257523845831854,
+            "rand_lb_worst_q": 0.4226497234536202,
+            "combined_no_test_threshold": 1.9337914333409567,
+            "combined_switch_threshold": 2.294811601393996,
+            "extreme_uniform_ratio": 1.8667603991734723,
+            "extreme_uniform_ratio_at_lb_limit": 1.855189595408567,
+            "extreme_uniform_limit_cap": 2.796077497300147,
+            "extreme_uniform_immediate_fraction": 0.28696097636816564,
+            "makespan_det_ratio": 1.6180339886537987,
+            "makespan_rand_ratio": 1.3333333333333333,
+        }
 
     def test_override_fails(self):
         bad = A.RAND_LB_PUBLISHED + 0.011

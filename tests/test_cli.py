@@ -572,13 +572,28 @@ class TestBadValues:
                      "--param", "p_bar=2.5", "--sweep", axis]) == 2
         assert one_error_line(capsys) == f"bad range in {axis!r}: need finite lo <= hi and step > 0"
 
+    @pytest.mark.parametrize("params, message", [
+        ("four_type n=10 alpha=nan beta=0.1 gamma=0.1", "fraction nan of n=10"),
+        ("four_type n=1e400 alpha=0.1 beta=0.1 gamma=0.1", "fraction 0.1 of n=inf"),
+        ("extreme_uniform n=10 p_bar=2.5 gamma=inf", "fraction inf of n=10"),
+        ("uniform_mixed n=10 p_bar=2.5 mid_frac=nan", "fraction nan of n=10"),
+        ("uniform_mixed n=1e400 p_bar=2.5", "fraction 0.0 of n=inf"),
+    ], ids=["four_type_nan", "four_type_n_past_float", "extreme_uniform_inf", "uniform_mixed_nan",
+            "uniform_mixed_n_past_float"])
+    def test_generator_fraction_must_give_a_finite_count(self, capsys, params, message):
+        name, *pairs = params.split()
+        assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
+        assert one_error_line(capsys) == f"{message} is not a finite number of jobs"
+
     @pytest.mark.parametrize("argv, message", [
         (["lower-bound", "rand", "--q", "1.5", "--seed", "1"], "q must be in (0, 1), got 1.5"),
         (["lower-bound", "det", "--delta", "2"],
          "need 0 < delta <= 1 and p_bar > 1, got (2.0, 1.9896202)"),
         (["lower-bound", "det", "--p-bar", "nan"],
          "need 0 < delta <= 1 and p_bar > 1, got (0.6306655, nan)"),
-    ], ids=["rand_q", "det_delta", "det_p_bar_nan"])
+        (["lower-bound", "det", "--p-bar", "inf"],
+         "need 0 < delta <= 1 and p_bar > 1, got (0.6306655, inf)"),
+    ], ids=["rand_q", "det_delta", "det_p_bar_nan", "det_p_bar_inf"])
     def test_lower_bound_parameters(self, capsys, argv, message):
         assert main(argv) == 2
         assert one_error_line(capsys) == message

@@ -65,51 +65,6 @@ class TestRun:
         assert total == tr.total
         assert makespan == tr.makespan
 
-    def test_double_test_rejected(self):
-        def bad(view):
-            yield TEST, 0
-            yield TEST, 0
-
-        with pytest.raises(ProtocolError, match="action 1"):
-            run_static(bad, [(2, 1)])
-
-    def test_exec_tested_before_test_rejected(self):
-        def bad(view):
-            yield EXEC_TESTED, 0
-
-        with pytest.raises(ProtocolError, match="action 0"):
-            run_static(bad, [(2, 1)])
-
-    def test_untested_exec_after_test_rejected(self):
-        def bad(view):
-            yield TEST, 0
-            yield EXEC_UNTESTED, 0
-
-        with pytest.raises(ProtocolError, match="action 1"):
-            run_static(bad, [(2, 1)])
-
-    def test_unknown_job_rejected(self):
-        def bad(view):
-            yield EXEC_UNTESTED, 5
-
-        with pytest.raises(ProtocolError):
-            run_static(bad, [(2, 1)])
-
-    def test_early_stop_rejected(self):
-        def bad(view):
-            yield EXEC_UNTESTED, 0
-
-        with pytest.raises(ProtocolError, match="unfinished"):
-            run_static(bad, [(2, 1), (2, 1)])
-
-    def test_double_execution_rejected(self):
-        def bad(view):
-            yield EXEC_UNTESTED, 0
-            yield EXEC_UNTESTED, 0
-
-        with pytest.raises(ProtocolError):
-            run_static(bad, [(2, 1), (2, 1)])
-
     def test_view_must_match(self):
         inst = Instance.from_pairs([(2, 1)])
         with pytest.raises(ProtocolError):
@@ -188,6 +143,7 @@ STOPPED = {
     "stop at once": ([], "algorithm stopped after action 0 with 2 jobs unfinished"),
     "stop after a test": ([(TEST, 1)], "algorithm stopped after action 1 with 2 jobs unfinished"),
     "stop after a job": ([(TEST, 1), (EXEC_TESTED, 1)], "algorithm stopped after action 2 with 1 jobs unfinished"),
+    "stop after an untested job": ([(EXEC_UNTESTED, 0)], "algorithm stopped after action 1 with 1 jobs unfinished"),
     "not a pair": ([(TEST, 0), (EXEC_UNTESTED, 1), "x"], "action 2: not a (kind, job) pair: 'x'"),
     "not a sequence": ([(EXEC_UNTESTED, 1), 7], "action 1: not a (kind, job) pair: 7"),
 }
@@ -308,6 +264,14 @@ class TestAdaptiveSource:
             run(gen_fn, src, 2, [3.0, 3.0])
         assert str(err.value) == "adversary fixed p=nan outside [0, 3.0] for job 0"
 
+    @pytest.mark.parametrize("answer", [True, "1"], ids=["bool", "str"])
+    def test_rule_must_answer_a_number(self, answer):
+        # a bool would be committed as a time and written to a trace as a JSON true
+        src = AdaptiveSource(lambda job, via_test, rank, upper: answer)
+        with pytest.raises(ProtocolError) as err:
+            run(threshold_generator, src, 2, [3.0, 3.0])
+        assert str(err.value) == f"adversary fixed p={answer} outside [0, 3.0] for job 0"
+
 
 class TestRunExpected:
     def test_deterministic_single_trial(self):
@@ -418,6 +382,8 @@ BAD_VIEWS = {
     "negative limit": (2, (2, -1), "job 1: upper limit -1 invalid"),
     "infinite limit": (2, (2, math.inf), "job 1: upper limit inf invalid"),
     "length mismatch": (3, (2, 2), "bad view: n=3 with 2 upper limits"),
+    "str limit": (2, (2, "2"), "job 1: upper limit 2 invalid"),
+    "None limit": (2, (None, 2), "job 0: upper limit None invalid"),
 }
 
 
@@ -452,7 +418,7 @@ ODD_VIEWS = {
     "minus zero": ((-0.0, 2.0, 2.0), None),
     "minus zero among ints": ((2, -0.0, 2), None),
     "fraction and int": ((Fraction(5, 2), 2, 3), None),
-    "bool": ((2, True, 2.5), None),
+    "bool": ((2, True, 2.5), "job 1: upper limit True invalid"),
 }
 
 
