@@ -70,9 +70,12 @@ class Job(NamedTuple):
 class Instance:
     """Jobs 0..n-1 as two columns, `uppers` and `procs`, checked once, when built.
 
-    `Instance(uppers, procs)` is the only constructor; `from_pairs` transposes
-    (upper, proc) pairs into it.  `uppers()` and `procs()` return the columns,
-    and `jobs` is a read-only view of them as `Job` rows, built on first use.
+    `Instance(uppers, procs)` is the only constructor, and the generators call
+    it with the columns they build; `from_pairs` is the convenience that
+    transposes (upper, proc) pairs into it, for files and hand-written rows.
+    `uppers()` and `procs()` return the columns, immutable tuples the engine
+    trusts as checked, and `jobs` is a read-only view of them as `Job` rows,
+    built on first use.
     """
 
     __slots__ = ("_uppers", "_procs", "_jobs")

@@ -128,15 +128,26 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
     """Run one algorithm to completion and return its trace.
 
     `algorithm` is a generator function taking the view (n, uppers).  The
-    view is checked here, on every call; any structural violation raises
-    ProtocolError naming the action index.
+    view is checked here, on every call, unless it is a plain
+    `StaticSource`'s own instance column (see `_view`); any structural
+    violation raises ProtocolError naming the action index.
     """
-    return _drive(algorithm, source, n, _check_view(n, upper_limits))
+    return _drive(algorithm, source, n, _view(source, n, upper_limits))
+
+
+def _view(source, n: int, upper_limits) -> tuple:
+    """The view's limits, checked by `_check_view` unless they are the column
+    `inst.uppers()` of a plain `StaticSource`'s instance and n is its length:
+    that immutable tuple was checked when the `Instance` was built."""
+    if type(source) is StaticSource and upper_limits is source.inst.uppers() and n == len(upper_limits):
+        return upper_limits
+    return _check_view(n, upper_limits)
 
 
 def _check_view(n: int, upper_limits) -> tuple:
     """The view's limits as a tuple; ProtocolError unless n >= 1 limits, each >= 0 and
-    a finite int, float or Fraction (`is_finite_number`, so not a bool).
+    a finite int, float or Fraction (`is_finite_number`, so not a bool).  `run` and
+    `run_expected` call it on every view but a checked instance's own column (`_view`).
 
     Limits all int or Fraction, or all float, pass on C-level passes: the
     sum of floats is below inf only if none is inf or NaN (which `min` can
@@ -163,7 +174,7 @@ def _check_view(n: int, upper_limits) -> tuple:
 
 
 def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
-    """`run` on a view `_check_view` passed; the source still checks it, per run.
+    """`run` on a checked view (`_view`); the source still checks it, per run.
 
     With `record=False` no step is kept and the result is `(total, makespan)`,
     the two values the Trace would carry: expectation runs read nothing else.
@@ -264,7 +275,8 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     or adaptive source see every run.  Monte Carlo mode runs `trials` (at
     least 1) independent seeded replicates.  `source` may be a reveal source
     (reused across trials) or a zero-argument factory returning fresh ones.
-    The view is checked once, before the first run; each run's source still
+    The view is checked once, before the first run, unless it is a plain
+    `StaticSource`'s own instance column (`_view`); each run's source still
     checks it in `begin`.  Each run goes through the protocol loop with every
     check `run` makes, but keeps no step list: only its total and makespan.
     """
@@ -275,7 +287,7 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         raise ProtocolError("randomized run without a master seed")
     if not exact and alg.randomized and trials < 1:
         raise ProtocolError(f"Monte Carlo needs trials >= 1, got {trials}")
-    uppers = _check_view(n, upper_limits)
+    uppers = _view(source, n, upper_limits)
     if exact:
         first = make_source()
         if (alg.expected_cost is not None and type(first) is StaticSource

@@ -3,16 +3,21 @@
 Fractional family sizes are rounded the same way everywhere: floor for
 each named fraction, remainder to the residual (cheap) type, so closed
 forms and simulations agree on the exact counts.
+
+Each generator builds the two columns of its instance, the limits and the
+times, and passes them to `Instance`, which checks them once: a repeated
+tuple per block of equal values, or one list where the values vary.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 from . import analysis
-from .core import Instance, InstanceError
+from .core import Instance, InstanceError, is_finite_number
 from .engine import AdaptiveSource
 
 
@@ -25,8 +30,8 @@ def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
     """
     if min(a, b, c) < 0 or a + b + c < 1:
         raise InstanceError(f"need nonnegative counts with a+b+c >= 1, got {(a, b, c)}")
-    pairs = [(2 + epsilon, 2 + epsilon)] * c + [(2, 2)] * b + [(2, 0)] * a
-    return Instance.from_pairs(pairs)
+    over = 2 + epsilon
+    return Instance((over,) * c + (2,) * (b + a), (over,) * c + (2,) * b + (0,) * a)
 
 
 def _count(frac, n):
@@ -59,8 +64,9 @@ def gen_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
     T = analysis.RANDOM_T_PUBLISHED if T is None else T
     E = analysis.RANDOM_E_PUBLISHED if E is None else E
     m0, mt, me, md = four_type_counts(n, alpha, beta, gamma)
-    pairs = [(T, 0)] * m0 + [(T, T)] * mt + [(E, E)] * me + [(E + epsilon, E + epsilon)] * md
-    return Instance.from_pairs(pairs)
+    over = E + epsilon
+    return Instance((T,) * (m0 + mt) + (E,) * me + (over,) * md,
+                    (0,) * m0 + (T,) * mt + (E,) * me + (over,) * md)
 
 
 def det_lb_adversary(n, delta, p_bar):
@@ -97,7 +103,8 @@ def gen_rand_lb(n, q, seed, exact=False):
         raise InstanceError(f"q must be in (0, 1), got {q}")
     rng = random.Random(seed)
     limit = Fraction(q) ** -1 if exact else 1 / q
-    return Instance.from_pairs([(limit, 0 if rng.random() < q else limit) for _ in range(n)])
+    procs = [0 if rng.random() < q else limit for _ in range(n)]
+    return Instance((limit,) * n, procs)
 
 
 def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
@@ -109,18 +116,18 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     nlong = _count(gamma, n)
     if not 0 <= nlong <= n:
         raise InstanceError(f"bad long fraction {gamma} for n={n}")
-    long_job = (p_bar, p_bar)
-    zero_job = (p_bar, 0)
     if placement == "long_first":
-        pairs = [long_job] * nlong + [zero_job] * (n - nlong)
+        procs = (p_bar,) * nlong + (0,) * (n - nlong)
     elif placement == "long_last":
-        pairs = [zero_job] * (n - nlong) + [long_job] * nlong
+        procs = (0,) * (n - nlong) + (p_bar,) * nlong
     elif placement == "spread":
-        # job i is long when floor(i * nlong / n) steps up at i + 1
-        pairs = [long_job if (i + 1) * nlong // n > i * nlong // n else zero_job for i in range(n)]
+        # job i is long when floor(i * nlong / n) steps up at i + 1: the m-th step is at (m * n - 1) // nlong
+        procs = [0] * n
+        for m in range(1, nlong + 1):
+            procs[(m * n - 1) // nlong] = p_bar
     else:
         raise InstanceError(f"unknown placement {placement!r}")
-    return Instance.from_pairs(pairs)
+    return Instance((p_bar,) * n, procs)
 
 
 def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, middle=None):
@@ -140,35 +147,46 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, mid
     nzero = n - nlong - nmid - (1 if middle is not None else 0)
     if nzero < 0:
         raise InstanceError(f"fractions exceed 1 for n={n}: {(long_frac, mid_frac)}")
-    pairs = [(p_bar, p_bar)] * nlong
-    if middle is not None:
-        if not 0 <= middle <= p_bar:
-            raise InstanceError(f"middle time {middle} outside [0, {p_bar}]")
-        pairs.append((p_bar, middle))
-    pairs += [(p_bar, mid_value)] * nmid + [(p_bar, 0)] * nzero
-    return Instance.from_pairs(pairs)
+    if middle is not None and not 0 <= middle <= p_bar:
+        raise InstanceError(f"middle time {middle} outside [0, {p_bar}]")
+    procs = (p_bar,) * nlong + (() if middle is None else (middle,)) + (mid_value,) * nmid + (0,) * nzero
+    return Instance((p_bar,) * n, procs)
 
 
 def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
     """Unstructured random instance for stress tests.
 
-    Limits are uniform in (0, max_upper], times uniform in [0, limit].
-    exact=True draws everything on a 1/denominator grid as Fractions.
+    Limits are uniform in [1e-3, max_upper], times uniform in [0, limit].
+    exact=True draws everything on a 1/denominator grid as Fractions; then
+    denominator is an int >= 1 with max_upper * denominator >= 1.
     """
     if n < 1:
         raise InstanceError(f"need n >= 1, got {n}")
+    if not (is_finite_number(max_upper) and max_upper >= 1e-3):
+        raise InstanceError(f"max_upper must be a finite number >= 1e-3, got {max_upper}")
+    if exact:
+        try:
+            top = math.floor(max_upper * denominator) if type(denominator) is int and denominator >= 1 else 0
+        except OverflowError:  # an infinite product, or a float times an int past a float's range
+            top = 0
+        if top < 1:
+            raise InstanceError(f"exact draws need an int denominator >= 1 with max_upper * denominator"
+                                f" a finite number >= 1, got max_upper={max_upper}, denominator={denominator}")
+    elif max_upper > sys.float_info.max:
+        raise InstanceError(f"max_upper {max_upper} is past a float's range")
     rng = random.Random(seed)
-    pairs = []
+    uppers, procs = [], []
     for _ in range(n):
         if exact:
-            num = rng.randrange(1, int(max_upper * denominator) + 1)
+            num = rng.randrange(1, top + 1)
             u = Fraction(num, denominator)
             p = Fraction(rng.randrange(0, num + 1), denominator)
         else:
             u = rng.uniform(1e-3, max_upper)
             p = rng.uniform(0.0, u)
-        pairs.append((u, p))
-    return Instance.from_pairs(pairs)
+        uppers.append(u)
+        procs.append(p)
+    return Instance(uppers, procs)
 
 
 GENERATORS = {

@@ -585,6 +585,28 @@ class TestBadValues:
         assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
         assert one_error_line(capsys) == f"{message} is not a finite number of jobs"
 
+    EXACT_GRID = "exact draws need an int denominator >= 1 with max_upper * denominator a finite number >= 1"
+
+    @pytest.mark.parametrize("params, message", [
+        ("exact=1 max_upper=inf", "max_upper must be a finite number >= 1e-3, got inf"),
+        ("exact=1 max_upper=nan", "max_upper must be a finite number >= 1e-3, got nan"),
+        ("exact=1 max_upper=-1", "max_upper must be a finite number >= 1e-3, got -1"),
+        ("exact=0 max_upper=-1", "max_upper must be a finite number >= 1e-3, got -1"),
+        ("exact=0 max_upper=0", "max_upper must be a finite number >= 1e-3, got 0"),
+        ("exact=0 max_upper=0.0005", "max_upper must be a finite number >= 1e-3, got 0.0005"),
+        ("exact=0 max_upper=1" + "0" * 400, f"max_upper {10**400} is past a float's range"),
+        ("exact=1 denominator=0", f"{EXACT_GRID}, got max_upper=4, denominator=0"),
+        ("exact=1 denominator=2.5", f"{EXACT_GRID}, got max_upper=4, denominator=2.5"),
+        ("exact=1 max_upper=0.002 denominator=100", f"{EXACT_GRID}, got max_upper=0.002, denominator=100"),
+        ("exact=1 max_upper=1e308", f"{EXACT_GRID}, got max_upper=1e+308, denominator=1000"),
+    ], ids=["exact_inf", "exact_nan", "exact_negative", "float_negative", "float_zero", "float_below_1e-3",
+            "float_past_a_float", "exact_denominator_zero", "exact_denominator_float", "exact_empty_grid",
+            "exact_grid_past_a_float"])
+    def test_random_generator_bounds(self, capsys, params, message):
+        argv = ["gen", "random", "--param", "n=3", "--param", "seed=1"]
+        assert main(argv + [arg for pair in params.split() for arg in ("--param", pair)]) == 2
+        assert one_error_line(capsys) == message
+
     @pytest.mark.parametrize("argv, message", [
         (["lower-bound", "rand", "--q", "1.5", "--seed", "1"], "q must be in (0, 1), got 1.5"),
         (["lower-bound", "det", "--delta", "2"],

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from testsched import engine
 from testsched.algorithms import OnlineAlgorithm, delay_all_generator, parse_algorithm, threshold_generator
 from testsched.core import (
     EXEC_TESTED,
@@ -497,3 +498,79 @@ def test_closed_form_only_on_an_exact_static_source(monkeypatch, case, begins):
     exact_inst = Instance.from_pairs(pairs)
     want, _, _ = parse_algorithm("random").expected_cost(exact_inst.uppers(), exact_inst.procs())
     assert res.total == want if case in ("int", "subclass") else math.isclose(res.total, want)
+
+
+def view_check_calls(monkeypatch):
+    """Spy on `engine._check_view`: the list of n it was called with."""
+    calls = []
+    check = engine._check_view
+
+    def spy(n, upper_limits):
+        calls.append(n)
+        return check(n, upper_limits)
+
+    monkeypatch.setattr(engine, "_check_view", spy)
+    return calls
+
+
+def total_of(mode, source, n, view):
+    alg = parse_algorithm("random")
+    if mode == "run":
+        return run(alg.generator("s"), source, n, view).total
+    return run_expected(alg, source, n, view, trials=3, seed="s", exact=mode == "exact").total
+
+
+VIEW_INSTANCE = Instance.from_pairs([(2, 1), (3, 3), (Fraction(5, 2), 0)])
+
+
+@pytest.mark.parametrize("mode", ["run", "mc", "exact"])
+def test_an_instance_column_on_its_static_source_is_not_checked_again(monkeypatch, mode):
+    calls = view_check_calls(monkeypatch)
+    own = total_of(mode, StaticSource(VIEW_INSTANCE), 3, VIEW_INSTANCE.uppers())
+    assert calls == []
+    assert own == total_of(mode, StaticSource(VIEW_INSTANCE), 3, list(VIEW_INSTANCE.uppers()))
+    assert calls == [3]
+
+
+def other_view(case, mode):
+    """(source, view) where the view is not a plain StaticSource's own instance column."""
+    own = VIEW_INSTANCE.uppers()
+    if case == "list copy":
+        return StaticSource(VIEW_INSTANCE), list(own)
+    if case == "tuple copy":
+        return StaticSource(VIEW_INSTANCE), tuple([*own])
+    if case == "subclass":
+        return CountingSource(VIEW_INSTANCE), own
+    if case == "factory":
+        return (lambda: StaticSource(VIEW_INSTANCE)), own
+
+    def fresh():
+        return AdaptiveSource(lambda job, via_test, rank, upper: upper)
+
+    return (fresh() if mode == "run" else fresh), own  # single-use: a factory for several runs
+
+
+@pytest.mark.parametrize("mode, case", [
+    (mode, case) for mode in ("run", "mc", "exact")
+    for case in ("list copy", "tuple copy", "adaptive", "subclass", "factory") if (mode, case) != ("run", "factory")])
+def test_every_other_view_is_checked(monkeypatch, mode, case):
+    calls = view_check_calls(monkeypatch)
+    source, view = other_view(case, mode)
+    assert view is not VIEW_INSTANCE.uppers() or type(source) is not StaticSource
+    total_of(mode, source, 3, view)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("mode", ["run", "mc", "exact"])
+def test_an_equal_view_holding_a_bool_is_refused(mode):
+    inst = Instance.from_pairs([(1, 0), (3.0, 1)])
+    assert tuple([True, 3.0]) == inst.uppers()
+    with pytest.raises(ProtocolError, match="^job 0: upper limit True invalid$"):
+        total_of(mode, StaticSource(inst), 2, [True, 3.0])
+
+
+@pytest.mark.parametrize("mode", ["run", "mc", "exact"])
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_an_instance_column_with_a_wrong_n_is_a_bad_view(mode, n):
+    with pytest.raises(ProtocolError, match=f"^bad view: n={n} with 3 upper limits$"):
+        total_of(mode, StaticSource(VIEW_INSTANCE), n, VIEW_INSTANCE.uppers())

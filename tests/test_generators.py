@@ -1,10 +1,12 @@
 """Instance generators: counts, ordering, determinism, and dispatch."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from testsched import analysis
 from testsched.core import EXEC_TESTED, EXEC_UNTESTED, TEST, InstanceError, validate_instance
 from testsched.engine import run
 from testsched.generators import (
@@ -198,3 +200,107 @@ class TestDispatch:
     def test_bad_params(self):
         with pytest.raises(InstanceError, match="bad parameters"):
             build_instance("rand_lb", {"n": 5})
+
+
+# Reference: each generator's earlier construction, an (upper, proc) pair list that
+# `Instance.from_pairs` transposed.  The generators now build the two columns directly;
+# these pin them element by element, value and type.
+def pairs_threshold_worstcase(a, b, c, epsilon=1e-6):
+    return [(2 + epsilon, 2 + epsilon)] * c + [(2, 2)] * b + [(2, 0)] * a
+
+
+def pairs_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
+    T = analysis.RANDOM_T_PUBLISHED if T is None else T
+    E = analysis.RANDOM_E_PUBLISHED if E is None else E
+    m0, mt, me, md = four_type_counts(n, alpha, beta, gamma)
+    return [(T, 0)] * m0 + [(T, T)] * mt + [(E, E)] * me + [(E + epsilon, E + epsilon)] * md
+
+
+def pairs_rand_lb(n, q, seed, exact=False):
+    rng = random.Random(seed)
+    limit = Fraction(q) ** -1 if exact else 1 / q
+    return [(limit, 0 if rng.random() < q else limit) for _ in range(n)]
+
+
+def pairs_extreme_uniform(n, p_bar, gamma, placement="long_first"):
+    nlong = math.floor(gamma * n)
+    long_job, zero_job = (p_bar, p_bar), (p_bar, 0)
+    if placement == "long_first":
+        return [long_job] * nlong + [zero_job] * (n - nlong)
+    if placement == "long_last":
+        return [zero_job] * (n - nlong) + [long_job] * nlong
+    return [long_job if (i + 1) * nlong // n > i * nlong // n else zero_job for i in range(n)]
+
+
+def pairs_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, middle=None):
+    mid_value = max(1, p_bar - 1) if mid_value is None else mid_value
+    nlong, nmid = math.floor(long_frac * n), math.floor(mid_frac * n)
+    nzero = n - nlong - nmid - (1 if middle is not None else 0)
+    pairs = [(p_bar, p_bar)] * nlong
+    if middle is not None:
+        pairs.append((p_bar, middle))
+    return pairs + [(p_bar, mid_value)] * nmid + [(p_bar, 0)] * nzero
+
+
+def pairs_random(n, seed, max_upper=4, exact=False, denominator=1000):
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        if exact:
+            num = rng.randrange(1, int(max_upper * denominator) + 1)
+            u = Fraction(num, denominator)
+            p = Fraction(rng.randrange(0, num + 1), denominator)
+        else:
+            u = rng.uniform(1e-3, max_upper)
+            p = rng.uniform(0.0, u)
+        pairs.append((u, p))
+    return pairs
+
+
+EPS = Fraction(1, 100)
+COLUMN_CASES = {
+    "threshold_worstcase": (gen_threshold_worstcase, pairs_threshold_worstcase, [
+        ((1, 2, 3), {}), ((4, 0, 0), {}), ((0, 0, 2), {"epsilon": EPS}), ((3, 1, 2), {"epsilon": 0})]),
+    "four_type": (gen_four_type, pairs_four_type, [
+        ((n, *fracs), kw)
+        for n in (1, 7, 10, 1000)
+        for fracs in ((0.25, 0.25, 0.25), (Fraction(1, 3), Fraction(1, 6), 0), (0.4, 0.1, 0.3), (0, 0, 0))
+        for kw in ({}, {"T": Fraction(7, 4), "E": Fraction(11, 4), "epsilon": EPS},
+                   {"T": 2, "E": 3, "epsilon": 0.5})]),
+    "extreme_uniform": (gen_extreme_uniform, pairs_extreme_uniform, [
+        ((n, p_bar, gamma, place), {})
+        for n in (1, 2, 7, 10, 2000)
+        for gamma in sorted({Fraction(0), Fraction(1, n), Fraction(n - 1, n), Fraction(1), 0.3, 0.5, 0.999})
+        for p_bar in (2.5, Fraction(5, 2), 3)
+        for place in ("long_first", "long_last", "spread")]),
+    "uniform_mixed": (gen_uniform_mixed, pairs_uniform_mixed, [
+        ((n, p_bar), kw)
+        for n in (1, 10, 2000)
+        for p_bar in (3.0, Fraction(5, 2), 4)
+        for kw in ({}, {"long_frac": 0.2, "mid_frac": 0.3}, {"long_frac": Fraction(1, 2), "mid_value": 1},
+                   {"long_frac": 0.2, "mid_frac": 0.2, "middle": 1.5}, {"middle": 0})]),
+    "rand_lb": (gen_rand_lb, pairs_rand_lb, [
+        ((n, q, seed), {"exact": exact})
+        for n in (1, 60, 2000)
+        for seed in ("a", 1, 918273)
+        for q, exact in ((0.5, False), (0.3, False), (Fraction(1, 3), False), (Fraction(1, 3), True),
+                         (0.25, True))]),
+    "random": (gen_random, pairs_random, [
+        ((n, seed), kw)
+        for n in (1, 50, 500)
+        for seed in ("r", 2, 918273)
+        for kw in ({}, {"max_upper": 2.5}, {"max_upper": 1e-3}, {"exact": True},
+                   {"exact": True, "denominator": 8, "max_upper": 3},
+                   {"exact": True, "max_upper": Fraction(7, 2), "denominator": 6})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+def test_columns_match_the_pair_lists(name):
+    gen, pairs_of, cases = COLUMN_CASES[name]
+    for args, kwargs in cases:
+        inst = gen(*args, **kwargs)
+        pairs = pairs_of(*args, **kwargs)
+        for got, want in ((inst.uppers(), [u for u, _ in pairs]), (inst.procs(), [p for _, p in pairs])):
+            assert list(got) == want, (args, kwargs)
+            assert list(map(type, got)) == list(map(type, want)), (args, kwargs)
