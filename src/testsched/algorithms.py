@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Callable, Optional
 
 from . import analysis
@@ -32,9 +33,12 @@ def small_limit_prefix(uppers, cutoff):
     """Ids whose limit is strictly below cutoff, ordered by (limit, id).
 
     These are the jobs a threshold-style strategy runs untested up front.
+    The ids are taken in ascending order, so one stable sort by limit gives
+    the (limit, id) order.
     """
-    pairs = sorted((uppers[j], j) for j in range(len(uppers)) if uppers[j] < cutoff)
-    return [j for _, j in pairs]
+    ids = [j for j, u in enumerate(uppers) if u < cutoff]
+    ids.sort(key=uppers.__getitem__)
+    return ids
 
 
 def _uniform_limit(uppers, who):
@@ -54,6 +58,10 @@ def _uniform_limit(uppers, who):
 # most that segment's E, and defer the others to one shortest-first tail.
 # The tail is sorted by (p, id) once, after the last test: as every id is
 # distinct, that is the order in which a heap of the pairs would pop them.
+# It takes two stable passes, by id and then by p, each on one key that
+# CPython compares with a type-specialised compare; a tuple sort falls back
+# to a generic compare on each pair, and a tied p (a four-type mix defers
+# only E + epsilon) sends every comparison on to the id.
 # E = inf runs every tested job at once, E = -1 defers every one.  Each rule
 # is a choice of (blind, segments):
 #   threshold    limits below 2 blind, then (the rest in id order, 2)
@@ -85,7 +93,8 @@ def _blind_test_defer(blind, *segments):
                 yield EXEC_TESTED, j
             else:
                 deferred.append((p, j))
-    deferred.sort()
+    deferred.sort(key=itemgetter(1))
+    deferred.sort(key=itemgetter(0))
     for _, j in deferred:
         yield EXEC_TESTED, j
 

@@ -9,10 +9,11 @@ whole information model enforced structurally.
 
 Reveal sources answer the engine's two questions: what a test reveals, and
 what value a job committed to when it was executed untested.  A source's
-`reveal` and `settle_untested` may be any callables taking a job id.  A
-static source replays a fixed instance; an adaptive source fixes each value
-at the moment the job is first touched, which is how adversary lower bounds
-run.
+`reveal` and `settle_untested` may be any callables taking a job id, and
+the engine calls them on every test and untested run, except on exactly a
+`StaticSource`, whose times it reads by index.  A static source replays a
+fixed instance; an adaptive source fixes each value at the moment the job
+is first touched, which is how adversary lower bounds run.
 
 The protocol loop keeps one ledger entry per job: untouched, the time its
 test revealed, or done.  `run` returns the full trace.  Expectation runs
@@ -54,11 +55,11 @@ class StaticSource:
     """Reveals the fixed processing times of an instance (checked when built).
 
     It keeps the instance's own columns, so `begin` accepts a view that is
-    `inst.uppers()` itself without comparing its limits.  Its answers are
-    plain methods, though a source's may be any callables: on CPython 3.11
-    a tuple's `__getitem__` is a slot wrapper, slower per call than a
-    method, and a list copy's C-level lookup made no run measurably faster
-    while it made each source dearer to build.
+    `inst.uppers()` itself without comparing its limits.  The protocol loop
+    reads a plain `StaticSource`'s `_procs` column by index instead of
+    calling `reveal`, and skips `settle_untested`, which only reads that
+    column; a subclass is asked through its own methods, as any other
+    source is.
     """
 
     def __init__(self, inst: Instance):
@@ -181,8 +182,12 @@ def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
     Both modes make the same checks.  An action is checked on its job's
     ledger entry (`_UNTOUCHED`, the revealed time or `_DONE`), then on its
     kind; an error names it by its index, the tests so far plus jobs done.
+    On exactly a `StaticSource` a test reads the time from its `_procs`
+    column, the object `reveal` returns, and an untested run asks nothing;
+    any other source's `reveal` and `settle_untested` are called as given.
     """
     source.begin(n, uppers)
+    times = source._procs if type(source) is StaticSource else None
     reveal = source.reveal
     settle_untested = source.settle_untested
     gen = gen_fn((n, uppers))
@@ -213,7 +218,7 @@ def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
             s = ledger[job]
             if s is untouched:
                 if kind == test:
-                    send_value = ledger[job] = reveal(job)
+                    send_value = ledger[job] = reveal(job) if times is None else times[job]
                     tests += 1
                     if record:
                         append((test, job, t, 1))
@@ -221,7 +226,8 @@ def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
                     continue
                 if not kind == exec_untested:
                     raise ProtocolError(f"action {tests + n - remaining}: {action_fault(kind, job, UNTOUCHED)}")
-                settle_untested(job)
+                if times is None:
+                    settle_untested(job)
                 dur = uppers[job]
                 if record:
                     append((exec_untested, job, t, dur))

@@ -42,11 +42,19 @@ def _count(frac, n):
         raise InstanceError(f"fraction {frac} of n={n} is not a finite number of jobs") from None
 
 
+def _family_count(frac, n):
+    """`_count` of a named family; InstanceError if it is below 0 jobs."""
+    k = _count(frac, n)
+    if k < 0:
+        raise InstanceError(f"fraction {frac} of n={n} is a negative number of jobs ({k})")
+    return k
+
+
 def four_type_counts(n, alpha, beta, gamma):
     """(zeros, at T, at E, deferred) counts used by the four-type family."""
-    mt = _count(alpha, n)
-    me = _count(beta, n)
-    md = _count(gamma, n)
+    mt = _family_count(alpha, n)
+    me = _family_count(beta, n)
+    md = _family_count(gamma, n)
     m0 = n - mt - me - md
     if m0 < 0:
         raise InstanceError(f"fractions exceed 1: {(alpha, beta, gamma)}")
@@ -142,8 +150,8 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, mid
         mid_value = max(1, p_bar - 1)
     if not 0 < mid_value <= p_bar:
         raise InstanceError(f"mid value {mid_value} outside (0, {p_bar}]")
-    nlong = _count(long_frac, n)
-    nmid = _count(mid_frac, n)
+    nlong = _family_count(long_frac, n)
+    nmid = _family_count(mid_frac, n)
     nzero = n - nlong - nmid - (1 if middle is not None else 0)
     if nzero < 0:
         raise InstanceError(f"fractions exceed 1 for n={n}: {(long_frac, mid_frac)}")

@@ -16,7 +16,7 @@ import pytest
 from testsched import analysis as A
 from testsched.algorithms import SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
 from testsched.cli import main as cli_main
-from testsched.core import TEST, Instance
+from testsched.core import REL_TOL, TEST, Instance
 from testsched.engine import StaticSource, run, run_expected
 from testsched.generators import (
     adversary_view,
@@ -170,10 +170,13 @@ def test_criterion_04_random_parameters(criterion):
                         assert res.total <= FT * optimal_sum(inst).total
                         exact_checks += 1
 
-        # Monte Carlo over the 0.1-step profile grid at n = 1000
+        # Monte Carlo over the 0.1-step profile grid at n = 1000; each mean lies
+        # within 5 standard errors of the closed-form E[ALG].  A one-type mix has
+        # a fixed cost, so its error is float noise and its z score is not kept.
         mc_alg = build_algorithm("random", {})
         n = 1000
         worst_mc = 0.0
+        worst_z = 0.0
         combo = 0
         for i in range(11):
             for j in range(11 - i):
@@ -183,11 +186,17 @@ def test_criterion_04_random_parameters(criterion):
                     res = run_expected(mc_alg, StaticSource(inst), n, inst.uppers(),
                                        trials=200, seed=f"c4:{combo}")
                     worst_mc = max(worst_mc, float(res.total) / opt)
+                    want = A.random_expected_cost(four_type_counts(n, i / 10, j / 10, k / 10),
+                                                  A.RANDOM_T_PUBLISHED, A.RANDOM_E_PUBLISHED, 1e-6)
+                    miss = abs(res.total - want)
+                    assert miss <= 5 * res.total_stderr + REL_TOL * abs(want), (combo, res, want)
+                    if res.total_stderr > REL_TOL * abs(want):
+                        worst_z = max(worst_z, miss / res.total_stderr)
                     combo += 1
         assert combo == 286
         assert worst_mc <= 1.7453 + 0.02
         notes["detail"] = (f"T={T:.5f} E={E:.5f}, {exact_checks} exact profiles, "
-                           f"MC worst {worst_mc:.5f} over 286 mixes")
+                           f"MC worst {worst_mc:.5f} over 286 mixes, max |z| {worst_z:.2f}")
 
 
 def test_criterion_05_randomized_lower_bound(criterion):

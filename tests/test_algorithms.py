@@ -35,6 +35,10 @@ from testsched.generators import four_type_counts, gen_four_type, gen_random, ge
 from testsched.offline import optimal_sum
 
 
+# Heavily tied numbers of mixed types: 1, 1.0 and Fraction(1) are equal, and so are 2.5 and 5/2.
+TIED = st.sampled_from([0, 0.0, 1, 1.0, Fraction(1), 1.5, Fraction(5, 2), 2.5, 3, Fraction(7, 3)])
+
+
 def trace_of(name_or_alg, pairs, seed=None):
     alg = parse_algorithm(name_or_alg) if isinstance(name_or_alg, str) else name_or_alg
     inst = Instance.from_pairs(pairs)
@@ -279,6 +283,27 @@ class TestSmallLimitPrefix:
 
     def test_strict_cutoff(self):
         assert small_limit_prefix((2, 1), 2) == [1]
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.lists(TIED, max_size=30), TIED, st.booleans())
+    def test_equals_the_pair_sort(self, limits, cutoff, as_tuple):
+        uppers = tuple(limits) if as_tuple else limits
+        pairs = sorted((u, j) for j, u in enumerate(limits) if u < cutoff)
+        assert small_limit_prefix(uppers, cutoff) == [j for _, j in pairs]
+
+
+class TestDeferredTail:
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.lists(TIED, min_size=1, max_size=40), st.randoms(use_true_random=False), TIED | st.just(-1))
+    def test_runs_in_the_pair_sort_order(self, procs, rng, E):
+        order = list(range(len(procs)))
+        rng.shuffle(order)
+        got = drive_actions(lambda view: algorithms._blind_test_defer((), (order, E)), [4] * len(procs), procs)
+        want = []
+        for j in order:
+            want += [(TEST, j), (EXEC_TESTED, j)] if procs[j] <= E else [(TEST, j)]
+        want += [(EXEC_TESTED, j) for _, j in sorted((procs[j], j) for j in order if not procs[j] <= E)]
+        assert got == want
 
 
 class TestUniformLimit:

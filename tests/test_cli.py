@@ -585,6 +585,21 @@ class TestBadValues:
         assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
         assert one_error_line(capsys) == f"{message} is not a finite number of jobs"
 
+    @pytest.mark.parametrize("params, message", [
+        ("four_type n=10 alpha=0.2 beta=0.2 gamma=-0.1", "fraction -0.1 of n=10 is a negative number of jobs (-1)"),
+        ("four_type n=10 alpha=-0.5 beta=0.2 gamma=0.1", "fraction -0.5 of n=10 is a negative number of jobs (-5)"),
+        ("four_type n=-10 alpha=0.1 beta=0 gamma=0", "fraction 0.1 of n=-10 is a negative number of jobs (-1)"),
+        ("uniform_mixed n=10 p_bar=3.0 long_frac=-0.1", "fraction -0.1 of n=10 is a negative number of jobs (-1)"),
+        ("uniform_mixed n=10 p_bar=3.0 mid_frac=-0.5", "fraction -0.5 of n=10 is a negative number of jobs (-5)"),
+        ("extreme_uniform n=10 p_bar=2.5 gamma=-0.1", "bad long fraction -0.1 for n=10"),
+        ("four_type n=10 alpha=0.5 beta=0.5 gamma=0.1", "fractions exceed 1: (0.5, 0.5, 0.1)"),
+    ], ids=["four_type_gamma", "four_type_alpha", "four_type_n", "uniform_mixed_long", "uniform_mixed_mid",
+            "extreme_uniform_keeps_its_text", "four_type_exceeds_1"])
+    def test_generator_fraction_must_not_be_negative(self, capsys, params, message):
+        name, *pairs = params.split()
+        assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
+        assert one_error_line(capsys) == message
+
     EXACT_GRID = "exact draws need an int denominator >= 1 with max_upper * denominator a finite number >= 1"
 
     @pytest.mark.parametrize("params, message", [

@@ -574,3 +574,103 @@ def test_an_equal_view_holding_a_bool_is_refused(mode):
 def test_an_instance_column_with_a_wrong_n_is_a_bad_view(mode, n):
     with pytest.raises(ProtocolError, match=f"^bad view: n={n} with 3 upper limits$"):
         total_of(mode, StaticSource(VIEW_INSTANCE), n, VIEW_INSTANCE.uppers())
+
+
+# Only exactly a StaticSource is read by index: every other source answers each
+# test and each untested run through its own callables, as a plain loop asks it.
+
+
+def reference_steps(gen_fn, source, n, uppers):
+    """The steps of a plain protocol loop that asks `source` on every test and untested run."""
+    source.begin(n, uppers)
+    gen = gen_fn((n, uppers))
+    steps, revealed, t, answer = [], {}, 0, None
+    for kind, job in iter(lambda: gen.send(answer), None):
+        answer = None
+        if kind == TEST:
+            answer = revealed[job] = source.reveal(job)
+            dur = 1
+        elif kind == EXEC_UNTESTED:
+            source.settle_untested(job)
+            dur = uppers[job]
+        else:
+            dur = revealed[job]
+        steps.append((kind, job, t, dur))
+        t = t + dur
+    return steps
+
+
+# limits 1.5 and 0.5 are below the random rule's T: each run has two untested jobs and three tests
+ASKED = Instance.from_pairs([(1.5, 1), (0.5, 0.5), (3, 2.9), (2, 0), (2.5, 2.5)])
+
+
+def logged_source(case):
+    """(a fresh source answering from ASKED, the list of (kind, job) it is asked for)."""
+    calls = []
+    procs = ASKED.procs()
+
+    class Logging(StaticSource):
+        def reveal(self, job):
+            calls.append((TEST, job))
+            return super().reveal(job)
+
+        def settle_untested(self, job):
+            calls.append((EXEC_UNTESTED, job))
+            return super().settle_untested(job)
+
+    class Lookup:  # duck-typed; holds a `_procs` column, but is no StaticSource
+        _procs = procs
+
+        def __init__(self):
+            self.reveal = lambda job: calls.append((TEST, job)) or procs[job]
+            self.settle_untested = lambda job: calls.append((EXEC_UNTESTED, job)) or procs[job]
+
+        def begin(self, n, uppers):
+            pass
+
+    def adaptive():  # each job is touched once, so its rule runs on every ask
+        return AdaptiveSource(lambda job, via_test, rank, upper:
+                              calls.append((TEST if via_test else EXEC_UNTESTED, job)) or procs[job])
+
+    return {"subclass": lambda: Logging(ASKED), "lookup": Lookup, "adaptive": adaptive}[case], calls
+
+
+@pytest.mark.parametrize("mode", ["run", "mc", "exact"])
+@pytest.mark.parametrize("case", ["subclass", "lookup", "adaptive"])
+def test_every_other_source_is_asked_on_every_test_and_untested_run(mode, case):
+    alg = parse_algorithm("random")
+    n, view = ASKED.n, ASKED.uppers()
+    make, calls = logged_source(case)
+    source = make if case == "adaptive" and mode != "run" else make()  # an adaptive source is single-use
+
+    def result(src):
+        if mode == "run":
+            return run(alg.generator("s"), src, n, view)
+        return run_expected(alg, src, n, view, trials=7, seed="s", exact=mode == "exact")
+
+    assert result(source) == result(StaticSource(ASKED))
+    if mode == "run":
+        gen_fns = [alg.generator("s")]
+    elif mode == "mc":
+        gen_fns = [alg.generator(trial_seed("s", i)) for i in range(7)]
+    else:
+        gen_fns = [gen_fn for _, gen_fn in alg.exact_outcomes(n, view)]
+    assert len(gen_fns) == {"run": 1, "mc": 7, "exact": 6}[mode]
+    want = [(kind, job) for gen_fn in gen_fns
+            for kind, job, _, _ in reference_steps(gen_fn, StaticSource(ASKED), n, view) if kind != EXEC_TESTED]
+    assert calls == want
+    assert (calls.count((TEST, 2)), sum(kind == TEST for kind, _ in calls),
+            sum(kind == EXEC_UNTESTED for kind, _ in calls)) == (len(gen_fns), 3 * len(gen_fns), 2 * len(gen_fns))
+
+
+def test_a_plain_static_source_is_read_by_index(monkeypatch):
+    def refuse(self, job):
+        raise AssertionError("a plain StaticSource's times are read by index")
+
+    monkeypatch.setattr(StaticSource, "reveal", refuse)
+    monkeypatch.setattr(StaticSource, "settle_untested", refuse)
+    alg = parse_algorithm("random")
+    trace = run(alg.generator("s"), StaticSource(ASKED), ASKED.n, ASKED.uppers())
+    assert [s[:2] for s in trace.steps if s[0] != EXEC_TESTED][:2] == [(EXEC_UNTESTED, 1), (EXEC_UNTESTED, 0)]
+    monkeypatch.undo()
+    assert trace.steps == reference_steps(alg.generator("s"), StaticSource(ASKED), ASKED.n, ASKED.uppers())
