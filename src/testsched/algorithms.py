@@ -6,8 +6,8 @@ the value of a "test" yield; nothing else about the hidden times is
 reachable from here, which is the whole point of the protocol.
 
 Strategies are wrapped in OnlineAlgorithm records carrying a seedable
-builder and, where meaningful, an exact enumeration of random outcomes and
-the closed form of their expected cost.
+builder and, for a randomized rule, the closed form of its expected cost,
+the only exact expectation the engine computes for it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import permutations, product
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -167,22 +166,15 @@ def make_random_order(T, E):
     return build
 
 
-def make_random_order_exact(T, E):
-    def outcomes(n, uppers):
-        blind, rest = _split(uppers, T)
-        weight = Fraction(1, math.factorial(len(rest)))
-        for perm in permutations(rest):
-            yield weight, lambda view, order=perm: _blind_test_defer(blind, (order, E))
-    return outcomes
-
-
 def make_random_order_expected(T, E):
-    """The exact (E[total], E[makespan], outcome count) of random[T,E], by linearity.
+    """The (E[total], E[makespan], outcome count) of random[T,E], by linearity.
 
     The blind prefix ends at S.  A tested job's chunk c_j is 1 + p_j when it
     runs at once, else 1; L sums the chunks.  Each other chunk precedes c_j
     with probability 1/2, so a job run at once finishes on average at
     S + c_j + (L - c_j)/2.  The deferred tail runs shortest first from S + L.
+    On int and Fraction columns both sums are Fractions; a float anywhere
+    makes them floats.
     """
     def expected(uppers, procs):
         blind, rest = _split(uppers, T)
@@ -199,6 +191,8 @@ def make_random_order_expected(T, E):
         for p, _ in late:
             t = t + p
             twice = twice + 2 * t
+        if isinstance(twice, float):
+            return twice / 2, t, math.factorial(len(rest))
         return Fraction(twice, 2), Fraction(t), math.factorial(len(rest))
     return expected
 
@@ -318,20 +312,8 @@ def make_makespan_rand(seed):
     return gen
 
 
-def makespan_rand_exact(n, uppers):
-    per_job = []
-    for j in range(n):
-        q = analysis.makespan_test_probability(uppers[j])
-        per_job.append(((1, False),) if q == 0 else ((q, True), (1 - q, False)))
-    for combo in product(*per_job):
-        weight = 1
-        for w, _ in combo:
-            weight = weight * w
-        yield weight, lambda view, flags=[tested for _, tested in combo]: _per_job(flags)
-
-
 def makespan_rand_expected(uppers, procs):
-    """The exact (E[total], E[makespan], outcome count) of makespan_rand, job by job.
+    """The (E[total], E[makespan], outcome count) of makespan_rand, job by job.
 
     Job j takes 1 + p_j with its test probability q_j, else u_j, and sits in
     the n - j completions from its own on.  A job with q_j == 0 takes u_j as
@@ -367,9 +349,8 @@ class OnlineAlgorithm:
     randomized: bool = False
     objective: str = "sum"
     params: dict = field(default_factory=dict)
-    exact: Optional[Callable] = None
-    # (uppers, procs) -> exact (E[total], E[makespan], outcome count) for int
-    # and Fraction columns, equal in value and type to the enumeration's sums
+    # (uppers, procs) -> (E[total], E[makespan], outcome count); a randomized
+    # rule's exact expectation, exact on int and Fraction columns
     expected_cost: Optional[Callable] = None
 
     def generator(self, seed=None):
@@ -378,38 +359,31 @@ class OnlineAlgorithm:
             raise ConfigurationError(f"{self.key}: randomized rule needs a seed")
         return self.build(seed)
 
-    def exact_outcomes(self, n, uppers):
-        """Iterable of (weight, generator function) covering all outcomes."""
-        if self.exact is not None:
-            return self.exact(n, uppers)
-        return [(1, self.build(None))]
-
 
 # One row per rule: (label template over the parameters, parameter defaults,
-# maker, randomized, objective, exact maker, expected-cost maker).
+# maker, randomized, objective, expected-cost maker).
 # `maker(**params)` checks the parameters and returns the generator function,
-# or a seed -> generator function factory if randomized; an exact maker
-# returns the outcomes, an expected-cost maker the `expected_cost` hook.
+# or a seed -> generator function factory if randomized; an expected-cost
+# maker returns the `expected_cost` hook.
 _RULES = {
-    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum", None, None),
-    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum", None,
-                  None),
+    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum", None),
+    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum", None),
     "random": ("random-order rule (T={T}, E={E})",
                {"T": analysis.RANDOM_T_PUBLISHED, "E": analysis.RANDOM_E_PUBLISHED},
-               make_random_order, True, "sum", make_random_order_exact, make_random_order_expected),
-    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum", None, None),
+               make_random_order, True, "sum", make_random_order_expected),
+    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum", None),
     "combined": ("combined rule (T1={T1}, T2={T2})",
                  {"T1": analysis.COMBINED_T1_PUBLISHED, "T2": analysis.COMBINED_T2_PUBLISHED},
-                 make_combined, False, "sum", None, None),
+                 make_combined, False, "sum", None),
     "ute": ("extreme-uniform rule (rho={rho})", {"rho": analysis.ute_rho_star()}, make_ute,
-            False, "sum", None, None),
+            False, "sum", None),
     "lb_schedule": ("adversary schedule (nu={nu}, lam={lam}, delta={delta})",
                     {"nu": 0.0, "lam": 0.0, "delta": analysis.DET_LB_DELTA}, make_lb_schedule,
-                    False, "sum", None, None),
+                    False, "sum", None),
     "makespan_det": ("golden-ratio makespan rule", {}, lambda: makespan_det_generator,
-                     False, "makespan", None, None),
+                     False, "makespan", None),
     "makespan_rand": ("randomized makespan rule", {}, lambda: make_makespan_rand,
-                      True, "makespan", lambda: makespan_rand_exact, lambda: makespan_rand_expected),
+                      True, "makespan", lambda: makespan_rand_expected),
 }
 
 
@@ -421,15 +395,14 @@ def build_algorithm(name, params=None):
     """
     if name not in _RULES:
         raise ConfigurationError(f"unknown algorithm: {name!r}")
-    label, defaults, maker, randomized, objective, exact_maker, expected_maker = _RULES[name]
+    label, defaults, maker, randomized, objective, expected_maker = _RULES[name]
     given = dict(params or {})
     values = {key: given.pop(key, default) for key, default in defaults.items()}
     made = maker(**values)
     if given:
         raise ConfigurationError(f"unknown parameters for {name}: {sorted(given)}")
     return OnlineAlgorithm(name, label.format(**values), made if randomized else lambda seed: made,
-                           randomized, objective, values, exact_maker and exact_maker(**values),
-                           expected_maker and expected_maker(**values))
+                           randomized, objective, values, expected_maker and expected_maker(**values))
 
 
 SUM_ALGORITHM_NAMES = ("threshold", "delay_all", "random", "beat", "combined", "ute")

@@ -128,7 +128,9 @@ def cmd_simulate(args):
               "objective": objective, "alg_cost": cost, "opt_cost": opt, "ratio": _ratio(cost, opt),
               "exact": expected and res.exact}
     if expected:
-        report.update(trials=res.trials, stderr=float(stderr))
+        # an exact outcome count (k! or 2^m) past 2**53 - 1 is no safe JSON number, and past
+        # 4300 digits `json.dumps` refuses it, so it is written as null
+        report.update(trials=res.trials if res.trials < 2 ** 53 else None, stderr=float(stderr))
         if args.seed is not None:
             report["seed"] = args.seed
     if args.trace_out:
@@ -350,7 +352,8 @@ def build_parser():
     sp.add_argument("--param", action="append", default=[], help="generator key=value")
     sp.add_argument("--objective", choices=("sum", "makespan"), help="default: the rule's own")
     sp.add_argument("--exact", action="store_true",
-                    help="exact expectation, in closed form or by outcome enumeration (n <= 8)")
+                    help="exact expectation: one run of a deterministic rule, the closed form of a"
+                         " randomized one")
     sp.add_argument("--trace-out", help="write the schedule trace (deterministic runs)")
     common(sp)
     sp.set_defaults(fn=cmd_simulate)

@@ -19,8 +19,8 @@ The protocol loop keeps one ledger entry per job: untouched, the time its
 test revealed, or done.  `run` returns the full trace.  Expectation runs
 (`run_expected`) read only each run's total and makespan, so they drive the
 same loop with the same checks but keep no step list.  An exact expectation
-on exact numbers and a plain static source comes from the rule's closed
-form when it has one, with no run at all.
+of a deterministic rule is its one run; of a randomized rule, the closed
+form of its `expected_cost` hook on a plain static source, with no run at all.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .core import (
     is_finite_number,
 )
 
-EXACT_ENUMERATION_LIMIT = 8  # exact expectations (closed form or n! enumeration) only up to this n
 _UNTOUCHED, _DONE = object(), object()  # `_drive`'s ledger entries beside a revealed time
 
 
@@ -271,49 +270,37 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
                  exact: bool = False) -> ExpectedRun:
     """Expected cost of `alg` (an OnlineAlgorithm) under its own randomness.
 
-    Exact mode is limited to n <= 8 and returns the exact expectation with
-    zero standard error.  When the rule has an `expected_cost` hook, the
-    source is exactly a `StaticSource` and every limit and time is an int or
-    a Fraction, the hook's closed form gives it after one `begin`; `trials`
-    is still the number of outcomes.  Otherwise it enumerates the rule's
-    outcome distribution (all test orders, or all test-coin outcomes), one
-    run each, which keeps float results bit-identical and lets a subclassed
-    or adaptive source see every run.  Monte Carlo mode runs `trials` (at
-    least 1) independent seeded replicates.  `source` may be a reveal source
-    (reused across trials) or a zero-argument factory returning fresh ones.
-    The view is checked once, before the first run, unless it is a plain
+    Exact mode returns the exact expectation with zero standard error, at
+    any n.  A deterministic rule's is its one run.  A randomized rule's comes
+    from its `expected_cost` hook after one `begin`, and `trials` is its
+    number of outcomes (all test orders, or all test-coin outcomes); the hook
+    reads the instance's times, so the source must be exactly a
+    `StaticSource`, and any other is a ProtocolError before it is asked
+    anything.  Monte Carlo mode runs `trials` (at least 1) independent
+    seeded replicates.  `source` may be a reveal source (reused across
+    trials) or a zero-argument factory returning fresh ones.  The view is
+    checked once, before the first run, unless it is a plain
     `StaticSource`'s own instance column (`_view`); each run's source still
     checks it in `begin`.  Each run goes through the protocol loop with every
     check `run` makes, but keeps no step list: only its total and makespan.
     """
     make_source = source if callable(source) else (lambda: source)
-    if exact and n > EXACT_ENUMERATION_LIMIT:
-        raise ProtocolError(f"exact expectation limited to n <= {EXACT_ENUMERATION_LIMIT}, got n={n}")
     if not exact and alg.randomized and seed is None:
         raise ProtocolError("randomized run without a master seed")
     if not exact and alg.randomized and trials < 1:
         raise ProtocolError(f"Monte Carlo needs trials >= 1, got {trials}")
     uppers = _view(source, n, upper_limits)
-    if exact:
-        first = make_source()
-        if (alg.expected_cost is not None and type(first) is StaticSource
-                and {*map(type, uppers), *map(type, first.inst.procs())} <= {int, Fraction}):
-            first.begin(n, uppers)
-            total, makespan, count = alg.expected_cost(uppers, first.inst.procs())
-            return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
-        total: Num = 0
-        makespan: Num = 0
-        weight_sum: Num = 0
-        count = 0
-        for weight, gen_fn in alg.exact_outcomes(n, uppers):
-            cost, span = _drive(gen_fn, make_source() if count else first, n, uppers, record=False)
-            total = total + weight * cost
-            makespan = makespan + weight * span
-            weight_sum = weight_sum + weight
-            count += 1
-        if not math.isclose(float(weight_sum), 1.0, rel_tol=1e-12, abs_tol=1e-12):
-            raise ProtocolError(f"outcome weights sum to {float(weight_sum)}, not 1")
+    if exact and alg.randomized:
+        static = make_source()
+        if type(static) is not StaticSource:
+            raise ProtocolError(f"an exact expectation of {alg.key} reads the instance's times,"
+                                f" so it needs a plain StaticSource, not {type(static).__name__}")
+        static.begin(n, uppers)
+        total, makespan, count = alg.expected_cost(uppers, static.inst.procs())
         return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
+    if exact:
+        total, makespan = _drive(alg.generator(), make_source(), n, uppers, record=False)
+        return ExpectedRun(total, makespan, 0.0, 0.0, 1, True)
     totals = []
     spans = []
     count = trials if alg.randomized else 1

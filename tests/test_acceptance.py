@@ -170,11 +170,27 @@ def test_criterion_04_random_parameters(criterion):
                         assert res.total <= FT * optimal_sum(inst).total
                         exact_checks += 1
 
+        # exact rational expectation, from the closed form, over the 0.1-step profile grid
+        # at n = 1000: the Monte Carlo pass below runs on the same mixes
+        n = 1000
+        worst_exact = 0
+        exact_mixes = 0
+        for i in range(11):
+            for j in range(11 - i):
+                for k in range(11 - i - j):
+                    inst = gen_four_type(n, Fraction(i, 10), Fraction(j, 10), Fraction(k, 10),
+                                         T=FT, E=FE, epsilon=eps)
+                    res = run_expected(exact_alg, StaticSource(inst), n, inst.uppers(), exact=True)
+                    ratio = res.total / optimal_sum(inst).total
+                    assert ratio <= FT, (i, j, k, ratio)
+                    worst_exact = max(worst_exact, ratio)
+                    exact_mixes += 1
+        assert exact_mixes == 286
+
         # Monte Carlo over the 0.1-step profile grid at n = 1000; each mean lies
         # within 5 standard errors of the closed-form E[ALG].  A one-type mix has
         # a fixed cost, so its error is float noise and its z score is not kept.
         mc_alg = build_algorithm("random", {})
-        n = 1000
         worst_mc = 0.0
         worst_z = 0.0
         combo = 0
@@ -196,6 +212,7 @@ def test_criterion_04_random_parameters(criterion):
         assert combo == 286
         assert worst_mc <= 1.7453 + 0.02
         notes["detail"] = (f"T={T:.5f} E={E:.5f}, {exact_checks} exact profiles, "
+                           f"exact worst {float(worst_exact):.5f} <= {FT} over 286 mixes at n={n}, "
                            f"MC worst {worst_mc:.5f} over 286 mixes, max |z| {worst_z:.2f}")
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumeration import enumerated_expectation
 from testsched import algorithms, analysis
 from testsched.algorithms import (
     SUM_ALGORITHM_NAMES,
@@ -25,6 +26,7 @@ from testsched.algorithms import (
 from testsched.core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
+    REL_TOL,
     TEST,
     Instance,
     check_trace_durations,
@@ -270,12 +272,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             build_algorithm("random", {"T": 0.5, "E": 2.0})
 
-    def test_deterministic_exact_outcomes(self):
-        alg = parse_algorithm("threshold")
-        outs = list(alg.exact_outcomes(2, (2, 2)))
-        assert len(outs) == 1
-        assert outs[0][0] == 1
-
 
 class TestSmallLimitPrefix:
     def test_orders_by_limit_then_id(self):
@@ -381,9 +377,10 @@ class TestRegistryPins:
             parse_algorithm(spec)
 
 
-# The expected-cost hook against the enumeration it replaces: T <= E pairs
-# with denominators up to 4, limits drawn at T and E as well as anywhere, and
-# times at 0, at the limit and at E, so every tie the rules break is common.
+# The expected-cost hook against the test-side enumeration of every outcome:
+# T <= E pairs with denominators up to 4, limits drawn at T and E as well as
+# anywhere, and times at 0, at the limit and at E, so every tie the rules
+# break is common.  The same instance in floats agrees within REL_TOL.
 def hook_case(te):
     T, E = te
     upper = st.sampled_from([T, E]) | st.integers(0, 6) | st.fractions(0, 6, max_denominator=4)
@@ -408,14 +405,18 @@ def test_expected_cost_hook_equals_the_enumeration(case):
     (T, E), jobs = case
     inst = Instance.from_pairs(jobs)
     for alg in (build_algorithm("random", {"T": T, "E": E}), build_algorithm("makespan_rand")):
-        total = makespan = count = 0
-        for weight, gen_fn in alg.exact_outcomes(inst.n, inst.uppers()):
-            tr = run(gen_fn, StaticSource(inst), inst.n, inst.uppers())
-            total, makespan, count = total + weight * tr.total, makespan + weight * tr.makespan, count + 1
-        want = typed((total, makespan, count))
+        want = typed(enumerated_expectation(alg, lambda: StaticSource(inst), inst.n, inst.uppers()))
         assert typed(alg.expected_cost(inst.uppers(), inst.procs())) == want
         res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), exact=True)
         assert typed((res.total, res.makespan, res.trials)) == want and res.exact
+    floats = Instance.from_pairs([(float(u), float(p)) for u, p in jobs])
+    for alg in (build_algorithm("random", {"T": float(T), "E": float(E)}), build_algorithm("makespan_rand")):
+        total, makespan, count = enumerated_expectation(alg, lambda: StaticSource(floats), floats.n,
+                                                        floats.uppers())
+        res = run_expected(alg, StaticSource(floats), floats.n, floats.uppers(), exact=True)
+        assert (type(res.total), type(res.makespan), res.trials, res.exact) == (float, float, count, True)
+        assert math.isclose(res.total, total, rel_tol=REL_TOL)
+        assert math.isclose(res.makespan, makespan, rel_tol=REL_TOL)
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000])

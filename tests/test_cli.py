@@ -92,6 +92,16 @@ class TestSimulate:
         assert report["trials"] == 24
         assert report["stderr"] == 0
 
+    def test_exact_count_past_a_safe_json_integer_is_null(self, capsys):
+        # every job is tested: 2000! outcomes, 5736 digits, past the 4300 that `json.dumps` writes
+        rc = main(["simulate", "random", "--exact", "--mode", "rational",
+                   "--gen", "four_type", "--param", "n=2000",
+                   "--param", "alpha=3/10", "--param", "beta=1/5", "--param", "gamma=1/10"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["exact"], report["trials"], report["stderr"]) == (True, None, 0)
+        assert 1 <= report["ratio"] <= 1.7453
+
     def test_trace_out_rejected_for_randomized(self, tmp_path, capsys):
         rc = main(["simulate", "random", "--seed", "s", "--gen", "extreme_uniform",
                    "--param", "n=4", "--param", "p_bar=2.0", "--param", "gamma=0.5",

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from testsched import engine
-from testsched.algorithms import OnlineAlgorithm, delay_all_generator, parse_algorithm, threshold_generator
+from enumeration import exact_outcomes
+from testsched.algorithms import (
+    SUM_ALGORITHM_NAMES,
+    ConfigurationError,
+    OnlineAlgorithm,
+    delay_all_generator,
+    parse_algorithm,
+    threshold_generator,
+)
 from testsched.core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
@@ -28,6 +36,10 @@ from testsched.engine import (
     trial_seed,
 )
 from testsched.generators import det_lb_adversary, gen_random
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
 
 
 def run_static(gen_fn, pairs):
@@ -316,10 +328,42 @@ class TestRunExpected:
         # 2 <= E, so each job runs right after its test: completions 3, 6, 9
         assert res.total == Fraction(3 + 6 + 9)
 
-    def test_exact_gate_on_size(self):
-        inst = Instance.from_pairs([(2, 0)] * 9)
-        with pytest.raises(ProtocolError, match="n <= 8"):
-            run_expected(parse_algorithm("random"), StaticSource(inst), 9, inst.uppers(), exact=True)
+    @pytest.mark.parametrize("rule", ["random", "makespan_rand"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_exact_past_eight_jobs_is_the_hook(self, rule, exact):
+        # no size gate: 9 jobs give 9! orders or 2^9 coin outcomes, from the closed form
+        inst = gen_random(9, seed="nine", exact=exact)
+        alg = parse_algorithm(rule, exact=exact)
+        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), exact=True)
+        want = alg.expected_cost(inst.uppers(), inst.procs())
+        assert typed((res.total, res.makespan, res.trials)) == typed(want)
+        assert res.exact and (res.total_stderr, res.makespan_stderr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [9, 50])
+    @pytest.mark.parametrize("common", [False, True])
+    @pytest.mark.parametrize("kind", ["float", "fraction", "int"])
+    def test_deterministic_exact_is_its_one_run(self, n, common, kind):
+        # the run's own numbers, an int sum too; a common limit lets the rules that need one
+        # accept the instance
+        inst = gen_random(n, seed=f"det:{n}", exact=kind == "fraction")
+        if kind == "int":
+            inst = Instance(map(math.ceil, inst.uppers()), map(math.floor, inst.procs()))
+        if common:
+            inst = Instance([inst.uppers()[0]] * n, [min(p, inst.uppers()[0]) for p in inst.procs()])
+        accepted = 0
+        for name in SUM_ALGORITHM_NAMES:
+            alg = parse_algorithm(name, exact=kind != "float")
+            if alg.randomized:
+                continue
+            try:
+                tr = run(alg.generator(), StaticSource(inst), n, inst.uppers())
+            except ConfigurationError:
+                continue
+            res = run_expected(alg, StaticSource(inst), n, inst.uppers(), exact=True)
+            assert typed((res.total, res.makespan)) == typed((tr.total, tr.makespan))
+            assert (res.trials, res.exact) == (1, True)
+            accepted += 1
+        assert accepted == (5 if common else 2)
 
     def test_exact_expected_makespan_single_job(self):
         inst = Instance.from_pairs([(Fraction(2), Fraction(0))])
@@ -371,7 +415,7 @@ class TestExpectationMatchesRuns:
         alg = parse_algorithm(rule, exact=True)
         res = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(), exact=True)
         total = makespan = 0
-        for weight, gen_fn in alg.exact_outcomes(inst.n, inst.uppers()):
+        for weight, gen_fn in exact_outcomes(alg, inst.n, inst.uppers()):
             tr = run(gen_fn, StaticSource(inst), inst.n, inst.uppers())
             total += weight * tr.total
             makespan += weight * tr.makespan
@@ -470,34 +514,42 @@ class CountingSource(StaticSource):
         super().begin(n, uppers)
 
 
-@pytest.mark.parametrize("exact, runs", [(False, 5), (True, 2)])
+@pytest.mark.parametrize("exact, runs", [(False, 5), (True, 1)])
 def test_source_begins_every_run(exact, runs):
+    # an exact expectation on a subclass is a deterministic rule's one run
     inst = Instance.from_pairs([(2, 1), (2, 1)])
     src = CountingSource(inst)
-    run_expected(parse_algorithm("random"), src, 2, inst.uppers(), trials=5, seed="s", exact=exact)
+    alg = parse_algorithm("threshold" if exact else "random")
+    run_expected(alg, src, 2, inst.uppers(), trials=5, seed="s", exact=exact)
     assert src.begins == runs
     # a view that passes the check but not the source's own limits fails in begin
     with pytest.raises(ProtocolError, match="upper limits differ"):
-        run_expected(parse_algorithm("random"), src, 2, (3, 3), trials=5, seed="s", exact=exact)
+        run_expected(alg, src, 2, (3, 3), trials=5, seed="s", exact=exact)
 
 
-@pytest.mark.parametrize("case, begins", [("int", 1), ("float view", 6), ("float", 6), ("subclass", 6)])
+@pytest.mark.parametrize("case, begins", [("int", 1), ("float view", 1), ("float", 1), ("subclass", 0)])
 def test_closed_form_only_on_an_exact_static_source(monkeypatch, case, begins):
-    # the hook runs once, after one begin, only for exactly a StaticSource with int or Fraction
-    # numbers; a float anywhere or a subclass's own begin keeps the 3! runs
+    # the hook runs once, after one begin, on exactly a StaticSource, whatever its numbers;
+    # a subclass, whose methods could answer otherwise, is refused before its begin
     begun = []
     monkeypatch.setattr(StaticSource, "begin", lambda self, n, uppers: begun.append(n))
     pairs = [(2, 1), (3, 3), (Fraction(5, 2), 0)]
     inst = Instance.from_pairs([(float(u), float(p)) for u, p in pairs] if case == "float" else pairs)
     view = [float(u) for u in inst.uppers()] if case == "float view" else inst.uppers()
-    source = CountingSource(inst) if case == "subclass" else StaticSource(inst)
-    res = run_expected(parse_algorithm("random"), source, 3, view, exact=True)
-    assert (len(begun), res.trials, res.exact) == (begins, 6, True)
     if case == "subclass":
-        assert source.begins == 6
+        source = CountingSource(inst)
+        with pytest.raises(ProtocolError, match="^an exact expectation of random reads the instance's times,"
+                                                " so it needs a plain StaticSource, not CountingSource$"):
+            run_expected(parse_algorithm("random"), source, 3, view, exact=True)
+        assert (len(begun), source.begins) == (begins, 0)
+        return
+    res = run_expected(parse_algorithm("random"), StaticSource(inst), 3, view, exact=True)
+    assert (len(begun), res.trials, res.exact) == (begins, 6, True)
     exact_inst = Instance.from_pairs(pairs)
     want, _, _ = parse_algorithm("random").expected_cost(exact_inst.uppers(), exact_inst.procs())
-    assert res.total == want if case in ("int", "subclass") else math.isclose(res.total, want)
+    # no limit here is below T, so only a float time makes the sums floats
+    assert type(res.total) is (float if case == "float" else Fraction)
+    assert res.total == want if case != "float" else math.isclose(res.total, want)
 
 
 def view_check_calls(monkeypatch):
@@ -557,7 +609,11 @@ def test_every_other_view_is_checked(monkeypatch, mode, case):
     calls = view_check_calls(monkeypatch)
     source, view = other_view(case, mode)
     assert view is not VIEW_INSTANCE.uppers() or type(source) is not StaticSource
-    total_of(mode, source, 3, view)
+    if mode == "exact" and case in ("subclass", "adaptive"):  # refused after the view check
+        with pytest.raises(ProtocolError, match="needs a plain StaticSource"):
+            total_of(mode, source, 3, view)
+    else:
+        total_of(mode, source, 3, view)
     assert calls == [3]
 
 
@@ -638,7 +694,9 @@ def logged_source(case):
 @pytest.mark.parametrize("mode", ["run", "mc", "exact"])
 @pytest.mark.parametrize("case", ["subclass", "lookup", "adaptive"])
 def test_every_other_source_is_asked_on_every_test_and_untested_run(mode, case):
-    alg = parse_algorithm("random")
+    # an exact expectation asks a source only as a deterministic rule's one run; threshold
+    # also runs the limits below 2 blind and tests the other three
+    alg = parse_algorithm("threshold" if mode == "exact" else "random")
     n, view = ASKED.n, ASKED.uppers()
     make, calls = logged_source(case)
     source = make if case == "adaptive" and mode != "run" else make()  # an adaptive source is single-use
@@ -654,13 +712,24 @@ def test_every_other_source_is_asked_on_every_test_and_untested_run(mode, case):
     elif mode == "mc":
         gen_fns = [alg.generator(trial_seed("s", i)) for i in range(7)]
     else:
-        gen_fns = [gen_fn for _, gen_fn in alg.exact_outcomes(n, view)]
-    assert len(gen_fns) == {"run": 1, "mc": 7, "exact": 6}[mode]
+        gen_fns = [alg.generator()]
+    assert len(gen_fns) == {"run": 1, "mc": 7, "exact": 1}[mode]
     want = [(kind, job) for gen_fn in gen_fns
             for kind, job, _, _ in reference_steps(gen_fn, StaticSource(ASKED), n, view) if kind != EXEC_TESTED]
     assert calls == want
     assert (calls.count((TEST, 2)), sum(kind == TEST for kind, _ in calls),
             sum(kind == EXEC_UNTESTED for kind, _ in calls)) == (len(gen_fns), 3 * len(gen_fns), 2 * len(gen_fns))
+
+
+@pytest.mark.parametrize("rule", ["random", "makespan_rand"])
+@pytest.mark.parametrize("case", ["subclass", "lookup", "adaptive"])
+def test_a_randomized_exact_expectation_needs_a_plain_static_source(rule, case):
+    make, calls = logged_source(case)
+    source = make if case == "adaptive" else make()
+    with pytest.raises(ProtocolError, match=f"^an exact expectation of {rule} reads the instance's times,"
+                                            f" so it needs a plain StaticSource, not "):
+        run_expected(parse_algorithm(rule), source, ASKED.n, ASKED.uppers(), exact=True)
+    assert calls == []
 
 
 def test_a_plain_static_source_is_read_by_index(monkeypatch):
