@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -194,7 +193,11 @@ def cmd_sweep(args):
     if workers < 1:
         raise ConfigurationError(f"TESTSCHED_WORKERS must be an integer >= 1, got {raw!r}")
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # loaded here, not at the top: a serial sweep and every other command never need it
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the fork start method launches all max_workers processes up front
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]

@@ -283,12 +283,17 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     `StaticSource`'s own instance column (`_view`); each run's source still
     checks it in `begin`.  Each run goes through the protocol loop with every
     check `run` makes, but keeps no step list: only its total and makespan.
+    A randomized rule without an `expected_cost` hook has no exact
+    expectation: a ProtocolError before any source is asked anything.
     """
     make_source = source if callable(source) else (lambda: source)
     if not exact and alg.randomized and seed is None:
         raise ProtocolError("randomized run without a master seed")
     if not exact and alg.randomized and trials < 1:
         raise ProtocolError(f"Monte Carlo needs trials >= 1, got {trials}")
+    if exact and alg.randomized and alg.expected_cost is None:
+        raise ProtocolError(f"an exact expectation of {alg.key} needs its expected_cost hook,"
+                            " and this randomized rule has none")
     uppers = _view(source, n, upper_limits)
     if exact and alg.randomized:
         static = make_source()

@@ -34,7 +34,7 @@ from testsched.core import (
 )
 from testsched.engine import StaticSource, run, run_expected, trial_seed
 from testsched.generators import four_type_counts, gen_four_type, gen_random, gen_threshold_worstcase
-from testsched.offline import optimal_sum
+from testsched.offline import optimal_makespan, optimal_sum
 
 
 # Heavily tied numbers of mixed types: 1, 1.0 and Fraction(1) are equal, and so are 2.5 and 5/2.
@@ -543,6 +543,19 @@ def test_sum_rules_pay_at_least_the_optimum(jobs):
         assert cost_of_trace(tr) == (tr.total, tr.makespan)
         assert tr.total >= opt
     assert ran >= 3
+
+
+# Both makespan rules accept every instance, so each example runs both.
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(JOBS | COMMON_LIMIT)
+def test_makespan_rules_pay_at_least_the_optimum(jobs):
+    inst = Instance.from_pairs(jobs)
+    opt = optimal_makespan(inst)[0]
+    for name, seed in (("makespan_det", None), ("makespan_rand", "p:0")):
+        tr = run(build_algorithm(name).generator(seed), StaticSource(inst), inst.n, inst.uppers())
+        check_trace_durations(tr, inst)
+        assert cost_of_trace(tr) == (tr.total, tr.makespan)
+        assert tr.makespan >= opt
 
 
 # The test-then-defer body as it was written with a heap for the deferred

@@ -1,5 +1,6 @@
 """End-to-end command line behavior through main(argv)."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -183,11 +184,11 @@ class TestRoundTrip:
 
 
 class TestSweep:
+    GRID = ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=40",
+            "--sweep", "p_bar=2.5:3.0:0.5", "--sweep", "gamma=0.2:0.4:0.2"]  # 4 points
+
     def run_sweep(self, out, extra=()):
-        args = ["sweep", "threshold", "--gen", "extreme_uniform",
-                "--param", "n=40", "--sweep", "p_bar=2.5:3.0:0.5",
-                "--sweep", "gamma=0.2:0.4:0.2", "--out", str(out)]
-        return main(args + list(extra))
+        return main(self.GRID + ["--out", str(out)] + list(extra))
 
     def test_row_major_grid(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -206,6 +207,45 @@ class TestSweep:
         monkeypatch.setenv("TESTSCHED_WORKERS", "2")
         assert self.run_sweep(b) == 0
         assert a.read_text() == b.read_text()
+
+    def test_never_more_workers_than_points(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps in this process: no process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert self.run_sweep(a) == 0
+        monkeypatch.setenv("TESTSCHED_WORKERS", "64")
+        assert self.run_sweep(b) == 0
+        assert sizes == [4]
+        assert a.read_text() == b.read_text()
+
+    def test_a_serial_sweep_never_loads_the_process_pool(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "TESTSCHED_WORKERS": "1"}
+        out = tmp_path / "fresh.csv"
+        code = ("import sys\n"
+                "from testsched.cli import main\n"
+                f"rc = main({self.GRID + ['--out', str(out)]!r})\n"
+                "print(rc, 'concurrent.futures' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False\n")
+        assert self.run_sweep(tmp_path / "in_process.csv") == 0
+        assert out.read_text() == (tmp_path / "in_process.csv").read_text()
 
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_worker_count(self, tmp_path, monkeypatch, capsys, workers):

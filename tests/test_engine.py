@@ -732,6 +732,20 @@ def test_a_randomized_exact_expectation_needs_a_plain_static_source(rule, case):
     assert calls == []
 
 
+def test_an_exact_expectation_of_a_randomized_rule_without_a_hook_is_refused(monkeypatch):
+    # refused before the factory is called or any source is asked anything, even a plain StaticSource
+    calls = []
+    for method in ("begin", "reveal", "settle_untested"):
+        monkeypatch.setattr(StaticSource, method, lambda self, *args, m=method: calls.append((m, args)))
+    inst = Instance.from_pairs([(2, 1)])
+    alg = OnlineAlgorithm("x", "x", lambda seed: None, randomized=True)
+    for source in (StaticSource(inst), lambda: calls.append(("make", ())) or StaticSource(inst)):
+        with pytest.raises(ProtocolError, match="^an exact expectation of x needs its expected_cost hook,"
+                                                " and this randomized rule has none$"):
+            run_expected(alg, source, 1, inst.uppers(), exact=True)
+    assert calls == []
+
+
 def test_a_plain_static_source_is_read_by_index(monkeypatch):
     def refuse(self, job):
         raise AssertionError("a plain StaticSource's times are read by index")
