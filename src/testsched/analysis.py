@@ -160,20 +160,6 @@ def det_lb_value(delta, p_bar):
     return det_lb_alg(nu, lam, delta, p_bar) / det_lb_opt(nu, delta, p_bar)
 
 
-def det_lb_value_grid(delta, p_bar, steps=400):
-    """Same bound by brute 2-D minimization over (nu, lam); cross-check."""
-    best = None
-    for i in range(steps + 1):
-        nu = delta * i / steps
-        opt = det_lb_opt(nu, delta, p_bar)
-        for k in range(steps + 1):
-            lam = (delta - nu) * k / steps
-            v = det_lb_alg(nu, lam, delta, p_bar) / opt
-            if best is None or v < best:
-                best = v
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Randomized testing algorithm (uniform random test order).
 #

@@ -234,20 +234,24 @@ def cmd_verify_constants(args):
 
 
 def cmd_lower_bound(args):
+    names = [s.strip() for s in args.algorithms.split(",")] if args.algorithms else None
     if args.kind == "det":
-        return _lower_bound_det(args)
-    return _lower_bound_rand(args)
+        report = det_lower_bound(args.delta, args.p_bar, args.n, names)
+    elif args.seed is None:
+        raise ConfigurationError("the randomized bound needs --seed")
+    else:
+        report = rand_lower_bound(args.q, args.n, args.trials, args.seed, names)
+    _emit(report, args.out)
+    return 0
 
 
-def _lower_bound_det(args):
-    delta, p_bar, n = args.delta, args.p_bar, args.n
+def det_lower_bound(delta, p_bar, n, names=None):
+    """The `lower-bound det` report: the analytic bound at (delta, p_bar) and each
+    deterministic rule's ratio against the adaptive adversary on n jobs."""
     analytic = analysis.det_lb_value(delta, p_bar)
-    names = args.algorithms.split(",") if args.algorithms else \
-        ["threshold", "delay_all", "combined", "ute", "best_schedule"]
     uppers = generators.adversary_view(n, p_bar)
     runs = []
-    for name in names:
-        name = name.strip()
+    for name in names or ["threshold", "delay_all", "combined", "ute", "best_schedule"]:
         if name == "best_schedule":
             nu, lam = analysis.det_lb_best_schedule(delta, p_bar)
             alg = build_algorithm("lb_schedule", {"nu": nu, "lam": lam, "delta": delta})
@@ -265,39 +269,36 @@ def _lower_bound_det(args):
             "opt_cost": float(opt),
             "ratio": float(trace.total) / float(opt),
         })
-    payload = {
+    return {
         "bound": "adaptive-deterministic",
         "delta": delta, "p_bar": p_bar, "n": n,
         "analytic": analytic,
         "min_observed": min(r["ratio"] for r in runs),
         "runs": runs,
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def _lower_bound_rand(args):
-    q, n, trials = args.q, args.n, args.trials
-    if args.seed is None:
-        raise ConfigurationError("the randomized bound needs --seed")
+def rand_lower_bound(q, n, trials, seed, names=None):
+    """The `lower-bound rand` report: the analytic bound at q and each rule's mean cost
+    over `trials` two-point instances of n jobs, seeded `{seed}:inst:{i}` and
+    `{seed}:{name}:{i}`."""
     analytic = analysis.rand_lb_value(q)
-    names = [s.strip() for s in args.algorithms.split(",")] if args.algorithms \
-        else list(SUM_ALGORITHM_NAMES)
+    names = names or list(SUM_ALGORITHM_NAMES)
     algs = {name: parse_algorithm(name) for name in names}
     sums = {name: 0.0 for name in names}
     opt_sum = 0.0
     for i in range(trials):
-        inst = generators.gen_rand_lb(n, q, seed=f"{args.seed}:inst:{i}")
+        inst = generators.gen_rand_lb(n, q, seed=f"{seed}:inst:{i}")
         opt_sum += float(optimal_sum(inst).total)
         for name, alg in algs.items():
-            gen = alg.generator(f"{args.seed}:{name}:{i}" if alg.randomized else None)
+            gen = alg.generator(f"{seed}:{name}:{i}" if alg.randomized else None)
             trace = run(gen, StaticSource(inst), inst.n, inst.uppers())
             sums[name] += float(trace.total)
     runs = [{"algorithm": name,
              "mean_alg": sums[name] / trials,
              "mean_opt": opt_sum / trials,
              "ratio": sums[name] / opt_sum} for name in names]
-    payload = {
+    return {
         "bound": "randomized-two-point",
         "q": q, "n": n, "trials": trials,
         "analytic": analytic,
@@ -305,8 +306,6 @@ def _lower_bound_rand(args):
         "min_observed": min(r["ratio"] for r in runs),
         "runs": runs,
     }
-    _emit(payload, args.out)
-    return 0
 
 
 def cmd_gen(args):

@@ -26,8 +26,8 @@ form of its `expected_cost` hook on a plain static source, with no run at all.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     DONE,
@@ -145,31 +145,22 @@ def _view(source, n: int, upper_limits) -> tuple:
 
 
 def _check_view(n: int, upper_limits) -> tuple:
-    """The view's limits as a tuple; ProtocolError unless n >= 1 limits, each >= 0 and
-    a finite int, float or Fraction (`is_finite_number`, so not a bool).  `run` and
-    `run_expected` call it on every view but a checked instance's own column (`_view`).
-
-    Limits all int or Fraction, or all float, pass on C-level passes: the
-    sum of floats is below inf only if none is inf or NaN (which `min` can
-    skip), and then `min` rules out a negative one.  Others go to the walk,
-    which also refuses an int or Fraction past a float's range next to a
-    float: the run would overflow on adding them.
+    """The view's limits as a tuple; ProtocolError unless n >= 1 limits obey the rule
+    `Instance` applies to its values (`core.validate_instance`): each a finite int,
+    float or Fraction (`is_finite_number`, so not a bool), >= 0 and, in a view with a
+    float, not past a float's range, since the run would overflow on adding it.
+    `run` and `run_expected` call it on every view but a checked instance's own
+    column (`_view`).
     """
     uppers = tuple(upper_limits)
     if n < 1 or len(uppers) != n:
         raise ProtocolError(f"bad view: n={n} with {len(uppers)} upper limits")
-    types = set(map(type, uppers))
-    if (types <= {int, Fraction} or types == {float} and sum(uppers) < math.inf) and min(uppers) >= 0:
-        return uppers
-    floats = any(isinstance(u, float) for u in uppers)
+    most = sys.float_info.max if any(isinstance(u, float) for u in uppers) else math.inf
     for j, u in enumerate(uppers):
         if not is_finite_number(u) or u < 0:
             raise ProtocolError(f"job {j}: upper limit {u} invalid")
-        if floats and not isinstance(u, float):
-            try:
-                float(u)
-            except OverflowError:
-                raise ProtocolError(f"job {j}: upper limit past a float's range among float limits") from None
+        if u > most:
+            raise ProtocolError(f"job {j}: upper limit past a float's range among float limits")
     return uppers
 
 

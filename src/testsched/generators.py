@@ -2,7 +2,9 @@
 
 Fractional family sizes are rounded the same way everywhere: floor for
 each named fraction, remainder to the residual (cheap) type, so closed
-forms and simulations agree on the exact counts.
+forms and simulations agree on the exact counts.  A count (n, or a, b
+and c) must be a whole number (`_whole`); the fractions of n are counted
+first, so a fraction's own check names an n that it cannot count.
 
 Each generator builds the two columns of its instance, the limits and the
 times, and passes them to `Instance`, which checks them once: a repeated
@@ -28,10 +30,23 @@ def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
     come first so their tests delay everyone, then b jobs exactly at the
     cutoff (limit 2, time 2), then a free jobs (limit 2, time 0).
     """
-    if min(a, b, c) < 0 or a + b + c < 1:
-        raise InstanceError(f"need nonnegative counts with a+b+c >= 1, got {(a, b, c)}")
+    a, b, c = _whole("a", a, 0), _whole("b", b, 0), _whole("c", c, 0)
+    if a + b + c < 1:
+        raise InstanceError(f"need a+b+c >= 1, got {(a, b, c)}")
     over = 2 + epsilon
     return Instance((over,) * c + (2,) * (b + a), (over,) * c + (2,) * b + (0,) * a)
+
+
+def _whole(name, x, least):
+    """Parameter `name` as an int; InstanceError unless x is a whole number >= least:
+    an int, or a float or Fraction equal to one (a sweep's axis values are floats)."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):  # not a number, a NaN or an infinity
+        k = None
+    if k is None or k != x or k < least or isinstance(x, bool):
+        raise InstanceError(f"{name} must be a whole number >= {least}, got {x}")
+    return k
 
 
 def _count(frac, n):
@@ -55,7 +70,7 @@ def four_type_counts(n, alpha, beta, gamma):
     mt = _family_count(alpha, n)
     me = _family_count(beta, n)
     md = _family_count(gamma, n)
-    m0 = n - mt - me - md
+    m0 = _whole("n", n, 1) - mt - me - md
     if m0 < 0:
         raise InstanceError(f"fractions exceed 1: {(alpha, beta, gamma)}")
     return m0, mt, me, md
@@ -109,6 +124,7 @@ def gen_rand_lb(n, q, seed, exact=False):
     """
     if not 0 < q < 1:
         raise InstanceError(f"q must be in (0, 1), got {q}")
+    n = _whole("n", n, 1)
     rng = random.Random(seed)
     limit = Fraction(q) ** -1 if exact else 1 / q
     procs = [0 if rng.random() < q else limit for _ in range(n)]
@@ -122,6 +138,7 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     picks where they sit in id order, which is what a tester meets first.
     """
     nlong = _count(gamma, n)
+    n = _whole("n", n, 1)
     if not 0 <= nlong <= n:
         raise InstanceError(f"bad long fraction {gamma} for n={n}")
     if placement == "long_first":
@@ -152,6 +169,7 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, mid
         raise InstanceError(f"mid value {mid_value} outside (0, {p_bar}]")
     nlong = _family_count(long_frac, n)
     nmid = _family_count(mid_frac, n)
+    n = _whole("n", n, 1)
     nzero = n - nlong - nmid - (1 if middle is not None else 0)
     if nzero < 0:
         raise InstanceError(f"fractions exceed 1 for n={n}: {(long_frac, mid_frac)}")
@@ -168,8 +186,7 @@ def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
     exact=True draws everything on a 1/denominator grid as Fractions; then
     denominator is an int >= 1 with max_upper * denominator >= 1.
     """
-    if n < 1:
-        raise InstanceError(f"need n >= 1, got {n}")
+    n = _whole("n", n, 1)
     if not (is_finite_number(max_upper) and max_upper >= 1e-3):
         raise InstanceError(f"max_upper must be a finite number >= 1e-3, got {max_upper}")
     if exact:

@@ -15,15 +15,7 @@ from fractions import Fraction
 from itertools import count, permutations, product
 from operator import mul
 
-from .core import (
-    EXEC_TESTED,
-    EXEC_UNTESTED,
-    TEST,
-    Instance,
-    Num,
-    Trace,
-    build_trace,
-)
+from .core import Instance, Num
 
 BRUTE_FORCE_MAX_N = 10
 
@@ -42,18 +34,13 @@ class OptPlan:
     makespan: Num
 
 
-def job_key(job) -> Num:
-    """Effective duration of a job under its better treatment."""
-    return min(1 + job.proc, job.upper)
-
-
-def should_test(job) -> bool:
-    # Ties go to running blind: same cost, one action fewer.
-    return 1 + job.proc < job.upper
-
-
 def _keys(inst: Instance) -> tuple[list, list]:
-    """Each job's `job_key` (1 + proc on a tie) and the ids `should_test` picks, in id order."""
+    """The one OPT key rule: each job's key and the ids tested, in id order.
+
+    A job's key is min(1 + p, u), its duration under the better treatment, and
+    1 + p on a tie, whose type the sums keep.  A job is tested iff 1 + p < u:
+    a tie runs blind, at the same cost with one action fewer.
+    """
     keys: list = []
     tested = []
     for jid, u, p in zip(count(), inst.uppers(), inst.procs()):
@@ -89,23 +76,6 @@ def optimal_makespan(inst: Instance) -> tuple[Num, frozenset]:
     for key in keys:
         value = value + key
     return value, frozenset(tested)
-
-
-def plan_trace(inst: Instance, plan: OptPlan) -> Trace:
-    """Materialize an OptPlan as a replayable trace."""
-    uppers, procs = inst.uppers(), inst.procs()
-    steps = []
-    t: Num = 0
-    for jid in plan.order:
-        if jid in plan.tested:
-            steps.append((TEST, jid, t, 1))
-            t = t + 1
-            steps.append((EXEC_TESTED, jid, t, procs[jid]))
-            t = t + procs[jid]
-        else:
-            steps.append((EXEC_UNTESTED, jid, t, uppers[jid]))
-            t = t + uppers[jid]
-    return build_trace(inst.n, steps)
 
 
 def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:

@@ -10,11 +10,13 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
 from testsched import analysis as A
-from testsched.algorithms import SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
+from testsched.algorithms import build_algorithm, parse_algorithm
+from testsched.cli import det_lower_bound, rand_lower_bound
 from testsched.cli import main as cli_main
 from testsched.core import REL_TOL, TEST, Instance
 from testsched.engine import StaticSource, run, run_expected
@@ -24,7 +26,6 @@ from testsched.generators import (
     four_type_counts,
     gen_extreme_uniform,
     gen_four_type,
-    gen_rand_lb,
     gen_random,
     gen_threshold_worstcase,
     gen_uniform_mixed,
@@ -114,29 +115,17 @@ def test_criterion_02_threshold_tight(criterion):
 def test_criterion_03_deterministic_lower_bound(criterion):
     with criterion(3, "deterministic lower bound 1.854628 analytically and on the engine") as notes:
         start = time.monotonic()
-        delta, p_bar = A.DET_LB_DELTA, A.DET_LB_PBAR
-        value = A.det_lb_value(delta, p_bar)
+        report = det_lower_bound(A.DET_LB_DELTA, A.DET_LB_PBAR, 5000)
+        value = report["analytic"]
         assert abs(value - 1.854628) < 1e-5
 
-        n = 5000
-        nu, lam = A.det_lb_best_schedule(delta, p_bar)
-        contenders = {name: parse_algorithm(name)
-                      for name in ("threshold", "delay_all", "combined", "ute")}
-        contenders["best_schedule"] = build_algorithm(
-            "lb_schedule", {"nu": nu, "lam": lam, "delta": delta})
-        ratios = {}
-        for name, alg in contenders.items():
-            source = det_lb_adversary(n, delta, p_bar)
-            trace = run(alg.generator(), source, n, adversary_view(n, p_bar))
-            opt = optimal_sum(source.realized_instance()).total
-            ratios[name] = float(trace.total) / float(opt)
-
         elapsed = time.monotonic() - start
-        low = min(ratios.values())
+        best = min(report["runs"], key=itemgetter("ratio"))
+        low = best["ratio"]
         assert low >= 1.8546 - 0.01
         assert elapsed < 60
         notes["detail"] = (f"analytic {value:.7f}, engine min {low:.5f} "
-                           f"({min(ratios, key=ratios.get)}), {elapsed:.1f}s of 60s")
+                           f"({best['algorithm']}), {elapsed:.1f}s of 60s")
 
 
 def test_criterion_04_random_parameters(criterion):
@@ -219,31 +208,21 @@ def test_criterion_04_random_parameters(criterion):
 def test_criterion_05_randomized_lower_bound(criterion):
     with criterion(5, "randomized lower bound: analytic value, E[OPT] form, E[ALG] floor") as notes:
         q = 1 - 1 / math.sqrt(3)
-        assert abs(A.rand_lb_value(q) - 1.62575) < 1e-5
-
         n, trials = 500, 500
-        algs = {name: parse_algorithm(name) for name in SUM_ALGORITHM_NAMES}
-        alg_sums = {name: 0.0 for name in algs}
-        opt_total = 0.0
-        for t in range(trials):
-            inst = gen_rand_lb(n, q, seed=f"c5:inst:{t}")
-            source = StaticSource(inst)
-            opt_total += float(optimal_sum(inst).total)
-            for name, alg in algs.items():
-                gen = alg.generator(f"c5:{name}:{t}" if alg.randomized else None)
-                alg_sums[name] += float(run(gen, source, n, inst.uppers()).total)
+        report = rand_lower_bound(q, n, trials, "c5")
+        assert abs(report["analytic"] - 1.62575) < 1e-5
 
-        mean_opt = opt_total / trials
+        mean_opt = report["runs"][0]["mean_opt"]
         closed = (n * n / 2) * A.rand_lb_opt_coeff(q)
         assert abs(mean_opt - closed) <= 0.02 * closed
 
         floor = (1 - 0.02) * n * n / (2 * q)
-        lowest = min(alg_sums[name] / trials for name in algs)
-        for name in algs:
-            assert alg_sums[name] / trials >= floor, name
+        lowest = min(r["mean_alg"] for r in report["runs"])
+        for r in report["runs"]:
+            assert r["mean_alg"] >= floor, r["algorithm"]
         notes["detail"] = (f"E[OPT] off by {abs(mean_opt - closed) / closed:.2%}, "
                            f"min E[ALG]/(n^2/2q) = {lowest / (n * n / (2 * q)):.4f} "
-                           f"across {len(algs)} algorithms")
+                           f"across {len(report['runs'])} algorithms")
 
 
 def test_criterion_06_combined_guarantee(criterion):

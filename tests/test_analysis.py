@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import det_lb_value_grid
 from testsched import analysis as A
 from testsched.algorithms import build_algorithm
 from testsched.engine import StaticSource, run_expected
@@ -57,7 +58,7 @@ class TestDeterministicLowerBound:
 
     def test_value_agrees_with_grid(self):
         v = A.det_lb_value(A.DET_LB_DELTA, A.DET_LB_PBAR)
-        g = A.det_lb_value_grid(A.DET_LB_DELTA, A.DET_LB_PBAR)
+        g = det_lb_value_grid(A.DET_LB_DELTA, A.DET_LB_PBAR)
         assert abs(v - g) < 1e-7
 
     def test_value_is_min_over_schedules(self):

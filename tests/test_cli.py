@@ -183,6 +183,17 @@ class TestRoundTrip:
         assert err == "error: job 0: unknown key 'lower' (a job has only 'upper' and 'proc')\n"
 
 
+# each generator's count parameter, with a valid setting of its other parameters
+COUNTED = {
+    "threshold_worstcase": ("a", ["b=1", "c=1"]),
+    "four_type": ("n", ["alpha=0", "beta=0", "gamma=0"]),
+    "rand_lb": ("n", ["q=0.4", "seed=1"]),
+    "extreme_uniform": ("n", ["p_bar=2", "gamma=0.5"]),
+    "uniform_mixed": ("n", ["p_bar=2.5", "long_frac=0.5"]),
+    "random": ("n", ["seed=1"]),
+}
+
+
 class TestSweep:
     GRID = ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=40",
             "--sweep", "p_bar=2.5:3.0:0.5", "--sweep", "gamma=0.2:0.4:0.2"]  # 4 points
@@ -333,6 +344,21 @@ class TestSweep:
         assert rc == 2
         assert capsys.readouterr().err == "error: sweep axis 'gamma' given twice\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("gen", sorted(COUNTED))
+    def test_a_count_axis_equals_simulate_at_each_count(self, capsys, gen):
+        # the axis values are floats 2.0, 3.0, 4.0; a generator takes each as its int
+        name, params = COUNTED[gen]
+        fixed = [arg for pair in params for arg in ("--param", pair)]
+        assert main(["sweep", "threshold", "--gen", gen, *fixed, "--sweep", f"{name}=2:4:1"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == [name, "alg_cost", "opt_cost", "ratio", "stderr"]
+        for count, row in zip((2, 3, 4), rows[1:], strict=True):
+            assert main(["simulate", "threshold", "--gen", gen, *fixed, "--param", f"{name}={count}"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert [float(x) for x in row[:4]] == [count, report["alg_cost"], report["opt_cost"], report["ratio"]]
+            assert row[4] == ""
 
 
 class TestVerifyConstants:
@@ -649,6 +675,24 @@ class TestBadValues:
         name, *pairs = params.split()
         assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
         assert one_error_line(capsys) == message
+
+    @pytest.mark.parametrize("value", ["-5", "0", "2.5", "nan", "inf"])
+    @pytest.mark.parametrize("gen", sorted(set(COUNTED) - {"threshold_worstcase"}))
+    def test_n_must_be_a_whole_number_of_jobs(self, capsys, gen, value):
+        _, params = COUNTED[gen]
+        argv = ["gen", gen, "--param", f"n={value}"] + [arg for pair in params for arg in ("--param", pair)]
+        assert main(argv) == 2
+        line = one_error_line(capsys)
+        # a fraction of n is counted first, and its own check names n
+        assert line == f"n must be a whole number >= 1, got {value}" or f" of n={value} is " in line, line
+
+    @pytest.mark.parametrize("value", ["-1", "2.5", "nan", "inf"])
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_threshold_worstcase_counts_must_be_whole(self, capsys, name, value):
+        counts = {"a": "1", "b": "1", "c": "1", name: value}
+        assert main(["gen", "threshold_worstcase"] + [arg for k, v in counts.items()
+                                                      for arg in ("--param", f"{k}={v}")]) == 2
+        assert one_error_line(capsys) == f"{name} must be a whole number >= 0, got {value}"
 
     EXACT_GRID = "exact draws need an int denominator >= 1 with max_upper * denominator a finite number >= 1"
 

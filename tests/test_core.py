@@ -241,8 +241,9 @@ class TestValidateInstance:
         ([(Fraction(10**400, 3), 1), (2, 1)], None),
         ([(sys.float_info.max, 1), (int(sys.float_info.max), 0.5)], None),
         ([(int(sys.float_info.max) + 1, 1), (2, 0.5)], f"job 0: upper {PAST_A_FLOAT}"),
+        ([(2, 0.5), (Fraction(sys.float_info.max) + Fraction(1, 3), 1)], f"job 1: upper {PAST_A_FLOAT}"),
     ], ids=["int", "int_second", "fraction", "int_then_nan", "nan_then_int", "ints_only",
-            "fractions_only", "largest_float", "just_past"])
+            "fractions_only", "largest_float", "just_past", "fraction_just_past"])
     def test_float_instance_keeps_to_a_float_s_range(self, pairs, message):
         # float arithmetic on 10**400 raises OverflowError, so such an instance is refused
         assert verdict(lambda: Instance.from_pairs(pairs)) == message

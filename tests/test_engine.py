@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -429,6 +430,11 @@ BAD_VIEWS = {
     "length mismatch": (3, (2, 2), "bad view: n=3 with 2 upper limits"),
     "str limit": (2, (2, "2"), "job 1: upper limit 2 invalid"),
     "None limit": (2, (None, 2), "job 0: upper limit None invalid"),
+    # float() rounds these down to the largest float, yet `Instance` refuses them beside a float
+    "int past a float": (2, (2.0, int(sys.float_info.max) + 1),
+                         "job 1: upper limit past a float's range among float limits"),
+    "fraction past a float": (2, (Fraction(sys.float_info.max) + Fraction(1, 3), 2.0),
+                              "job 0: upper limit past a float's range among float limits"),
 }
 
 

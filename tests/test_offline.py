@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import plan_trace
 from testsched.algorithms import parse_algorithm
 from testsched.core import (
     Instance,
@@ -20,30 +21,29 @@ from testsched.offline import (
     OptPlan,
     OracleSizeError,
     brute_force_optimum,
-    job_key,
     optimal_makespan,
     optimal_sum,
-    plan_trace,
-    should_test,
 )
 
 
 class TestKeyRule:
+    """A one-job OPT costs the job's key, and tests it iff testing is strictly cheaper."""
+
     def test_testing_pays_when_limit_is_high(self):
-        inst = Instance.from_pairs([(3, 1)])
-        assert job_key(inst.jobs[0]) == 2
-        assert should_test(inst.jobs[0])
+        plan = optimal_sum(Instance.from_pairs([(3, 1)]))
+        assert plan.total == 2
+        assert plan.tested == frozenset({0})
 
     def test_blind_run_when_limit_is_low(self):
-        inst = Instance.from_pairs([(Fraction(3, 2), 1)])
-        assert job_key(inst.jobs[0]) == Fraction(3, 2)
-        assert not should_test(inst.jobs[0])
+        plan = optimal_sum(Instance.from_pairs([(Fraction(3, 2), 1)]))
+        assert plan.total == Fraction(3, 2)
+        assert plan.tested == frozenset()
 
     def test_tie_goes_blind(self):
         # 1 + p equals the limit: both cost 2, testing buys nothing
-        inst = Instance.from_pairs([(2, 1)])
-        assert job_key(inst.jobs[0]) == 2
-        assert not should_test(inst.jobs[0])
+        plan = optimal_sum(Instance.from_pairs([(2, 1)]))
+        assert plan.total == 2
+        assert plan.tested == frozenset()
 
 
 class TestOptimalSum:
@@ -94,12 +94,12 @@ class TestOptimalSum:
     @pytest.mark.parametrize("num", [float, Fraction])
     def test_matches_reference_sort_with_ties(self, num):
         def reference(inst):
-            order = sorted(inst.jobs, key=lambda j: (job_key(j), j.id))
+            order = sorted(inst.jobs, key=lambda j: (min(1 + j.proc, j.upper), j.id))
             t = total = 0
             for j in order:
-                t = t + job_key(j)
+                t = t + min(1 + j.proc, j.upper)
                 total = total + t
-            tested = frozenset(j.id for j in inst.jobs if should_test(j))
+            tested = frozenset(j.id for j in inst.jobs if 1 + j.proc < j.upper)
             return OptPlan(tuple(j.id for j in order), tested, total, t)
 
         grid = [num(v) / 2 for v in range(7)]  # few values, so many keys tie
