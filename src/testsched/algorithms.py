@@ -134,15 +134,24 @@ def _seeded_shuffle(items, seed):
 
 
 def make_random_order(T, E):
-    """seed -> generator function of random[T, E]: the blind prefix, then the rest shuffled.
+    """(seed -> generator function, `expected_cost` hook) of random[T, E].
 
-    Every seed of one built rule shares a one-entry memo of the last view's
+    A run takes the blind prefix, then the rest shuffled.  Every seed of one
+    built rule, and its hook, share a one-entry memo of the last view's
     split, so Monte Carlo trials on one view (`run_expected` checks it into
     one tuple) split it once.  The memo keeps the limits tuple itself and
     serves only that object, so a tuple it no longer holds can never share
     its id; limits of any other type are split on every run, as a list may
     change between runs.  Each run shuffles its own copy of the rest with
     `_seeded_shuffle`, which gives `random.Random(seed).shuffle`'s order.
+
+    The hook is (E[total], E[makespan], outcome count), by linearity.  The
+    blind prefix ends at S.  A tested job's chunk c_j is 1 + p_j when it
+    runs at once, else 1; L sums the chunks.  Each other chunk precedes c_j
+    with probability 1/2, so a job run at once finishes on average at
+    S + c_j + (L - c_j)/2.  The deferred tail runs shortest first from S + L.
+    On int and Fraction columns both sums are Fractions; a float anywhere
+    makes them floats.
     """
     if not 1 < T <= E:
         raise ConfigurationError(f"random rule needs 1 < T <= E, got T={T}, E={E}")
@@ -163,21 +172,9 @@ def make_random_order(T, E):
             blind, rest = split(view[1])
             return _blind_test_defer(blind, (_seeded_shuffle(rest, seed), E))
         return gen
-    return build
 
-
-def make_random_order_expected(T, E):
-    """The (E[total], E[makespan], outcome count) of random[T,E], by linearity.
-
-    The blind prefix ends at S.  A tested job's chunk c_j is 1 + p_j when it
-    runs at once, else 1; L sums the chunks.  Each other chunk precedes c_j
-    with probability 1/2, so a job run at once finishes on average at
-    S + c_j + (L - c_j)/2.  The deferred tail runs shortest first from S + L.
-    On int and Fraction columns both sums are Fractions; a float anywhere
-    makes them floats.
-    """
     def expected(uppers, procs):
-        blind, rest = _split(uppers, T)
+        blind, rest = split(uppers)
         t = twice = 0  # twice the expected total keeps the halves whole
         for j in blind:
             t = t + uppers[j]
@@ -194,7 +191,7 @@ def make_random_order_expected(T, E):
         if isinstance(twice, float):
             return twice / 2, t, math.factorial(len(rest))
         return Fraction(twice, 2), Fraction(t), math.factorial(len(rest))
-    return expected
+    return build, expected
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +314,12 @@ def makespan_rand_expected(uppers, procs):
 
     Job j takes 1 + p_j with its test probability q_j, else u_j, and sits in
     the n - j completions from its own on.  A job with q_j == 0 takes u_j as
-    it is, so the float 0.0 never enters an exact sum.
+    it is, so the float 0.0 never enters an exact sum.  The m jobs with a
+    test coin give 2^m outcomes.
     """
     n = len(uppers)
     total = span = 0
-    count = 1
+    coins = 0
     for j in range(n):
         u = uppers[j]
         q = analysis.makespan_test_probability(u)
@@ -329,10 +327,10 @@ def makespan_rand_expected(uppers, procs):
             d = u
         else:
             d = q * (1 + procs[j]) + (1 - q) * u
-            count *= 2
+            coins += 1
         span = span + d
         total = total + (n - j) * d
-    return total, span, count
+    return total, span, 1 << coins
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +359,26 @@ class OnlineAlgorithm:
 
 
 # One row per rule: (label template over the parameters, parameter defaults,
-# maker, randomized, objective, expected-cost maker).
-# `maker(**params)` checks the parameters and returns the generator function,
-# or a seed -> generator function factory if randomized; an expected-cost
-# maker returns the `expected_cost` hook.
+# maker, randomized, objective).  `maker(**params)` checks the parameters and
+# returns the generator function, or for a randomized rule the pair
+# (seed -> generator function, `expected_cost` hook).
 _RULES = {
-    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum", None),
-    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum", None),
+    "threshold": ("threshold rule", {}, lambda: threshold_generator, False, "sum"),
+    "delay_all": ("delay-everything rule", {}, lambda: delay_all_generator, False, "sum"),
     "random": ("random-order rule (T={T}, E={E})",
                {"T": analysis.RANDOM_T_PUBLISHED, "E": analysis.RANDOM_E_PUBLISHED},
-               make_random_order, True, "sum", make_random_order_expected),
-    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum", None),
+               make_random_order, True, "sum"),
+    "beat": ("balance rule", {}, lambda: beat_generator, False, "sum"),
     "combined": ("combined rule (T1={T1}, T2={T2})",
                  {"T1": analysis.COMBINED_T1_PUBLISHED, "T2": analysis.COMBINED_T2_PUBLISHED},
-                 make_combined, False, "sum", None),
-    "ute": ("extreme-uniform rule (rho={rho})", {"rho": analysis.ute_rho_star()}, make_ute,
-            False, "sum", None),
+                 make_combined, False, "sum"),
+    "ute": ("extreme-uniform rule (rho={rho})", {"rho": analysis.ute_rho_star()}, make_ute, False, "sum"),
     "lb_schedule": ("adversary schedule (nu={nu}, lam={lam}, delta={delta})",
                     {"nu": 0.0, "lam": 0.0, "delta": analysis.DET_LB_DELTA}, make_lb_schedule,
-                    False, "sum", None),
-    "makespan_det": ("golden-ratio makespan rule", {}, lambda: makespan_det_generator,
-                     False, "makespan", None),
-    "makespan_rand": ("randomized makespan rule", {}, lambda: make_makespan_rand,
-                      True, "makespan", lambda: makespan_rand_expected),
+                    False, "sum"),
+    "makespan_det": ("golden-ratio makespan rule", {}, lambda: makespan_det_generator, False, "makespan"),
+    "makespan_rand": ("randomized makespan rule", {},
+                      lambda: (make_makespan_rand, makespan_rand_expected), True, "makespan"),
 }
 
 
@@ -395,14 +390,14 @@ def build_algorithm(name, params=None):
     """
     if name not in _RULES:
         raise ConfigurationError(f"unknown algorithm: {name!r}")
-    label, defaults, maker, randomized, objective, expected_maker = _RULES[name]
+    label, defaults, maker, randomized, objective = _RULES[name]
     given = dict(params or {})
     values = {key: given.pop(key, default) for key, default in defaults.items()}
     made = maker(**values)
     if given:
         raise ConfigurationError(f"unknown parameters for {name}: {sorted(given)}")
-    return OnlineAlgorithm(name, label.format(**values), made if randomized else lambda seed: made,
-                           randomized, objective, values, expected_maker and expected_maker(**values))
+    build, expected = made if randomized else ((lambda seed: made), None)
+    return OnlineAlgorithm(name, label.format(**values), build, randomized, objective, values, expected)
 
 
 SUM_ALGORITHM_NAMES = ("threshold", "delay_all", "random", "beat", "combined", "ute")

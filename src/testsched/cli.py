@@ -165,6 +165,20 @@ def _sweep_point(task):
     return float(cost), float(opt), float(cost) / float(opt), "" if stderr is None else stderr
 
 
+def worker_count(default):
+    """The process count `TESTSCHED_WORKERS` asks for, or `default` when it is unset."""
+    raw = os.environ.get("TESTSCHED_WORKERS")
+    if raw is None:
+        return default
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"TESTSCHED_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def cmd_sweep(args):
     alg = parse_algorithm(args.algorithm)
     if alg.randomized and args.seed is None:
@@ -185,13 +199,7 @@ def cmd_sweep(args):
         tasks.append((args.algorithm, args.gen, params, args.objective or alg.objective,
                       args.trials, seed))
 
-    raw = os.environ.get("TESTSCHED_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"TESTSCHED_WORKERS must be an integer >= 1, got {raw!r}")
+    workers = worker_count(1)
     if workers > 1:
         # loaded here, not at the top: a serial sweep and every other command never need it
         from concurrent.futures import ProcessPoolExecutor

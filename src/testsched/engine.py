@@ -18,9 +18,9 @@ is first touched, which is how adversary lower bounds run.
 The protocol loop keeps one ledger entry per job: untouched, the time its
 test revealed, or done.  `run` returns the full trace.  Expectation runs
 (`run_expected`) read only each run's total and makespan, so they drive the
-same loop with the same checks but keep no step list.  An exact expectation
-of a deterministic rule is its one run; of a randomized rule, the closed
-form of its `expected_cost` hook on a plain static source, with no run at all.
+same loop with the same checks but keep no step list.  A deterministic
+rule's expectation is its one run; a randomized rule's exact one is its
+`expected_cost` hook on a plain static source, with no run at all.
 """
 
 from __future__ import annotations
@@ -261,21 +261,19 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
                  exact: bool = False) -> ExpectedRun:
     """Expected cost of `alg` (an OnlineAlgorithm) under its own randomness.
 
-    Exact mode returns the exact expectation with zero standard error, at
-    any n.  A deterministic rule's is its one run.  A randomized rule's comes
-    from its `expected_cost` hook after one `begin`, and `trials` is its
-    number of outcomes (all test orders, or all test-coin outcomes); the hook
+    `source` may be a reveal source (reused across runs) or a zero-argument
+    factory returning fresh ones.  A deterministic rule's expectation is its
+    one run, in either mode, as it is: exact, with zero standard error.  With
+    `exact`, a randomized rule's comes from its `expected_cost` hook after
+    one `begin`, at any n, and `trials` is its number of outcomes; the hook
     reads the instance's times, so the source must be exactly a
-    `StaticSource`, and any other is a ProtocolError before it is asked
-    anything.  Monte Carlo mode runs `trials` (at least 1) independent
-    seeded replicates.  `source` may be a reveal source (reused across
-    trials) or a zero-argument factory returning fresh ones.  The view is
+    `StaticSource`.  Any other source, or no hook, is a ProtocolError before
+    any source is asked anything.  Otherwise the rule runs `trials` (at
+    least 1) seeded replicates, and the result is their mean.  The view is
     checked once, before the first run, unless it is a plain
     `StaticSource`'s own instance column (`_view`); each run's source still
     checks it in `begin`.  Each run goes through the protocol loop with every
     check `run` makes, but keeps no step list: only its total and makespan.
-    A randomized rule without an `expected_cost` hook has no exact
-    expectation: a ProtocolError before any source is asked anything.
     """
     make_source = source if callable(source) else (lambda: source)
     if not exact and alg.randomized and seed is None:
@@ -286,7 +284,10 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         raise ProtocolError(f"an exact expectation of {alg.key} needs its expected_cost hook,"
                             " and this randomized rule has none")
     uppers = _view(source, n, upper_limits)
-    if exact and alg.randomized:
+    if not alg.randomized:
+        total, makespan = _drive(alg.generator(), make_source(), n, uppers, record=False)
+        return ExpectedRun(total, makespan, 0.0, 0.0, 1, True)
+    if exact:
         static = make_source()
         if type(static) is not StaticSource:
             raise ProtocolError(f"an exact expectation of {alg.key} reads the instance's times,"
@@ -294,20 +295,14 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         static.begin(n, uppers)
         total, makespan, count = alg.expected_cost(uppers, static.inst.procs())
         return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
-    if exact:
-        total, makespan = _drive(alg.generator(), make_source(), n, uppers, record=False)
-        return ExpectedRun(total, makespan, 0.0, 0.0, 1, True)
     totals = []
     spans = []
-    count = trials if alg.randomized else 1
-    for i in range(count):
-        gen_fn = alg.generator(trial_seed(seed, i) if alg.randomized else None)
-        cost, span = _drive(gen_fn, make_source(), n, uppers, record=False)
+    for i in range(trials):
+        cost, span = _drive(alg.generator(trial_seed(seed, i)), make_source(), n, uppers, record=False)
         totals.append(cost)
         spans.append(span)
-    mean_t = sum(totals) / len(totals)
-    mean_m = sum(spans) / len(spans)
-    return ExpectedRun(mean_t, mean_m, _stderr(totals), _stderr(spans), count, False)
+    return ExpectedRun(sum(totals) / trials, sum(spans) / trials, _stderr(totals), _stderr(spans),
+                       trials, False)
 
 
 def _stderr(xs: list) -> float:

@@ -3,8 +3,9 @@
 Fractional family sizes are rounded the same way everywhere: floor for
 each named fraction, remainder to the residual (cheap) type, so closed
 forms and simulations agree on the exact counts.  A count (n, or a, b
-and c) must be a whole number (`_whole`); the fractions of n are counted
-first, so a fraction's own check names an n that it cannot count.
+and c, and their sum) must be a whole number no larger than `sys.maxsize`
+(`_whole`), checked before any column is built; the fractions of n are
+counted first, so a fraction's own check names an n that it cannot count.
 
 Each generator builds the two columns of its instance, the limits and the
 times, and passes them to `Instance`, which checks them once: a repeated
@@ -33,19 +34,25 @@ def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
     a, b, c = _whole("a", a, 0), _whole("b", b, 0), _whole("c", c, 0)
     if a + b + c < 1:
         raise InstanceError(f"need a+b+c >= 1, got {(a, b, c)}")
+    if a + b + c > sys.maxsize:
+        raise InstanceError(f"a+b+c must be at most {sys.maxsize}, got {a + b + c}")
     over = 2 + epsilon
     return Instance((over,) * c + (2,) * (b + a), (over,) * c + (2,) * b + (0,) * a)
 
 
 def _whole(name, x, least):
     """Parameter `name` as an int; InstanceError unless x is a whole number >= least:
-    an int, or a float or Fraction equal to one (a sweep's axis values are floats)."""
+    an int, or a float or Fraction equal to one (a sweep's axis values are floats).
+    A count above `sys.maxsize` is refused too: no column of that many jobs fits
+    a machine index."""
     try:
         k = int(x)
     except (TypeError, ValueError, OverflowError):  # not a number, a NaN or an infinity
         k = None
     if k is None or k != x or k < least or isinstance(x, bool):
         raise InstanceError(f"{name} must be a whole number >= {least}, got {x}")
+    if k > sys.maxsize:
+        raise InstanceError(f"{name} must be at most {sys.maxsize}, got {x}")
     return k
 
 

@@ -6,8 +6,11 @@ purpose; loosening them is a red flag, not a fix.
 """
 
 import math
+import multiprocessing
+import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter
@@ -18,6 +21,7 @@ from testsched import analysis as A
 from testsched.algorithms import build_algorithm, parse_algorithm
 from testsched.cli import det_lower_bound, rand_lower_bound
 from testsched.cli import main as cli_main
+from testsched.cli import worker_count
 from testsched.core import REL_TOL, TEST, Instance
 from testsched.engine import StaticSource, run, run_expected
 from testsched.generators import (
@@ -128,6 +132,17 @@ def test_criterion_03_deterministic_lower_bound(criterion):
                            f"({best['algorithm']}), {elapsed:.1f}s of 60s")
 
 
+def monte_carlo_mix(task):
+    """(mean total, its standard error, float OPT) of `trials` seeded runs of the
+    published random rule on the four-type mix `fracs` of n jobs."""
+    n, fracs, trials, seed = task
+    inst = gen_four_type(n, *fracs)
+    opt = float(optimal_sum(inst).total)
+    res = run_expected(build_algorithm("random", {}), StaticSource(inst), n, inst.uppers(),
+                       trials=trials, seed=seed)
+    return res.total, res.total_stderr, opt
+
+
 def test_criterion_04_random_parameters(criterion):
     with criterion(4, "random-order tester: solved (T, E), certificates, exact and MC ratio") as notes:
         T, E = A.solve_random_params()
@@ -179,25 +194,30 @@ def test_criterion_04_random_parameters(criterion):
         # Monte Carlo over the 0.1-step profile grid at n = 1000; each mean lies
         # within 5 standard errors of the closed-form E[ALG].  A one-type mix has
         # a fixed cost, so its error is float noise and its z score is not kept.
-        mc_alg = build_algorithm("random", {})
+        # The mixes run across up to min(CPUs, 4) processes (TESTSCHED_WORKERS
+        # overrides it); every check is made here, in combo order.
+        mixes = [(i / 10, j / 10, k / 10) for i in range(11) for j in range(11 - i) for k in range(11 - i - j)]
+        tasks = [(n, mix, 200, f"c4:{combo}") for combo, mix in enumerate(mixes)]
+        workers = min(worker_count(min(os.cpu_count() or 1, 4)), len(tasks))
+        if workers > 1:
+            # spawned workers import this module afresh, as fork is unsafe in a process with threads
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+                results = list(pool.map(monte_carlo_mix, tasks))
+        else:
+            results = [monte_carlo_mix(task) for task in tasks]
         worst_mc = 0.0
         worst_z = 0.0
         combo = 0
-        for i in range(11):
-            for j in range(11 - i):
-                for k in range(11 - i - j):
-                    inst = gen_four_type(n, i / 10, j / 10, k / 10)
-                    opt = float(optimal_sum(inst).total)
-                    res = run_expected(mc_alg, StaticSource(inst), n, inst.uppers(),
-                                       trials=200, seed=f"c4:{combo}")
-                    worst_mc = max(worst_mc, float(res.total) / opt)
-                    want = A.random_expected_cost(four_type_counts(n, i / 10, j / 10, k / 10),
-                                                  A.RANDOM_T_PUBLISHED, A.RANDOM_E_PUBLISHED, 1e-6)
-                    miss = abs(res.total - want)
-                    assert miss <= 5 * res.total_stderr + REL_TOL * abs(want), (combo, res, want)
-                    if res.total_stderr > REL_TOL * abs(want):
-                        worst_z = max(worst_z, miss / res.total_stderr)
-                    combo += 1
+        for mix, (total, stderr, opt) in zip(mixes, results):
+            worst_mc = max(worst_mc, float(total) / opt)
+            want = A.random_expected_cost(four_type_counts(n, *mix), A.RANDOM_T_PUBLISHED,
+                                          A.RANDOM_E_PUBLISHED, 1e-6)
+            miss = abs(total - want)
+            assert miss <= 5 * stderr + REL_TOL * abs(want), (combo, total, stderr, want)
+            if stderr > REL_TOL * abs(want):
+                worst_z = max(worst_z, miss / stderr)
+            combo += 1
         assert combo == 286
         assert worst_mc <= 1.7453 + 0.02
         notes["detail"] = (f"T={T:.5f} E={E:.5f}, {exact_checks} exact profiles, "

@@ -558,6 +558,39 @@ def test_makespan_rules_pay_at_least_the_optimum(jobs):
         assert tr.makespan >= opt
 
 
+# The paper's upper bounds on arbitrary exact instances (n <= 6), with no tolerance.  Values
+# include the random rule's T and E, a limit just past E and two beside the golden ratio.
+PHI_UP = Fraction(1618033988749895, 10 ** 15)  # just above phi = (1 + sqrt 5) / 2
+RANDOM_T, RANDOM_E = Fraction(17453, 10000), Fraction(28609, 10000)
+BOUND_VALUE = RATIONAL | st.sampled_from([RANDOM_T, RANDOM_E, RANDOM_E + Fraction(1, 10 ** 6),
+                                          Fraction(1618, 1000), Fraction(1619, 1000)])
+BOUND_JOBS = (st.lists(st.tuples(BOUND_VALUE, BOUND_VALUE).map(lambda t: (max(t), min(t))),
+                       min_size=1, max_size=6)
+              | st.tuples(BOUND_VALUE, st.lists(st.fractions(0, 1, max_denominator=6), min_size=1, max_size=6))
+              .map(lambda c: [(c[0], c[0] * x) for x in c[1]]))
+
+
+def test_phi_up_is_just_above_the_golden_ratio():
+    # phi < x exactly when (2x - 1)^2 > 5, as 2x - 1 > 0
+    assert (2 * PHI_UP - 1) ** 2 > 5 > (2 * (PHI_UP - Fraction(1, 10 ** 15)) - 1) ** 2
+    assert PHI_UP >= analysis.GOLDEN_RATIO  # the float cutoff makespan_det tests above
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(BOUND_JOBS)
+@example([(Fraction(1618, 1000), 0)])  # makespan_det runs it blind: ratio 1.618, just below phi
+@example([(Fraction(199, 100), 0)])  # threshold runs it blind: ratio 1.99, just below 2
+def test_rules_keep_the_paper_s_upper_bounds(jobs):
+    inst = Instance.from_pairs(jobs)
+    opt = optimal_sum(inst).total
+    threshold = run(build_algorithm("threshold").generator(), StaticSource(inst), inst.n, inst.uppers())
+    assert threshold.total <= 2 * opt
+    det = run(build_algorithm("makespan_det").generator(), StaticSource(inst), inst.n, inst.uppers())
+    assert det.makespan <= PHI_UP * optimal_makespan(inst)[0]
+    rand = build_algorithm("random", {"T": RANDOM_T, "E": RANDOM_E})
+    assert run_expected(rand, StaticSource(inst), inst.n, inst.uppers(), exact=True).total <= RANDOM_T * opt
+
+
 # The test-then-defer body as it was written with a heap for the deferred
 # tail, one push per deferred job and one pop per tail execution: every rule
 # built on the sorted tail must make the same run with it.

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from testsched.cli import main
+from testsched.cli import main, worker_count
 
 
 def read_json(path):
@@ -257,6 +257,12 @@ class TestSweep:
         assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False\n")
         assert self.run_sweep(tmp_path / "in_process.csv") == 0
         assert out.read_text() == (tmp_path / "in_process.csv").read_text()
+
+    def test_worker_count_takes_its_default_only_when_unset(self, monkeypatch):
+        monkeypatch.delenv("TESTSCHED_WORKERS", raising=False)
+        assert worker_count(3) == 3
+        monkeypatch.setenv("TESTSCHED_WORKERS", "2")
+        assert worker_count(3) == 2
 
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_worker_count(self, tmp_path, monkeypatch, capsys, workers):
@@ -693,6 +699,20 @@ class TestBadValues:
         assert main(["gen", "threshold_worstcase"] + [arg for k, v in counts.items()
                                                       for arg in ("--param", f"{k}={v}")]) == 2
         assert one_error_line(capsys) == f"{name} must be a whole number >= 0, got {value}"
+
+    @pytest.mark.parametrize("gen", sorted(COUNTED))
+    def test_a_count_past_a_machine_index_is_refused(self, capsys, gen):
+        # no column of 10**30 jobs fits, so the count is refused before one is built: without
+        # the check, four generators end in an OverflowError and rand_lb and random draw until killed
+        name, params = COUNTED[gen]
+        argv = ["gen", gen, "--param", f"{name}={10**30}"] + [arg for pair in params for arg in ("--param", pair)]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == f"{name} must be at most {sys.maxsize}, got {10**30}"
+
+    def test_threshold_worstcase_total_past_a_machine_index_is_refused(self, capsys):
+        argv = ["gen", "threshold_worstcase", "--param", f"a={sys.maxsize}", "--param", "b=1", "--param", "c=0"]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == f"a+b+c must be at most {sys.maxsize}, got {sys.maxsize + 1}"
 
     EXACT_GRID = "exact draws need an int denominator >= 1 with max_upper * denominator a finite number >= 1"
 

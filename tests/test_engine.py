@@ -344,8 +344,8 @@ class TestRunExpected:
     @pytest.mark.parametrize("common", [False, True])
     @pytest.mark.parametrize("kind", ["float", "fraction", "int"])
     def test_deterministic_exact_is_its_one_run(self, n, common, kind):
-        # the run's own numbers, an int sum too; a common limit lets the rules that need one
-        # accept the instance
+        # in either mode the run's own numbers, an int sum too, with no seed and whatever the
+        # trials; a common limit lets the rules that need one accept the instance
         inst = gen_random(n, seed=f"det:{n}", exact=kind == "fraction")
         if kind == "int":
             inst = Instance(map(math.ceil, inst.uppers()), map(math.floor, inst.procs()))
@@ -360,9 +360,10 @@ class TestRunExpected:
                 tr = run(alg.generator(), StaticSource(inst), n, inst.uppers())
             except ConfigurationError:
                 continue
-            res = run_expected(alg, StaticSource(inst), n, inst.uppers(), exact=True)
-            assert typed((res.total, res.makespan)) == typed((tr.total, tr.makespan))
-            assert (res.trials, res.exact) == (1, True)
+            for exact in (True, False):
+                res = run_expected(alg, StaticSource(inst), n, inst.uppers(), trials=7, exact=exact)
+                assert typed((res.total, res.makespan)) == typed((tr.total, tr.makespan))
+                assert (res.trials, res.exact, res.total_stderr, res.makespan_stderr) == (1, True, 0.0, 0.0)
             accepted += 1
         assert accepted == (5 if common else 2)
 
