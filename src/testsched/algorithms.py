@@ -138,12 +138,14 @@ def make_random_order(T, E):
 
     A run takes the blind prefix, then the rest shuffled.  Every seed of one
     built rule, and its hook, share a one-entry memo of the last view's
-    split, so Monte Carlo trials on one view (`run_expected` checks it into
-    one tuple) split it once.  The memo keeps the limits tuple itself and
-    serves only that object, so a tuple it no longer holds can never share
-    its id; limits of any other type are split on every run, as a list may
-    change between runs.  Each run shuffles its own copy of the rest with
-    `_seeded_shuffle`, which gives `random.Random(seed).shuffle`'s order.
+    split.  Any run on a static source gets the instance's own column,
+    whatever copy of it the caller passed (`StaticSource.begin`), so Monte
+    Carlo trials on one instance split it once.  The memo keeps the limits
+    tuple itself and serves only that object, so a tuple it no longer holds
+    can never share its id; limits of any other type are split on every run,
+    as a list may change between runs.  Each run shuffles its own copy of
+    the rest with `_seeded_shuffle`, which gives `random.Random(seed).shuffle`'s
+    order.
 
     The hook is (E[total], E[makespan], outcome count), by linearity.  The
     blind prefix ends at S.  A tested job's chunk c_j is 1 + p_j when it

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -25,10 +26,10 @@ from .core import (
     InstanceError,
     TraceError,
     check_trace_durations,
-    dump_trace,
     instance_text,
     load_instance,
     load_trace,
+    trace_text,
 )
 from .engine import ExpectedRun, ProtocolError, StaticSource, run, run_expected
 from .offline import optimal_makespan, optimal_sum
@@ -46,12 +47,16 @@ def _parse_value(raw, exact=False):
 
 
 def _parse_params(items, exact=False):
+    """key=value items as a dict; a key given twice is refused, not overridden."""
     out = {}
     for item in items or []:
         if "=" not in item:
             raise ConfigurationError(f"expected key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        out[key.strip()] = _parse_value(raw.strip(), exact)
+        key = key.strip()
+        if key in out:
+            raise ConfigurationError(f"parameter {key!r} given twice")
+        out[key] = _parse_value(raw.strip(), exact)
     return out
 
 
@@ -79,11 +84,16 @@ def _emit(payload, out_path):
 
 
 def _write(text, out_path):
-    if out_path:
+    """The one writer of every file the command line writes: `text` to `out_path`, or to
+    stdout when there is none; a file that cannot be written is an InputFileError."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputFileError(f"{out_path}: {exc.strerror or exc}") from exc
 
 
 def _load_or_generate(args, exact):
@@ -133,7 +143,7 @@ def cmd_simulate(args):
         if args.seed is not None:
             report["seed"] = args.seed
     if args.trace_out:
-        dump_trace(res, args.trace_out)
+        _write(trace_text(res), args.trace_out)
     _emit(report, args.out)
     return 0
 
@@ -191,6 +201,9 @@ def cmd_sweep(args):
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
         raise ConfigurationError(f"sweep axis {max(names, key=names.count)!r} given twice")
+    for name in names:
+        if name in base:
+            raise ConfigurationError(f"sweep axis {name!r} is also given as a --param")
     points = list(product(*(vals for _, vals in axes)))  # row-major: the last axis varies fastest
     tasks = []
     for index, point in enumerate(points):
@@ -210,14 +223,11 @@ def cmd_sweep(args):
     else:
         results = [_sweep_point(t) for t in tasks]
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(names + ["alg_cost", "opt_cost", "ratio", "stderr"])
-        writer.writerows(point + result for point, result in zip(points, results))
-    finally:
-        if args.out:
-            out.close()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names + ["alg_cost", "opt_cost", "ratio", "stderr"])
+    writer.writerows(point + result for point, result in zip(points, results))
+    _write(out.getvalue(), args.out)
     return 0
 
 

@@ -45,7 +45,7 @@ class TraceError(ValueError):
 
 
 class InputFileError(ValueError):
-    """An input file that cannot be read or parsed, named with the line where there is one."""
+    """A file that cannot be read, parsed or written, named with the line where there is one."""
 
 
 def numbers_equal(a: Num, b: Num) -> bool:
@@ -294,10 +294,16 @@ def dump_instance(inst: Instance, path) -> None:
         f.write(instance_text(inst))
 
 
+def trace_text(trace: Trace) -> str:
+    """The text of a trace file: one JSON line per step, every number written by `_plain`."""
+    return "".join(json.dumps({"t": _plain(start), "kind": kind, "job": job, "dur": _plain(dur)}) + "\n"
+                   for kind, job, start, dur in trace.steps)
+
+
 def dump_trace(trace: Trace, path) -> None:
+    """Write `trace_text(trace)` to `path`; `load_trace` reads it back equal."""
     with open(path, "w") as f:
-        for kind, job, start, dur in trace.steps:
-            f.write(json.dumps({"t": _plain(start), "kind": kind, "job": job, "dur": _plain(dur)}) + "\n")
+        f.write(trace_text(trace))
 
 
 def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:

@@ -7,13 +7,14 @@ value of a `test` yield (execution yields return None).  Hidden times can
 therefore only reach an algorithm through a completed test, which is the
 whole information model enforced structurally.
 
-Reveal sources answer the engine's two questions: what a test reveals, and
-what value a job committed to when it was executed untested.  A source's
-`reveal` and `settle_untested` may be any callables taking a job id, and
-the engine calls them on every test and untested run, except on exactly a
-`StaticSource`, whose times it reads by index.  A static source replays a
-fixed instance; an adaptive source fixes each value at the moment the job
-is first touched, which is how adversary lower bounds run.
+A reveal source's `begin(n, uppers)` is the one check of a run's view, and
+returns the limits the run uses.  Its `reveal` and `settle_untested`, any
+callables taking a job id, say what a test reveals and what an untested run
+committed to; the engine calls them on every test and untested run, except on
+exactly a `StaticSource`, whose times it reads by index.  A static source
+replays a fixed instance on its own checked column; an adaptive source walks
+its view and fixes each time when the job is first touched, which is how
+adversary lower bounds run.
 
 The protocol loop keeps one ledger entry per job: untouched, the time its
 test revealed, or done.  `run` returns the full trace.  Expectation runs
@@ -53,12 +54,11 @@ class ProtocolError(RuntimeError):
 class StaticSource:
     """Reveals the fixed processing times of an instance (checked when built).
 
-    It keeps the instance's own columns, so `begin` accepts a view that is
-    `inst.uppers()` itself without comparing its limits.  The protocol loop
-    reads a plain `StaticSource`'s `_procs` column by index instead of
-    calling `reveal`, and skips `settle_untested`, which only reads that
-    column; a subclass is asked through its own methods, as any other
-    source is.
+    `begin` refuses a view of another length or other limits and returns the
+    instance's own column, so a run on an equal copy runs on its values.  The
+    loop reads a plain `StaticSource`'s `_procs` by index instead of calling
+    `reveal`, and skips `settle_untested`, which only reads that column; a
+    subclass is asked through its own methods, as any other source is.
     """
 
     def __init__(self, inst: Instance):
@@ -66,11 +66,12 @@ class StaticSource:
         self._uppers = inst.uppers()
         self._procs = inst.procs()
 
-    def begin(self, n: int, uppers) -> None:
+    def begin(self, n: int, uppers) -> tuple:
         if n != self.inst.n:
             raise ProtocolError(f"source holds {self.inst.n} jobs, run asked for {n}")
         if uppers is not self._uppers and tuple(uppers) != self._uppers:
             raise ProtocolError("view's upper limits differ from the source instance's")
+        return self._uppers
 
     def reveal(self, job: int) -> Num:
         return self._procs[job]
@@ -87,8 +88,8 @@ class AdaptiveSource:
 
     `rule(job, via_test, rank, upper)` returns the committed processing
     time, a finite int, float or Fraction in [0, upper]; `rank` is the
-    1-based count of distinct jobs touched so far.
-    Single-use: one run per source.
+    1-based count of distinct jobs touched so far.  `begin` returns the view
+    as `_check_view` walks it.  Single-use: one run per source.
     """
 
     def __init__(self, rule):
@@ -96,11 +97,12 @@ class AdaptiveSource:
         self._uppers = None
         self._committed: dict[int, Num] = {}
 
-    def begin(self, n: int, uppers) -> None:
+    def begin(self, n: int, uppers) -> tuple:
         if self._uppers is not None:
             raise ProtocolError("adaptive source already used; build a fresh one per run")
         self._n = n
-        self._uppers = tuple(uppers)
+        self._uppers = _check_view(n, uppers)
+        return self._uppers
 
     def _commit(self, job: int, via_test: bool) -> Num:
         if job in self._committed:
@@ -128,20 +130,10 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
     """Run one algorithm to completion and return its trace.
 
     `algorithm` is a generator function taking the view (n, uppers).  The
-    view is checked here, on every call, unless it is a plain
-    `StaticSource`'s own instance column (see `_view`); any structural
-    violation raises ProtocolError naming the action index.
+    source's `begin` checks the view and returns the limits the run uses;
+    any structural violation raises ProtocolError naming the action index.
     """
-    return _drive(algorithm, source, n, _view(source, n, upper_limits))
-
-
-def _view(source, n: int, upper_limits) -> tuple:
-    """The view's limits, checked by `_check_view` unless they are the column
-    `inst.uppers()` of a plain `StaticSource`'s instance and n is its length:
-    that immutable tuple was checked when the `Instance` was built."""
-    if type(source) is StaticSource and upper_limits is source.inst.uppers() and n == len(upper_limits):
-        return upper_limits
-    return _check_view(n, upper_limits)
+    return _drive(algorithm, source, n, upper_limits)
 
 
 def _check_view(n: int, upper_limits) -> tuple:
@@ -149,8 +141,7 @@ def _check_view(n: int, upper_limits) -> tuple:
     `Instance` applies to its values (`core.validate_instance`): each a finite int,
     float or Fraction (`is_finite_number`, so not a bool), >= 0 and, in a view with a
     float, not past a float's range, since the run would overflow on adding it.
-    `run` and `run_expected` call it on every view but a checked instance's own
-    column (`_view`).
+    `AdaptiveSource.begin` calls it, on the one kind of view not from an instance.
     """
     uppers = tuple(upper_limits)
     if n < 1 or len(uppers) != n:
@@ -164,8 +155,8 @@ def _check_view(n: int, upper_limits) -> tuple:
     return uppers
 
 
-def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
-    """`run` on a checked view (`_view`); the source still checks it, per run.
+def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
+    """`run`, on the limits the source's `begin` returns for the view.
 
     With `record=False` no step is kept and the result is `(total, makespan)`,
     the two values the Trace would carry: expectation runs read nothing else.
@@ -176,7 +167,7 @@ def _drive(gen_fn, source, n: int, uppers: tuple, record: bool = True):
     column, the object `reveal` returns, and an untested run asks nothing;
     any other source's `reveal` and `settle_untested` are called as given.
     """
-    source.begin(n, uppers)
+    uppers = source.begin(n, upper_limits)
     times = source._procs if type(source) is StaticSource else None
     reveal = source.reveal
     settle_untested = source.settle_untested
@@ -261,21 +252,18 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
                  exact: bool = False) -> ExpectedRun:
     """Expected cost of `alg` (an OnlineAlgorithm) under its own randomness.
 
-    `source` may be a reveal source (reused across runs) or a zero-argument
-    factory returning fresh ones.  A deterministic rule's expectation is its
-    one run, in either mode, as it is: exact, with zero standard error.  With
-    `exact`, a randomized rule's comes from its `expected_cost` hook after
-    one `begin`, at any n, and `trials` is its number of outcomes; the hook
-    reads the instance's times, so the source must be exactly a
-    `StaticSource`.  Any other source, or no hook, is a ProtocolError before
-    any source is asked anything.  Otherwise the rule runs `trials` (at
-    least 1) seeded replicates, and the result is their mean.  The view is
-    checked once, before the first run, unless it is a plain
-    `StaticSource`'s own instance column (`_view`); each run's source still
-    checks it in `begin`.  Each run goes through the protocol loop with every
-    check `run` makes, but keeps no step list: only its total and makespan.
+    The one `source` serves every run, and its `begin` checks the view on
+    each.  A deterministic rule's expectation is its one run, in either mode,
+    as it is: exact, with zero standard error.  With `exact`, a randomized
+    rule's comes from its `expected_cost` hook on the limits one `begin`
+    returns, at any n, and `trials` is its number of outcomes; the hook reads
+    the instance's times, so the source must be exactly a `StaticSource`.
+    Any other source, or no hook, is a ProtocolError before the source is
+    asked anything.  Otherwise the rule runs `trials` (at least 1) seeded
+    replicates, and the result is their mean.  Each run goes through the
+    protocol loop with every check `run` makes, but keeps no step list: only
+    its total and makespan.
     """
-    make_source = source if callable(source) else (lambda: source)
     if not exact and alg.randomized and seed is None:
         raise ProtocolError("randomized run without a master seed")
     if not exact and alg.randomized and trials < 1:
@@ -283,22 +271,19 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     if exact and alg.randomized and alg.expected_cost is None:
         raise ProtocolError(f"an exact expectation of {alg.key} needs its expected_cost hook,"
                             " and this randomized rule has none")
-    uppers = _view(source, n, upper_limits)
     if not alg.randomized:
-        total, makespan = _drive(alg.generator(), make_source(), n, uppers, record=False)
+        total, makespan = _drive(alg.generator(), source, n, upper_limits, record=False)
         return ExpectedRun(total, makespan, 0.0, 0.0, 1, True)
     if exact:
-        static = make_source()
-        if type(static) is not StaticSource:
+        if type(source) is not StaticSource:
             raise ProtocolError(f"an exact expectation of {alg.key} reads the instance's times,"
-                                f" so it needs a plain StaticSource, not {type(static).__name__}")
-        static.begin(n, uppers)
-        total, makespan, count = alg.expected_cost(uppers, static.inst.procs())
+                                f" so it needs a plain StaticSource, not {type(source).__name__}")
+        total, makespan, count = alg.expected_cost(source.begin(n, upper_limits), source._procs)
         return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
     totals = []
     spans = []
     for i in range(trials):
-        cost, span = _drive(alg.generator(trial_seed(seed, i)), make_source(), n, uppers, record=False)
+        cost, span = _drive(alg.generator(trial_seed(seed, i)), source, n, upper_limits, record=False)
         totals.append(cost)
         spans.append(span)
     return ExpectedRun(sum(totals) / trials, sum(spans) / trials, _stderr(totals), _stderr(spans),

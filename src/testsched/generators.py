@@ -134,7 +134,10 @@ def gen_rand_lb(n, q, seed, exact=False):
     n = _whole("n", n, 1)
     rng = random.Random(seed)
     limit = Fraction(q) ** -1 if exact else 1 / q
-    procs = [0 if rng.random() < q else limit for _ in range(n)]
+    procs = [limit] * n
+    for j in range(n):
+        if rng.random() < q:
+            procs[j] = 0
     return Instance((limit,) * n, procs)
 
 
@@ -207,17 +210,16 @@ def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
     elif max_upper > sys.float_info.max:
         raise InstanceError(f"max_upper {max_upper} is past a float's range")
     rng = random.Random(seed)
-    uppers, procs = [], []
-    for _ in range(n):
+    uppers = [0] * n
+    procs = [0] * n
+    for j in range(n):
         if exact:
             num = rng.randrange(1, top + 1)
-            u = Fraction(num, denominator)
-            p = Fraction(rng.randrange(0, num + 1), denominator)
+            uppers[j] = Fraction(num, denominator)
+            procs[j] = Fraction(rng.randrange(0, num + 1), denominator)
         else:
-            u = rng.uniform(1e-3, max_upper)
-            p = rng.uniform(0.0, u)
-        uppers.append(u)
-        procs.append(p)
+            uppers[j] = u = rng.uniform(1e-3, max_upper)
+            procs[j] = rng.uniform(0.0, u)
     return Instance(uppers, procs)
 
 
@@ -233,10 +235,14 @@ GENERATOR_NAMES = tuple(GENERATORS)
 
 
 def build_instance(name, params):
-    """Dispatch for the command line: generator name plus keyword params."""
+    """Dispatch for the command line: generator name plus keyword params.  A count that
+    passes `_whole` may still be too large for memory: each generator allocates its
+    columns whole before drawing a value, so that fails at once, as an InstanceError."""
     if name not in GENERATORS:
         raise InstanceError(f"unknown generator {name!r}; pick from {sorted(GENERATORS)}")
     try:
         return GENERATORS[name](**params)
     except TypeError as exc:
         raise InstanceError(f"bad parameters for {name}: {exc}") from exc
+    except MemoryError:
+        raise InstanceError(f"{name}: the instance's columns do not fit in memory") from None

@@ -556,7 +556,25 @@ def one_error_line(capsys):
 
 
 class TestBadInputFiles:
-    """A file that cannot be read or parsed exits 2 with one line naming it."""
+    """A file that cannot be read, parsed or written exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "threshold", "--gen", "random", "--param", "n=5", "--param", "seed=1", "--out"],
+        ["simulate", "threshold", "--gen", "random", "--param", "n=5", "--param", "seed=1", "--trace-out"],
+        ["gen", "random", "--param", "n=5", "--param", "seed=1", "--out"],
+        ["sweep", "threshold", "--gen", "random", "--param", "seed=1", "--sweep", "n=2:3:1", "--out"],
+        ["verify-constants", "--out"],
+    ], ids=["simulate", "trace_out", "gen", "sweep", "verify_constants"])
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        path = tmp_path / "absent" / "x"
+        assert main(argv + [str(path)]) == 2
+        # verify-constants prints its table before it writes the report
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
+    def test_output_to_a_directory(self, tmp_path, capsys):
+        assert main(["gen", "random", "--param", "n=5", "--param", "seed=1", "--out", str(tmp_path)]) == 2
+        assert one_error_line(capsys) == f"{tmp_path}: Is a directory"
 
     def test_truncated_instance(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -708,6 +726,36 @@ class TestBadValues:
         argv = ["gen", gen, "--param", f"{name}={10**30}"] + [arg for pair in params for arg in ("--param", pair)]
         assert main(argv) == 2
         assert one_error_line(capsys) == f"{name} must be at most {sys.maxsize}, got {10**30}"
+
+    @pytest.mark.parametrize("gen", sorted(COUNTED))
+    def test_a_count_too_large_for_memory_is_refused(self, capsys, gen):
+        # 10**18 jobs pass the count check, but each generator asks for its whole columns first,
+        # and the allocator refuses 8 exabytes at once; a count it might grant is never tried
+        name, params = COUNTED[gen]
+        argv = ["gen", gen, "--param", f"{name}={10**18}"] + [arg for pair in params for arg in ("--param", pair)]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == f"{gen}: the instance's columns do not fit in memory"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "threshold", "--gen", "random", "--param", "n=10", "--param", "n=20",
+          "--param", "seed=1"], "n"),
+        (["gen", "random", "--param", "seed=1", "--param", "n=3", "--param", "seed=2"], "seed"),
+        (["sweep", "threshold", "--gen", "random", "--param", "seed=1", "--param", "seed=2",
+          "--sweep", "n=2:3:1"], "seed"),
+        (["verify-constants", "--override", "det_lb_ratio=1", "--override", "det_lb_ratio=1.854628"],
+         "det_lb_ratio"),
+    ], ids=["simulate", "gen", "sweep", "verify_constants"])
+    def test_a_key_given_twice_is_refused(self, capsys, argv, key):
+        # the later value used to win, so a negative control could be masked by a repeat
+        assert main(argv) == 2
+        assert one_error_line(capsys) == f"parameter {key!r} given twice"
+
+    def test_a_sweep_axis_given_as_a_param_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "threshold", "--gen", "random", "--param", "n=10", "--param", "seed=1",
+                     "--sweep", "n=2:3:1", "--out", str(out)]) == 2
+        assert one_error_line(capsys) == "sweep axis 'n' is also given as a --param"
+        assert not out.exists()
 
     def test_threshold_worstcase_total_past_a_machine_index_is_refused(self, capsys):
         argv = ["gen", "threshold_worstcase", "--param", f"a={sys.maxsize}", "--param", "b=1", "--param", "c=0"]

@@ -31,6 +31,7 @@ from testsched.core import (
     load_instance,
     load_trace,
     numbers_equal,
+    trace_text,
     validate_instance,
 )
 from testsched.engine import StaticSource, run
@@ -342,6 +343,7 @@ class TestRoundTrips:
         tr = build_trace(10, staircase_steps())
         path = tmp_path / "trace.jsonl"
         dump_trace(tr, path)
+        assert path.read_text() == trace_text(tr)  # the text `simulate --trace-out` writes
         back = load_trace(path, n=10, exact=True)
         assert back.total == 105
         assert back.steps[0][:2] == (TEST, 0)

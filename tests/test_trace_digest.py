@@ -65,8 +65,7 @@ def outcome_lines(inst, index):
             yield f"{index} {name} run {type(exc).__name__}: {exc}"
         if inst.n <= 6:
             try:
-                res = run_expected(alg, lambda: StaticSource(inst), inst.n, inst.uppers(),
-                                   exact=True)
+                res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), exact=True)
                 yield f"{index} {name} exact {res.total!r} {res.makespan!r} {res.trials}"
             except ConfigurationError as exc:
                 yield f"{index} {name} exact {type(exc).__name__}: {exc}"
