@@ -84,14 +84,26 @@ def _emit(payload, out_path):
 
 
 def _write(text, out_path):
-    """The one writer of every file the command line writes: `text` to `out_path`, or to
-    stdout when there is none; a file that cannot be written is an InputFileError."""
-    if not out_path:
-        sys.stdout.write(text)
-        return
+    """The one writer of everything the command line writes: `text` to `out_path`, or to
+    stdout when there is none; a file or stdout that cannot be written is an InputFileError.
+    Stdout is flushed here, so that its failure is reported now rather than at exit."""
     try:
+        if not out_path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out_path, "w") as f:
             f.write(text)
+    except OSError as exc:
+        raise InputFileError(f"{out_path or 'stdout'}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(out_path):
+    """Refuse an `--out` that cannot be opened for writing before any work is done.
+
+    A missing file is created, an existing one is left as it is; `_write` replaces it."""
+    try:
+        os.close(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666))
     except OSError as exc:
         raise InputFileError(f"{out_path}: {exc.strerror or exc}") from exc
 
@@ -204,6 +216,8 @@ def cmd_sweep(args):
     for name in names:
         if name in base:
             raise ConfigurationError(f"sweep axis {name!r} is also given as a --param")
+    if args.out:
+        _check_writable(args.out)
     points = list(product(*(vals for _, vals in axes)))  # row-major: the last axis varies fastest
     tasks = []
     for index, point in enumerate(points):
@@ -241,11 +255,13 @@ def cmd_verify_constants(args):
         report = analysis.verify_constants(overrides)
     except KeyError as exc:
         raise ConfigurationError(str(exc)) from exc
+    lines = []
     for entry in report["constants"]:
         status = "ok" if entry["ok"] else "FAIL"
-        print(f"{entry['name']:40s} paper={entry['paper_value']:.7f} "
-              f"computed={entry['computed_value']:.7f} err={entry['abs_error']:.2e} "
-              f"tol={entry['tolerance']:.0e} {status}")
+        lines.append(f"{entry['name']:40s} paper={entry['paper_value']:.7f} "
+                     f"computed={entry['computed_value']:.7f} err={entry['abs_error']:.2e} "
+                     f"tol={entry['tolerance']:.0e} {status}\n")
+    _write("".join(lines), None)
     if args.out:
         _emit(report, args.out)
     return 0 if report["ok"] else 1

@@ -4,7 +4,9 @@ With full information a job is worth min(1 + p, upper): test-and-run costs
 1 + p, running blind costs the upper limit.  For the sum of completion
 times the optimum orders jobs by that key ascending; for the makespan only
 the per-job choice matters.  `brute_force_optimum` is the independent
-oracle: it enumerates every test-set choice and every execution order.
+oracle: it evaluates every test-set choice in every execution order, in
+integers, walking each order's 2^n test sets in Gray-code order so that
+each schedule's cost is one addition away from the previous one's.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, permutations, product
-from operator import mul
+from itertools import accumulate, count, permutations, product
+from operator import itemgetter, neg
 
 from .core import Instance, Num
 
@@ -78,6 +80,22 @@ def optimal_makespan(inst: Instance) -> tuple[Num, frozenset]:
     return value, frozenset(tested)
 
 
+def _gray_walk(n: int) -> itemgetter:
+    """Pick a start cost and the 2^n - 1 steps of a Gray-code walk over n choices.
+
+    Applied to [start, +d_0, ..., +d_{n-1}, -d_0, ..., -d_{n-1}], it returns
+    start, then for step m = 1 .. 2^n - 1 the switch of choice g = ctz(m):
+    +d_g when bit g of the Gray code m ^ (m >> 1) turns on, -d_g when it
+    turns off.  The running sums are the totals of all 2^n choice sets, each
+    once.  Leading with start keeps the pick a tuple at n = 1.
+    """
+    steps = []
+    for m in range(1, 1 << n):
+        g = (m & -m).bit_length() - 1
+        steps.append(1 + g if (m ^ m >> 1) >> g & 1 else 1 + n + g)
+    return itemgetter(0, *steps)
+
+
 def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     """Exhaustive optimum over all test sets and execution orders.
 
@@ -85,34 +103,51 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     cost), so a schedule is a choice of per-job effective duration, either
     1 + p or the upper limit, plus a permutation.  Cost grows as n! * 2^n;
     instances beyond n = 10 are refused, after an unknown objective is.
+
+    The sum objective scales every duration to an integer over a common
+    denominator (a float is dyadic, so `Fraction(x)` is exact), then walks,
+    for each of the n! orders, all 2^n treatments in Gray-code order: each
+    step switches one job between 1 + p and u, so each schedule's cost is
+    the previous one's plus or minus that job's weight times u - 1 - p.  No
+    schedule is skipped and no order is sorted, so this stays independent
+    of `optimal_sum`; the work per schedule is one C-level addition in an
+    `accumulate` chain.  Exact mode returns a Fraction; float mode (any
+    float value) returns `best / denom`, the float nearest the exact
+    optimum of the instance's values.
     """
     if objective not in ("sum", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
     n = inst.n
     if n > BRUTE_FORCE_MAX_N:
         raise OracleSizeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N}")
-    pairs = [(1 + p, u) for u, p in zip(inst.uppers(), inst.procs())]
+    uppers, procs = inst.uppers(), inst.procs()
     if objective == "makespan":
         best = None
-        for durs in product(*pairs):
+        for durs in product(*[(1 + p, u) for u, p in zip(uppers, procs)]):
             c = sum(durs)
             if best is None or c < best:
                 best = c
         return best
 
-    # Exact mode scales every duration to a common denominator and enumerates
-    # in ints; float mode enumerates the durations as they are (denom = 1).
-    exact = not any(isinstance(v, float) for pair in pairs for v in pair)
-    denom = 1
-    if exact:
-        fracs = [(Fraction(a), Fraction(b)) for a, b in pairs]
-        denom = math.lcm(*(v.denominator for pair in fracs for v in pair))
-        pairs = [(int(a * denom), int(b * denom)) for a, b in fracs]
+    exact = not any(isinstance(v, float) for v in (*uppers, *procs))
+    fracs = [(1 + Fraction(p), Fraction(u)) for u, p in zip(uppers, procs)]
+    denom = math.lcm(*(v.denominator for pair in fracs for v in pair))
+    jobs = [(int(a * denom), int((b - a) * denom)) for a, b in fracs]
+    weights = range(n, 0, -1)
+    walk = _gray_walk(n)
     best = None
-    weights = tuple(range(n, 0, -1))
-    for durs in product(*pairs):
-        for perm in permutations(durs):
-            c = sum(map(mul, weights, perm))
-            if best is None or c < best:
-                best = c
-    return Fraction(best, denom) if exact else best
+    for order in permutations(jobs):
+        start = 0       # every job tested
+        ups = []        # the cost of switching each position to its limit
+        for w, (low, gap) in zip(weights, order):
+            start += w * low
+            ups.append(w * gap)
+        cost = min(accumulate(walk([start, *ups, *map(neg, ups)])))
+        if best is None or cost < best:
+            best = cost
+    if exact:
+        return Fraction(best, denom)
+    try:
+        return best / denom
+    except OverflowError:   # past a float's range, where float sums reach inf
+        return math.inf

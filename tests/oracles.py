@@ -1,8 +1,15 @@
 """Reference code that only the tests call: each checks a src result another way.
 
-`plan_trace` replays an optimal plan through the trace validator, and
-`det_lb_value_grid` minimizes the deterministic lower bound by brute force.
+`plan_trace` replays an optimal plan through the trace validator,
+`det_lb_value_grid` minimizes the deterministic lower bound by brute force,
+and `enumerated_sum_optimum` sums every schedule afresh, the reference for
+`brute_force_optimum`'s Gray-code walk.
 """
+
+import math
+from fractions import Fraction
+from itertools import permutations, product
+from operator import mul
 
 from testsched.analysis import det_lb_alg, det_lb_opt
 from testsched.core import EXEC_TESTED, EXEC_UNTESTED, TEST, Instance, Num, Trace, build_trace
@@ -38,3 +45,28 @@ def det_lb_value_grid(delta, p_bar, steps=400):
             if best is None or v < best:
                 best = v
     return best
+
+
+def enumerated_sum_optimum(inst: Instance) -> Num:
+    """Optimal sum of completion times over every test set and every order.
+
+    Each schedule's cost is a fresh weighted sum.  Exact mode scales every
+    duration to a common denominator and enumerates in ints; float mode
+    enumerates the float durations as they are (denom = 1).
+    """
+    n = inst.n
+    pairs = [(1 + p, u) for u, p in zip(inst.uppers(), inst.procs())]
+    exact = not any(isinstance(v, float) for pair in pairs for v in pair)
+    denom = 1
+    if exact:
+        fracs = [(Fraction(a), Fraction(b)) for a, b in pairs]
+        denom = math.lcm(*(v.denominator for pair in fracs for v in pair))
+        pairs = [(int(a * denom), int(b * denom)) for a, b in fracs]
+    best = None
+    weights = tuple(range(n, 0, -1))
+    for durs in product(*pairs):
+        for perm in permutations(durs):
+            c = sum(map(mul, weights, perm))
+            if best is None or c < best:
+                best = c
+    return Fraction(best, denom) if exact else best

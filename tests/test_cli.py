@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from testsched import cli
 from testsched.cli import main, worker_count
 
 
@@ -257,6 +258,23 @@ class TestSweep:
         assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False\n")
         assert self.run_sweep(tmp_path / "in_process.csv") == 0
         assert out.read_text() == (tmp_path / "in_process.csv").read_text()
+
+    @pytest.mark.parametrize("where", ["absent/x.csv", "."], ids=["missing_dir", "directory"])
+    def test_an_unwritable_out_is_refused_before_any_point(self, tmp_path, monkeypatch, capsys, where):
+        calls = []
+        monkeypatch.setattr(cli, "_sweep_point", lambda task: calls.append(task))
+        path = tmp_path / where
+        assert self.run_sweep(path) == 2
+        strerror = "Is a directory" if path.is_dir() else "No such file or directory"
+        assert one_error_line(capsys) == f"{path}: {strerror}"
+        assert calls == []
+
+    def test_out_replaces_a_file_with_the_stdout_bytes(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        out.write_text("an older and longer file\n" * 40)
+        assert self.run_sweep(out) == 0
+        assert main(self.GRID) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
 
     def test_worker_count_takes_its_default_only_when_unset(self, monkeypatch):
         monkeypatch.delenv("TESTSCHED_WORKERS", raising=False)
@@ -833,3 +851,18 @@ def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "testsched", "simulate", "no_such_rule", "--gen",
                           "threshold_worstcase"], env=env, cwd=tmp_path, capture_output=True, text=True)
     assert (bad.returncode, bad.stderr) == (2, "error: unknown algorithm: 'no_such_rule'\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--param", "n=200000", "--param", "seed=1"],
+    ["gen", "random", "--param", "n=2", "--param", "seed=1"],
+    ["verify-constants"],
+], ids=["gen_large", "gen_small", "verify_constants"])
+def test_a_failing_stdout_is_one_error_line(tmp_path, argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "testsched", *argv], env=env, cwd=tmp_path,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (2, "error: stdout: No space left on device\n")

@@ -1,11 +1,14 @@
 """Clairvoyant optimum against the exhaustive enumeration oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import plan_trace
+from oracles import enumerated_sum_optimum, plan_trace
 from testsched.algorithms import parse_algorithm
 from testsched.core import (
     Instance,
@@ -15,7 +18,7 @@ from testsched.core import (
     validate_instance,
 )
 from testsched.engine import run
-from testsched.generators import det_lb_adversary, gen_random
+from testsched.generators import det_lb_adversary, gen_four_type, gen_random
 from testsched.offline import (
     BRUTE_FORCE_MAX_N,
     OptPlan,
@@ -170,3 +173,77 @@ class TestBruteForce:
             best = brute_force_optimum(inst)
             assert isinstance(best, float)
             assert numbers_equal(best, optimal_sum(inst).total)
+
+
+def fraction_copy(inst):
+    return Instance.from_pairs([(Fraction(u), Fraction(p)) for u, p in zip(inst.uppers(), inst.procs())])
+
+
+class TestGrayWalk:
+    """The Gray-code walk equals the literal enumeration of every schedule."""
+
+    @pytest.mark.parametrize("pairs, want", [
+        ([(3, 1)], 2),                                  # tested
+        ([(Fraction(3, 2), 1)], Fraction(3, 2)),        # blind
+        ([(2, 1)], 2),                                  # tie
+        ([(2, 0), (2, 2)], 4),                          # keys 1 and 2: 1 + 3
+        ([(5, 1), (Fraction(5, 2), 2)], 2 + Fraction(9, 2)),
+    ])
+    def test_one_and_two_jobs(self, pairs, want):
+        inst = Instance.from_pairs(pairs)
+        got = brute_force_optimum(inst)
+        assert got == want == enumerated_sum_optimum(inst)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("pairs, want", [
+        ([(3.0, 1.0)], 2.0),
+        ([(2.0, 1.0)], 2.0),
+        ([(2.5, 0.5), (1.25, 0.75)], 1.25 + 2.75),
+        ([(0.1, 0.1), (0.2, 0.1)], float(Fraction(0.1) + Fraction(0.1) + Fraction(0.2))),
+        # 1 + p and the sums are exact: 2 * (1 + 0.1) + (1 + 0.2) in floats is 3.4000000000000004
+        ([(4.0, 0.1), (4.0, 0.2)], 3.4),
+    ])
+    def test_one_and_two_float_jobs(self, pairs, want):
+        got = brute_force_optimum(Instance.from_pairs(pairs))
+        assert got == want
+        assert type(got) is float
+
+    def test_beyond_a_floats_range_is_inf(self):
+        inst = Instance.from_pairs([(1e308, 1e308), (1e308, 1e308)])
+        assert brute_force_optimum(inst) == math.inf == enumerated_sum_optimum(inst)
+
+    def test_criterion_10_corpus(self):
+        for i in range(1000):
+            inst = gen_random(1 + (i % 6), seed=f"c10:{i}", exact=True, denominator=24)
+            assert brute_force_optimum(inst) == enumerated_sum_optimum(inst)
+
+    def test_four_type_profiles(self):
+        t, e, eps = Fraction(17453, 10000), Fraction(28609, 10000), Fraction(1, 10 ** 6)
+        for i in range(5):
+            for j in range(5 - i):
+                for k in range(5 - i - j):
+                    inst = gen_four_type(6, Fraction(i, 4), Fraction(j, 4), Fraction(k, 4),
+                                         T=t, E=e, epsilon=eps)
+                    assert brute_force_optimum(inst) == enumerated_sum_optimum(inst)
+
+
+# Ints, Fractions and floats, on a coarse grid so that keys tie, and jobs
+# whose limit is exactly 1 + p, where testing and running blind cost the same.
+VALUES = (st.integers(0, 4) | st.fractions(0, 4, max_denominator=6)
+          | st.sampled_from([0.0, 0.1, 0.2, 0.5, 1.0, 1.5, 2.5, 1 / 3]) | st.floats(0, 4))
+JOB = st.tuples(VALUES, VALUES, st.booleans()).map(
+    lambda t: (1 + min(t[:2]), min(t[:2])) if t[2] else (max(t[:2]), min(t[:2])))
+
+
+@settings(derandomize=True, max_examples=120, database=None, deadline=None)
+@given(st.lists(JOB, min_size=1, max_size=6))
+def test_gray_walk_equals_the_enumeration(jobs):
+    inst = Instance.from_pairs(jobs)
+    got = brute_force_optimum(inst)
+    if any(isinstance(v, float) for job in jobs for v in job):
+        assert type(got) is float
+        assert got == float(enumerated_sum_optimum(fraction_copy(inst)))
+        assert numbers_equal(got, enumerated_sum_optimum(inst))
+    else:
+        assert type(got) is Fraction
+        assert got == enumerated_sum_optimum(inst)
