@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -87,25 +88,42 @@ def _write(text, out_path):
     """The one writer of everything the command line writes: `text` to `out_path`, or to
     stdout when there is none; a file or stdout that cannot be written is an InputFileError.
     Stdout is flushed here, so that its failure is reported now rather than at exit."""
-    try:
-        if not out_path:
+    with _reported_as(out_path or "stdout"):
+        if out_path:
+            with open(out_path, "w") as f:
+                f.write(text)
+            return
+        try:
             sys.stdout.write(text)
             sys.stdout.flush()
-            return
-        with open(out_path, "w") as f:
-            f.write(text)
+        except OSError:
+            # the buffer keeps the bytes it could not write and the interpreter flushes it
+            # again at exit; with stdout on the null device that last flush succeeds in silence
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise
+
+
+@contextmanager
+def _reported_as(name):
+    """Report an OSError raised inside the block as the InputFileError `name: reason`."""
+    try:
+        yield
     except OSError as exc:
-        raise InputFileError(f"{out_path or 'stdout'}: {exc.strerror or exc}") from exc
+        raise InputFileError(f"{name}: {exc.strerror or exc}") from exc
 
 
 def _check_writable(out_path):
-    """Refuse an `--out` that cannot be opened for writing before any work is done.
-
-    A missing file is created, an existing one is left as it is; `_write` replaces it."""
-    try:
-        os.close(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666))
-    except OSError as exc:
-        raise InputFileError(f"{out_path}: {exc.strerror or exc}") from exc
+    """Refuse an `--out` that cannot be opened for writing before any work is done, and
+    say whether it had to be created. An existing file is left as it is; `_write` replaces it."""
+    with _reported_as(out_path):
+        try:
+            os.close(os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return True
+        except FileExistsError:
+            os.close(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666))
+            return False
 
 
 def _load_or_generate(args, exact):
@@ -201,6 +219,18 @@ def worker_count(default):
     return workers
 
 
+def _sweep_results(tasks):
+    workers = worker_count(1)
+    if workers == 1:
+        return [_sweep_point(t) for t in tasks]
+    # loaded here, not at the top: a serial sweep and every other command never need it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the fork start method launches all max_workers processes up front
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(_sweep_point, tasks))
+
+
 def cmd_sweep(args):
     alg = parse_algorithm(args.algorithm)
     if alg.randomized and args.seed is None:
@@ -216,8 +246,7 @@ def cmd_sweep(args):
     for name in names:
         if name in base:
             raise ConfigurationError(f"sweep axis {name!r} is also given as a --param")
-    if args.out:
-        _check_writable(args.out)
+    created = bool(args.out) and _check_writable(args.out)
     points = list(product(*(vals for _, vals in axes)))  # row-major: the last axis varies fastest
     tasks = []
     for index, point in enumerate(points):
@@ -226,16 +255,12 @@ def cmd_sweep(args):
         tasks.append((args.algorithm, args.gen, params, args.objective or alg.objective,
                       args.trials, seed))
 
-    workers = worker_count(1)
-    if workers > 1:
-        # loaded here, not at the top: a serial sweep and every other command never need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the fork start method launches all max_workers processes up front
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
+    try:
+        results = _sweep_results(tasks)
+    except BaseException:
+        if created:  # a failed sweep leaves no file it made behind
+            os.unlink(args.out)
+        raise
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -269,6 +269,18 @@ class TestSweep:
         assert one_error_line(capsys) == f"{path}: {strerror}"
         assert calls == []
 
+    @pytest.mark.parametrize("older", [None, "an older file\n"], ids=["new_file", "existing_file"])
+    def test_a_failed_point_leaves_the_out_path_as_it_was(self, tmp_path, capsys, older):
+        out = tmp_path / "grid.csv"
+        if older is not None:
+            out.write_text(older)
+        # the first point runs, the second asks for a long fraction past 1
+        argv = ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4", "--param", "p_bar=2.5",
+                "--sweep", "gamma=0.5:1.5:1", "--out", str(out)]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == "bad long fraction 1.5 for n=4"
+        assert (out.read_text() if out.exists() else None) == older
+
     def test_out_replaces_a_file_with_the_stdout_bytes(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         out.write_text("an older and longer file\n" * 40)
@@ -854,15 +866,19 @@ def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("argv", [
-    ["gen", "random", "--param", "n=200000", "--param", "seed=1"],
-    ["gen", "random", "--param", "n=2", "--param", "seed=1"],
-    ["verify-constants"],
-], ids=["gen_large", "gen_small", "verify_constants"])
-def test_a_failing_stdout_is_one_error_line(tmp_path, argv):
+@pytest.mark.parametrize("flags, argv", [
+    ([], ["gen", "random", "--param", "n=2000", "--param", "seed=1"]),  # 130 kB, past the buffer
+    ([], ["gen", "random", "--param", "n=2", "--param", "seed=1"]),
+    (["-u"], ["gen", "random", "--param", "n=2", "--param", "seed=1"]),
+    ([], ["verify-constants"]),
+], ids=["gen_large", "gen_small", "gen_small_unbuffered", "verify_constants"])
+def test_a_failing_stdout_is_one_error_line(tmp_path, flags, argv):
+    # a small output waits in stdout's buffer, which the interpreter flushes again at exit;
+    # PYTHONUNBUFFERED is dropped so that the buffered cases are buffered
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, "-m", "testsched", *argv], env=env, cwd=tmp_path,
-                              stdout=full, stderr=subprocess.PIPE, text=True)
+        done = subprocess.run([sys.executable, *flags, "-m", "testsched", *argv], env=env,
+                              cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True)
     assert (done.returncode, done.stderr) == (2, "error: stdout: No space left on device\n")
