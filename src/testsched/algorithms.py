@@ -409,7 +409,8 @@ def parse_algorithm(text, exact=False):
     """Parse 'name' or 'name[k=v,...]' into a wrapped strategy.
 
     With exact=True numeric parameters become Fractions so comparisons
-    against rational processing times stay exact.
+    against rational processing times stay exact.  A value that is no
+    number, or a key given twice, is a ConfigurationError, as on `--param`.
     """
     text = text.strip()
     name, params = text, {}
@@ -424,8 +425,10 @@ def parse_algorithm(text, exact=False):
             if "=" not in part:
                 raise ConfigurationError(f"expected key=value in {text!r}, got {part!r}")
             key, raw = (s.strip() for s in part.split("=", 1))
+            if key in params:
+                raise ConfigurationError(f"parameter {key!r} given twice")
             try:
                 params[key] = Fraction(raw) if exact else float(raw)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigurationError(f"bad value for {key}: {raw!r}") from exc
     return build_algorithm(name, params)

@@ -307,7 +307,8 @@ def dump_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
-    """Read a trace file and replay it; "p/q" times by `_number`, a job id a JSON integer in either mode."""
+    """Read a trace file and replay it; "p/q" times by `_number`, each time finite (`is_finite_number`:
+    JSON's NaN and Infinity are bad input), a job id a JSON integer in either mode."""
     steps = []
     for lineno, line in enumerate(_read(path).split("\n"), 1):
         if not line.strip():
@@ -315,7 +316,7 @@ def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
         try:
             row = json.loads(line, parse_float=Fraction if exact else float)
             t, kind, job, dur = _number(row["t"], exact), row["kind"], row["job"], _number(row["dur"], exact)
-            ok = {type(t), type(dur)} <= _NUMBER_TYPES
+            ok = is_finite_number(t) and is_finite_number(dur)
         except (ValueError, TypeError, KeyError):
             ok = False
         if not ok:

@@ -7,21 +7,20 @@ value of a `test` yield (execution yields return None).  Hidden times can
 therefore only reach an algorithm through a completed test, which is the
 whole information model enforced structurally.
 
-A reveal source's `begin(n, uppers)` is the one check of a run's view, and
-returns the limits the run uses.  Its `reveal` and `settle_untested`, any
-callables taking a job id, say what a test reveals and what an untested run
-committed to; the engine calls them on every test and untested run, except on
-exactly a `StaticSource`, whose times it reads by index.  A static source
-replays a fixed instance on its own checked column; an adaptive source walks
-its view and fixes each time when the job is first touched, which is how
-adversary lower bounds run.
+A reveal source's `begin(n, uppers)` is the one check of a run's view.  It
+returns `(limits, times)`: the limits the run uses, and the run's time column
+when the source holds one, else None.  A static source replays a fixed
+instance and returns both of its checked columns, which the loop reads by
+index.  An adaptive source returns no times; the loop calls its
+`commit(job, via_test)` on each job's first touch, where it fixes the job's
+time, which is how adversary lower bounds run.
 
 The protocol loop keeps one ledger entry per job: untouched, the time its
 test revealed, or done.  `run` returns the full trace.  Expectation runs
 (`run_expected`) read only each run's total and makespan, so they drive the
 same loop with the same checks but keep no step list.  A deterministic
 rule's expectation is its one run; a randomized rule's exact one is its
-`expected_cost` hook on a plain static source, with no run at all.
+`expected_cost` hook on the columns `begin` returns, with no run at all.
 """
 
 from __future__ import annotations
@@ -52,13 +51,12 @@ class ProtocolError(RuntimeError):
 
 
 class StaticSource:
-    """Reveals the fixed processing times of an instance (checked when built).
+    """Holds the fixed processing times of an instance (checked when built).
 
     `begin` refuses a view of another length or other limits and returns the
-    instance's own column, so a run on an equal copy runs on its values.  The
-    loop reads a plain `StaticSource`'s `_procs` by index instead of calling
-    `reveal`, and skips `settle_untested`, which only reads that column; a
-    subclass is asked through its own methods, as any other source is.
+    instance's own two columns, so a run on an equal copy runs on its values.
+    The loop reads each time from the time column and asks nothing more, as
+    of any source whose `begin` returns times.
     """
 
     def __init__(self, inst: Instance):
@@ -71,16 +69,7 @@ class StaticSource:
             raise ProtocolError(f"source holds {self.inst.n} jobs, run asked for {n}")
         if uppers is not self._uppers and tuple(uppers) != self._uppers:
             raise ProtocolError("view's upper limits differ from the source instance's")
-        return self._uppers
-
-    def reveal(self, job: int) -> Num:
-        return self._procs[job]
-
-    def settle_untested(self, job: int) -> Num:
-        return self._procs[job]
-
-    def realized_instance(self) -> Instance:
-        return self.inst
+        return self._uppers, self._procs
 
 
 class AdaptiveSource:
@@ -89,7 +78,8 @@ class AdaptiveSource:
     `rule(job, via_test, rank, upper)` returns the committed processing
     time, a finite int, float or Fraction in [0, upper]; `rank` is the
     1-based count of distinct jobs touched so far.  `begin` returns the view
-    as `_check_view` walks it.  Single-use: one run per source.
+    as `_check_view` walks it and no times, so the loop calls `commit` once
+    per job, on its first touch.  Single-use: one run per source.
     """
 
     def __init__(self, rule):
@@ -102,23 +92,15 @@ class AdaptiveSource:
             raise ProtocolError("adaptive source already used; build a fresh one per run")
         self._n = n
         self._uppers = _check_view(n, uppers)
-        return self._uppers
+        return self._uppers, None
 
-    def _commit(self, job: int, via_test: bool) -> Num:
-        if job in self._committed:
-            return self._committed[job]
+    def commit(self, job: int, via_test: bool) -> Num:
         rank = len(self._committed) + 1
         p = self.rule(job, via_test, rank, self._uppers[job])
         if not (is_finite_number(p) and 0 <= p <= self._uppers[job]):
             raise ProtocolError(f"adversary fixed p={p} outside [0, {self._uppers[job]}] for job {job}")
         self._committed[job] = p
         return p
-
-    def reveal(self, job: int) -> Num:
-        return self._commit(job, True)
-
-    def settle_untested(self, job: int) -> Num:
-        return self._commit(job, False)
 
     def realized_instance(self) -> Instance:
         if self._uppers is None or len(self._committed) != self._n:
@@ -130,8 +112,9 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
     """Run one algorithm to completion and return its trace.
 
     `algorithm` is a generator function taking the view (n, uppers).  The
-    source's `begin` checks the view and returns the limits the run uses;
-    any structural violation raises ProtocolError naming the action index.
+    source's `begin` checks the view and returns the limits the run uses and
+    any times it holds; any structural violation raises ProtocolError naming
+    the action index.
     """
     return _drive(algorithm, source, n, upper_limits)
 
@@ -156,21 +139,18 @@ def _check_view(n: int, upper_limits) -> tuple:
 
 
 def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
-    """`run`, on the limits the source's `begin` returns for the view.
+    """`run`, on the limits and times the source's `begin` returns for the view.
 
     With `record=False` no step is kept and the result is `(total, makespan)`,
     the two values the Trace would carry: expectation runs read nothing else.
     Both modes make the same checks.  An action is checked on its job's
     ledger entry (`_UNTOUCHED`, the revealed time or `_DONE`), then on its
     kind; an error names it by its index, the tests so far plus jobs done.
-    On exactly a `StaticSource` a test reads the time from its `_procs`
-    column, the object `reveal` returns, and an untested run asks nothing;
-    any other source's `reveal` and `settle_untested` are called as given.
+    A test reads the job's time from the source's column; a source with no
+    column gets `commit(job, via_test)` on each test and untested run instead.
     """
-    uppers = source.begin(n, upper_limits)
-    times = source._procs if type(source) is StaticSource else None
-    reveal = source.reveal
-    settle_untested = source.settle_untested
+    uppers, times = source.begin(n, upper_limits)
+    commit = source.commit if times is None else None
     gen = gen_fn((n, uppers))
     send = gen.send
     test, exec_tested, exec_untested = TEST, EXEC_TESTED, EXEC_UNTESTED
@@ -199,7 +179,7 @@ def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
             s = ledger[job]
             if s is untouched:
                 if kind == test:
-                    send_value = ledger[job] = reveal(job) if times is None else times[job]
+                    send_value = ledger[job] = commit(job, True) if times is None else times[job]
                     tests += 1
                     if record:
                         append((test, job, t, 1))
@@ -208,7 +188,7 @@ def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
                 if not kind == exec_untested:
                     raise ProtocolError(f"action {tests + n - remaining}: {action_fault(kind, job, UNTOUCHED)}")
                 if times is None:
-                    settle_untested(job)
+                    commit(job, False)
                 dur = uppers[job]
                 if record:
                     append((exec_untested, job, t, dur))
@@ -255,14 +235,13 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     The one `source` serves every run, and its `begin` checks the view on
     each.  A deterministic rule's expectation is its one run, in either mode,
     as it is: exact, with zero standard error.  With `exact`, a randomized
-    rule's comes from its `expected_cost` hook on the limits one `begin`
-    returns, at any n, and `trials` is its number of outcomes; the hook reads
-    the instance's times, so the source must be exactly a `StaticSource`.
-    Any other source, or no hook, is a ProtocolError before the source is
-    asked anything.  Otherwise the rule runs `trials` (at least 1) seeded
-    replicates, and the result is their mean.  Each run goes through the
-    protocol loop with every check `run` makes, but keeps no step list: only
-    its total and makespan.
+    rule's comes from its `expected_cost` hook on the limits and times one
+    `begin` returns, at any n, and `trials` is its number of outcomes.  A
+    source that holds no times is a ProtocolError, and a rule with no hook is
+    one before the source is asked anything.  Otherwise the rule runs
+    `trials` (at least 1) seeded replicates, and the result is their mean.
+    Each run goes through the protocol loop with every check `run` makes, but
+    keeps no step list: only its total and makespan.
     """
     if not exact and alg.randomized and seed is None:
         raise ProtocolError("randomized run without a master seed")
@@ -275,10 +254,11 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         total, makespan = _drive(alg.generator(), source, n, upper_limits, record=False)
         return ExpectedRun(total, makespan, 0.0, 0.0, 1, True)
     if exact:
-        if type(source) is not StaticSource:
-            raise ProtocolError(f"an exact expectation of {alg.key} reads the instance's times,"
-                                f" so it needs a plain StaticSource, not {type(source).__name__}")
-        total, makespan, count = alg.expected_cost(source.begin(n, upper_limits), source._procs)
+        uppers, times = source.begin(n, upper_limits)
+        if times is None:
+            raise ProtocolError(f"an exact expectation of {alg.key} reads every time up front,"
+                                " and this source holds none")
+        total, makespan, count = alg.expected_cost(uppers, times)
         return ExpectedRun(total, makespan, 0.0, 0.0, count, True)
     totals = []
     spans = []

@@ -632,7 +632,11 @@ class TestBadInputFiles:
         '[1, "exec_untested", 1, 2]',
         '{"t": 1, "kind": "exec_untested", "job": 1, "dur": "2"}',
         '{"t": true, "kind": "exec_untested", "job": 1, "dur": 2}',
-    ], ids=["no_dur", "not_json", "not_an_object", "dur_a_string", "t_a_bool"])
+        '{"t": 1, "kind": "exec_untested", "job": 1, "dur": NaN}',
+        '{"t": Infinity, "kind": "exec_untested", "job": 1, "dur": 2}',
+        '{"t": 1, "kind": "exec_untested", "job": 1, "dur": -Infinity}',
+    ], ids=["no_dur", "not_json", "not_an_object", "dur_a_string", "t_a_bool", "dur_nan", "t_infinity",
+            "dur_minus_infinity"])
     def test_malformed_trace_line(self, tmp_path, capsys, bad_line, mode):
         inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
         inst.write_text('[{"upper": 1, "proc": 1}, {"upper": 2, "proc": 2}]')
@@ -774,11 +778,19 @@ class TestBadValues:
           "--sweep", "n=2:3:1"], "seed"),
         (["verify-constants", "--override", "det_lb_ratio=1", "--override", "det_lb_ratio=1.854628"],
          "det_lb_ratio"),
-    ], ids=["simulate", "gen", "sweep", "verify_constants"])
+        (["simulate", "random[T=2,T=1.8,E=3]", "--seed", "1", "--gen", "four_type", "--param", "n=4"], "T"),
+    ], ids=["simulate", "gen", "sweep", "verify_constants", "rule_spec"])
     def test_a_key_given_twice_is_refused(self, capsys, argv, key):
         # the later value used to win, so a negative control could be masked by a repeat
         assert main(argv) == 2
         assert one_error_line(capsys) == f"parameter {key!r} given twice"
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_a_rule_spec_value_with_a_zero_denominator_is_refused(self, capsys, mode):
+        # rational mode reads the value as a Fraction, whose zero denominator is no ValueError
+        argv = ["simulate", "random[T=1/0,E=3]", "--mode", mode, "--exact", "--gen", "four_type", "--param", "n=4"]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == "bad value for T: '1/0'"
 
     def test_a_sweep_axis_given_as_a_param_is_refused(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

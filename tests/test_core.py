@@ -354,6 +354,17 @@ class TestRoundTrips:
         dump_trace(tr, path)
         assert load_trace(path).n == 1
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("field, value", [("dur", "NaN"), ("t", "Infinity"), ("dur", "-Infinity")])
+    def test_trace_numbers_must_be_finite(self, tmp_path, exact, field, value):
+        # JSON's NaN and Infinity parse as floats; a NaN duration once made the total nan
+        row = {"t": "0", "kind": '"exec_untested"', "job": "0", "dur": "2", field: value}
+        path = tmp_path / "t.jsonl"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
+        with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}, line 1: expected a JSON object"
+                                                 " with numbers 't' and 'dur'"):
+            load_trace(path, exact=exact)
+
     def test_lower_key_rejected(self, tmp_path):
         path = tmp_path / "lower.json"
         path.write_text('[{"upper": 2, "proc": 1}, {"upper": 2, "proc": 1, "lower": 0}]')

@@ -1,5 +1,6 @@
 """Protocol enforcement, reveal sources, and expectation runs."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -181,20 +182,18 @@ def test_expectation_runs_name_the_same_action(name, exact):
 class TestStaticSource:
     @pytest.mark.parametrize("exact", [False, True])
     def test_answers_with_the_instance_times(self, exact):
+        # begin hands the run the instance's own two columns, so every time keeps its type
         inst = gen_random(9, seed="src", exact=exact)
-        src = StaticSource(inst)
-        src.begin(inst.n, inst.uppers())
-        assert [src.reveal(j) for j in range(inst.n)] == list(inst.procs())
-        assert [src.settle_untested(j) for j in range(inst.n)] == list(inst.procs())
-        assert all(type(src.reveal(j)) is type(p) for j, p in enumerate(inst.procs()))
-        assert src.realized_instance() is inst
+        uppers, times = StaticSource(inst).begin(inst.n, inst.uppers())
+        assert uppers is inst.uppers() and times is inst.procs()
 
     def test_begin_checks_the_view(self):
         inst = Instance.from_pairs([(2, 1), (3, 1)])
         src = StaticSource(inst)
         # an equal view that is not the instance's own tuple: the run uses the instance's
-        assert src.begin(2, [2.0, 3]) is inst.uppers()
-        assert src.begin(2, inst.uppers()) is inst.uppers()
+        for view in ([2.0, 3], inst.uppers()):
+            uppers, times = src.begin(2, view)
+            assert uppers is inst.uppers() and times is inst.procs()
         with pytest.raises(ProtocolError, match="^source holds 2 jobs, run asked for 3$"):
             src.begin(3, (2, 3, 3))
         with pytest.raises(ProtocolError, match="^view's upper limits differ from the source instance's$"):
@@ -214,18 +213,23 @@ class TestStaticSource:
 def test_a_source_may_answer_with_any_callables():
     inst = gen_random(20, seed="duck")
 
-    class Lookup:  # answers through a list's C-level __getitem__
+    class Lookup:  # holds no times and commits through an attribute, not a method
         def __init__(self):
-            self.reveal = self.settle_untested = list(inst.procs()).__getitem__
+            self.commit = lambda job, via_test: inst.procs()[job]
 
         def begin(self, n, uppers):
-            return uppers
+            return uppers, None
+
+    class Column:  # duck-typed, holding its times in a list
+        def begin(self, n, uppers):
+            return uppers, list(inst.procs())
 
     alg = parse_algorithm("random")
-    looked_up = run_expected(alg, Lookup(), inst.n, inst.uppers(), trials=5, seed="d")
-    assert looked_up == run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=5, seed="d")
-    trace = run(parse_algorithm("threshold").generator(), Lookup(), inst.n, inst.uppers())
-    assert trace == run(parse_algorithm("threshold").generator(), StaticSource(inst), inst.n, inst.uppers())
+    static = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=5, seed="d")
+    static_trace = run(parse_algorithm("threshold").generator(), StaticSource(inst), inst.n, inst.uppers())
+    for make in (Lookup, Column):
+        assert run_expected(alg, make(), inst.n, inst.uppers(), trials=5, seed="d") == static
+        assert run(parse_algorithm("threshold").generator(), make(), inst.n, inst.uppers()) == static_trace
 
 
 class TestAdaptiveSource:
@@ -558,27 +562,25 @@ def test_source_begins_every_run(exact, runs):
         run_expected(alg, src, 2, (3, 3), trials=5, seed="s", exact=exact)
 
 
-@pytest.mark.parametrize("case, begins", [("int", 1), ("float view", 1), ("float", 1), ("subclass", 0)])
-def test_closed_form_only_on_an_exact_static_source(monkeypatch, case, begins):
-    # the hook runs once, on the column of one begin, on exactly a StaticSource, whatever its
-    # numbers; a subclass, whose methods could answer otherwise, is refused before its begin
-    begun = []
+@pytest.mark.parametrize("case", ["int", "float view", "float", "subclass"])
+def test_closed_form_runs_on_the_columns_of_one_begin(monkeypatch, case):
+    # the hook runs once, on the two columns one begin returns, whatever their numbers; a
+    # subclass that keeps `begin` holds the same columns and gets the same closed form
+    begun, hooked = [], []
     begin = StaticSource.begin
     monkeypatch.setattr(StaticSource, "begin", lambda self, n, uppers: begun.append(n) or begin(self, n, uppers))
     pairs = [(2, 1), (3, 3), (Fraction(5, 2), 0)]
     inst = Instance.from_pairs([(float(u), float(p)) for u, p in pairs] if case == "float" else pairs)
     view = [float(u) for u in inst.uppers()] if case == "float view" else inst.uppers()
-    if case == "subclass":
-        source = CountingSource(inst)
-        with pytest.raises(ProtocolError, match="^an exact expectation of random reads the instance's times,"
-                                                " so it needs a plain StaticSource, not CountingSource$"):
-            run_expected(parse_algorithm("random"), source, 3, view, exact=True)
-        assert (len(begun), source.begins) == (begins, 0)
-        return
-    res = run_expected(parse_algorithm("random"), StaticSource(inst), 3, view, exact=True)
-    assert (len(begun), res.trials, res.exact) == (begins, 6, True)
+    source = CountingSource(inst) if case == "subclass" else StaticSource(inst)
+    alg = parse_algorithm("random")
+    spied = dataclasses.replace(alg, expected_cost=lambda *columns: hooked.append(columns)
+                                or alg.expected_cost(*columns))
+    res = run_expected(spied, source, 3, view, exact=True)
+    assert (len(begun), res.trials, res.exact) == (1, 6, True)
+    assert len(hooked) == 1 and hooked[0][0] is inst.uppers() and hooked[0][1] is inst.procs()
     exact_inst = Instance.from_pairs(pairs)
-    want, _, _ = parse_algorithm("random").expected_cost(exact_inst.uppers(), exact_inst.procs())
+    want, _, _ = alg.expected_cost(exact_inst.uppers(), exact_inst.procs())
     # a float view equal to the instance's column runs on that column: only float times make floats
     assert type(res.total) is (float if case == "float" else Fraction)
     assert res.total == want if case != "float" else math.isclose(res.total, want)
@@ -618,7 +620,7 @@ def test_an_adaptive_source_walks_its_view_once_per_run(monkeypatch, mode):
 
 
 def other_view(case):
-    """(a fresh source, a view) where the view is not a plain StaticSource's own instance column."""
+    """(a fresh source, a view) where the view is not a StaticSource's own instance column."""
     own = VIEW_INSTANCE.uppers()
     if case == "list copy":
         return StaticSource(VIEW_INSTANCE), list(own)
@@ -634,13 +636,13 @@ def other_view(case):
     for case in ("list copy", "tuple copy", "adaptive", "subclass") if (mode, case) != ("mc", "adaptive")])
 def test_every_other_view_is_checked(monkeypatch, mode, case):
     # by its source's begin: an adaptive source walks it, a static one compares it with its
-    # column; a randomized exact expectation refuses any source but a plain StaticSource first
+    # column; a randomized exact expectation then refuses the adaptive source, which holds no times
     calls = view_check_calls(monkeypatch)
     source, view = other_view(case)
-    if mode == "exact" and case in ("subclass", "adaptive"):
-        with pytest.raises(ProtocolError, match="needs a plain StaticSource"):
+    if mode == "exact" and case == "adaptive":
+        with pytest.raises(ProtocolError, match="this source holds none$"):
             total_of(mode, source, 3, view)
-        assert calls == []
+        assert calls == [3]
         return
     total_of(mode, source, 3, view)
     assert calls == ([3] if case == "adaptive" else [])
@@ -692,22 +694,24 @@ def test_an_instance_column_with_a_wrong_n_is_a_bad_view(mode, n):
         total_of(mode, StaticSource(VIEW_INSTANCE), n, VIEW_INSTANCE.uppers())
 
 
-# Only exactly a StaticSource is read by index: every other source answers each
-# test and each untested run through its own callables, as a plain loop asks it.
+# A static source's times are read by index; every source whose `begin` returns no times
+# is asked through its `commit` on each test and each untested run, as a plain loop asks it.
 
 
 def reference_steps(gen_fn, source, n, uppers):
-    """The steps of a plain protocol loop that asks `source` on every test and untested run."""
-    source.begin(n, uppers)
+    """The steps of a plain protocol loop on the columns `source.begin` returns, asking
+    `source.commit` on every test and untested run when it returns no times."""
+    uppers, times = source.begin(n, uppers)
     gen = gen_fn((n, uppers))
     steps, revealed, t, answer = [], {}, 0, None
     for kind, job in iter(lambda: gen.send(answer), None):
         answer = None
         if kind == TEST:
-            answer = revealed[job] = source.reveal(job)
+            answer = revealed[job] = source.commit(job, True) if times is None else times[job]
             dur = 1
         elif kind == EXEC_UNTESTED:
-            source.settle_untested(job)
+            if times is None:
+                source.commit(job, False)
             dur = uppers[job]
         else:
             dur = revealed[job]
@@ -721,34 +725,40 @@ ASKED = Instance.from_pairs([(1.5, 1), (0.5, 0.5), (3, 2.9), (2, 0), (2.5, 2.5)]
 
 
 def logged_source(case):
-    """(a fresh source answering from ASKED, the list of (kind, job) it is asked for)."""
+    """(a maker of fresh sources that hold no times and commit ASKED's, the list of
+    (kind, job) their `commit` is called for)."""
     calls = []
     procs = ASKED.procs()
 
-    class Logging(StaticSource):
-        def reveal(self, job):
-            calls.append((TEST, job))
-            return super().reveal(job)
+    def log(job, via_test):
+        calls.append((TEST if via_test else EXEC_UNTESTED, job))
+        return procs[job]
 
-        def settle_untested(self, job):
-            calls.append((EXEC_UNTESTED, job))
-            return super().settle_untested(job)
+    class Withholding(StaticSource):  # holds the instance, yet its begin returns no times
+        def begin(self, n, uppers):
+            return super().begin(n, uppers)[0], None
 
-    class Lookup:  # duck-typed; holds a `_procs` column, but is no StaticSource
-        _procs = procs
+        def commit(self, job, via_test):
+            return log(job, via_test)
 
-        def __init__(self):
-            self.reveal = lambda job: calls.append((TEST, job)) or procs[job]
-            self.settle_untested = lambda job: calls.append((EXEC_UNTESTED, job)) or procs[job]
+    class Lookup:  # duck-typed
+        commit = staticmethod(log)
 
         def begin(self, n, uppers):
-            return uppers
+            return uppers, None
 
     def adaptive():  # each job is touched once, so its rule runs on every ask
-        return AdaptiveSource(lambda job, via_test, rank, upper:
-                              calls.append((TEST if via_test else EXEC_UNTESTED, job)) or procs[job])
+        return AdaptiveSource(lambda job, via_test, rank, upper: log(job, via_test))
 
-    return {"subclass": lambda: Logging(ASKED), "lookup": Lookup, "adaptive": adaptive}[case], calls
+    return {"subclass": lambda: Withholding(ASKED), "lookup": Lookup, "adaptive": adaptive}[case], calls
+
+
+def results(alg, make, mode):
+    """What `run` (mode "run"), Monte Carlo ("mc", 7 trials) or an exact expectation
+    ("exact") gives for `alg` on a source from `make()` over ASKED's view."""
+    if mode == "run":
+        return run(alg.generator("s"), make(), ASKED.n, ASKED.uppers())
+    return run_expected(alg, make(), ASKED.n, ASKED.uppers(), trials=7, seed="s", exact=mode == "exact")
 
 
 @pytest.mark.parametrize("case, mode", [
@@ -760,14 +770,7 @@ def test_every_other_source_is_asked_on_every_test_and_untested_run(case, mode):
     alg = parse_algorithm("threshold" if mode == "exact" else "random")
     n, view = ASKED.n, ASKED.uppers()
     make, calls = logged_source(case)
-    source = make()
-
-    def result(src):
-        if mode == "run":
-            return run(alg.generator("s"), src, n, view)
-        return run_expected(alg, src, n, view, trials=7, seed="s", exact=mode == "exact")
-
-    assert result(source) == result(StaticSource(ASKED))
+    assert results(alg, make, mode) == results(alg, lambda: StaticSource(ASKED), mode)
     if mode == "run":
         gen_fns = [alg.generator("s")]
     elif mode == "mc":
@@ -784,36 +787,43 @@ def test_every_other_source_is_asked_on_every_test_and_untested_run(case, mode):
 
 @pytest.mark.parametrize("rule", ["random", "makespan_rand"])
 @pytest.mark.parametrize("case", ["subclass", "lookup", "adaptive"])
-def test_a_randomized_exact_expectation_needs_a_plain_static_source(rule, case):
+def test_a_closed_form_needs_the_times_up_front(rule, case):
+    # whatever the source's type, a begin that returns no times is refused before any commit
     make, calls = logged_source(case)
-    source = make()
-    with pytest.raises(ProtocolError, match=f"^an exact expectation of {rule} reads the instance's times,"
-                                            f" so it needs a plain StaticSource, not "):
-        run_expected(parse_algorithm(rule), source, ASKED.n, ASKED.uppers(), exact=True)
+    with pytest.raises(ProtocolError, match=f"^an exact expectation of {rule} reads every time up front,"
+                                            " and this source holds none$"):
+        run_expected(parse_algorithm(rule), make(), ASKED.n, ASKED.uppers(), exact=True)
     assert calls == []
 
 
 def test_an_exact_expectation_of_a_randomized_rule_without_a_hook_is_refused(monkeypatch):
-    # refused before the source is asked anything, even a plain StaticSource
+    # refused before the source is asked anything, even a StaticSource, which holds the times
     calls = []
-    for method in ("begin", "reveal", "settle_untested"):
-        monkeypatch.setattr(StaticSource, method, lambda self, *args, m=method: calls.append((m, args)))
+    monkeypatch.setattr(StaticSource, "begin", lambda self, *args: calls.append(args))
     inst = Instance.from_pairs([(2, 1)])
     alg = OnlineAlgorithm("x", "x", lambda seed: None, randomized=True)
-    with pytest.raises(ProtocolError, match="^an exact expectation of x needs its expected_cost hook,"
-                                            " and this randomized rule has none$"):
-        run_expected(alg, StaticSource(inst), 1, inst.uppers(), exact=True)
+    for source in (StaticSource(inst), CountingSource(inst), adaptive_at_limit()):
+        with pytest.raises(ProtocolError, match="^an exact expectation of x needs its expected_cost hook,"
+                                                " and this randomized rule has none$"):
+            run_expected(alg, source, 1, inst.uppers(), exact=True)
     assert calls == []
 
 
 def test_a_plain_static_source_is_read_by_index(monkeypatch):
-    def refuse(self, job):
-        raise AssertionError("a plain StaticSource's times are read by index")
+    # a static source, or a subclass that keeps its begin, is never asked after begin: in a
+    # run, in Monte Carlo and in a deterministic rule's exact run
+    def refuse(self, *args):
+        raise AssertionError("a static source's times are read by index")
 
-    monkeypatch.setattr(StaticSource, "reveal", refuse)
-    monkeypatch.setattr(StaticSource, "settle_untested", refuse)
+    class Asked(StaticSource):  # what a loop asking its source would call
+        commit = reveal = settle_untested = refuse
+
+    monkeypatch.setattr(StaticSource, "commit", refuse, raising=False)
     alg = parse_algorithm("random")
     trace = run(alg.generator("s"), StaticSource(ASKED), ASKED.n, ASKED.uppers())
     assert [s[:2] for s in trace.steps if s[0] != EXEC_TESTED][:2] == [(EXEC_UNTESTED, 1), (EXEC_UNTESTED, 0)]
+    for mode in ("run", "mc", "exact"):
+        rule = parse_algorithm("threshold") if mode == "exact" else alg
+        assert results(rule, lambda: Asked(ASKED), mode) == results(rule, lambda: StaticSource(ASKED), mode)
     monkeypatch.undo()
     assert trace.steps == reference_steps(alg.generator("s"), StaticSource(ASKED), ASKED.n, ASKED.uppers())
