@@ -155,6 +155,8 @@ def _check_job(i: int, upper: Num, proc: Num, most: Num = math.inf) -> None:
             raise InstanceError(f"job {i}: {name} is not a finite number")
         if x > most:
             raise InstanceError(f"job {i}: {name} is past a float's range, in an instance with floats")
+    if upper < 0:
+        raise InstanceError(f"job {i}: negative upper limit {upper}")
     if proc < 0:
         raise InstanceError(f"job {i}: negative time")
     if proc > upper:
@@ -238,8 +240,9 @@ def check_trace_durations(trace: Trace, inst: Instance) -> None:
 
 # ---------------------------------------------------------------------------
 # File formats.  Instances are a JSON array of {"upper":..,"proc":..}, traces
-# are JSON lines {"t":..,"kind":..,"job":..,"dur":..}.  Exact mode reads each
-# number of an instance, and each fractional number of a trace, as a Fraction.
+# are JSON lines {"t":..,"kind":..,"job":..,"dur":..}, and a row with any other key
+# is bad input.  Exact mode reads each number of an instance, and each fractional
+# number of a trace, as a Fraction.
 
 _AS_FRACTIONS = {"parse_float": Fraction, "parse_int": Fraction}
 _RATIO = re.compile(r"-?[0-9]+/[0-9]+")
@@ -277,8 +280,8 @@ def load_instance(path, exact: bool = False) -> Instance:
     for i, row in enumerate(raw):
         if not isinstance(row, dict) or "upper" not in row or "proc" not in row:
             raise InstanceError(f"job {i}: expected an object with 'upper' and 'proc'")
-        if "lower" in row:
-            raise InstanceError(f"job {i}: unknown key 'lower' (a job has only 'upper' and 'proc')")
+        if (key := next((k for k in row if k not in ("upper", "proc")), None)) is not None:
+            raise InstanceError(f"job {i}: unknown key {key!r} (a job has only 'upper' and 'proc')")
     return Instance.from_pairs((_number(row["upper"], exact), _number(row["proc"], exact)) for row in raw)
 
 
@@ -288,22 +291,10 @@ def instance_text(inst: Instance) -> str:
     return json.dumps(rows, indent=1) + "\n"
 
 
-def dump_instance(inst: Instance, path) -> None:
-    """Write `instance_text(inst)` to `path`; `load_instance` reads it back equal."""
-    with open(path, "w") as f:
-        f.write(instance_text(inst))
-
-
 def trace_text(trace: Trace) -> str:
     """The text of a trace file: one JSON line per step, every number written by `_plain`."""
     return "".join(json.dumps({"t": _plain(start), "kind": kind, "job": job, "dur": _plain(dur)}) + "\n"
                    for kind, job, start, dur in trace.steps)
-
-
-def dump_trace(trace: Trace, path) -> None:
-    """Write `trace_text(trace)` to `path`; `load_trace` reads it back equal."""
-    with open(path, "w") as f:
-        f.write(trace_text(trace))
 
 
 def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
@@ -322,6 +313,9 @@ def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
         if not ok:
             raise InputFileError(f"{path}, line {lineno}: expected a JSON object with "
                                   "numbers 't' and 'dur', a 'kind' and a 'job'")
+        if (key := next((k for k in row if k not in ("t", "kind", "job", "dur")), None)) is not None:
+            raise InputFileError(f"{path}, line {lineno}: unknown key {key!r}"
+                                 " (a trace line has only 't', 'kind', 'job' and 'dur')")
         if exact and type(job) is not int:  # name it as float mode does, not as a Fraction
             job = json.loads(line)["job"]
         steps.append((kind, job, t, dur))

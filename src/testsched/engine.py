@@ -9,11 +9,11 @@ whole information model enforced structurally.
 
 A reveal source's `begin(n, uppers)` is the one check of a run's view.  It
 returns `(limits, times)`: the limits the run uses, and the run's time column
-when the source holds one, else None.  A static source replays a fixed
-instance and returns both of its checked columns, which the loop reads by
-index.  An adaptive source returns no times; the loop calls its
-`commit(job, via_test)` on each job's first touch, where it fixes the job's
-time, which is how adversary lower bounds run.
+when the source holds one, else None.  A static source compares the view with
+its instance's limits and returns both checked columns, read by index.  An
+adaptive source checks the view as the limits of an instance with zero times
+and returns no times; the loop calls its `commit(job, via_test)` on each job's
+first touch, which fixes the job's time.
 
 The protocol loop keeps one ledger entry per job: untouched, the time its
 test revealed, or done.  `run` returns the full trace.  Expectation runs
@@ -26,7 +26,6 @@ rule's expectation is its one run; a randomized rule's exact one is its
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -37,6 +36,7 @@ from .core import (
     TESTED,
     UNTOUCHED,
     Instance,
+    InstanceError,
     Num,
     Trace,
     action_fault,
@@ -73,13 +73,12 @@ class StaticSource:
 
 
 class AdaptiveSource:
-    """Fixes each hidden time when the job is first touched.
+    """Fixes each hidden time when the job is first touched: how adversary lower bounds run.
 
     `rule(job, via_test, rank, upper)` returns the committed processing
     time, a finite int, float or Fraction in [0, upper]; `rank` is the
-    1-based count of distinct jobs touched so far.  `begin` returns the view
-    as `_check_view` walks it and no times, so the loop calls `commit` once
-    per job, on its first touch.  Single-use: one run per source.
+    1-based count of distinct jobs touched so far.  The loop calls `commit`
+    once per job, on its first touch.  Single-use: one run per source.
     """
 
     def __init__(self, rule):
@@ -88,10 +87,18 @@ class AdaptiveSource:
         self._committed: dict[int, Num] = {}
 
     def begin(self, n: int, uppers) -> tuple:
+        """The view's limits and no times.  A ProtocolError `bad view: ...` refuses a view of
+        other than n limits, and one whose limits an instance with zero times refuses."""
         if self._uppers is not None:
             raise ProtocolError("adaptive source already used; build a fresh one per run")
+        uppers = tuple(uppers)
+        if len(uppers) != n:
+            raise ProtocolError(f"bad view: n={n} with {len(uppers)} upper limits")
+        try:
+            self._uppers = Instance(uppers, (0,) * n).uppers()
+        except InstanceError as exc:
+            raise ProtocolError(f"bad view: {exc}") from exc
         self._n = n
-        self._uppers = _check_view(n, uppers)
         return self._uppers, None
 
     def commit(self, job: int, via_test: bool) -> Num:
@@ -117,25 +124,6 @@ def run(algorithm, source, n: int, upper_limits) -> Trace:
     the action index.
     """
     return _drive(algorithm, source, n, upper_limits)
-
-
-def _check_view(n: int, upper_limits) -> tuple:
-    """The view's limits as a tuple; ProtocolError unless n >= 1 limits obey the rule
-    `Instance` applies to its values (`core.validate_instance`): each a finite int,
-    float or Fraction (`is_finite_number`, so not a bool), >= 0 and, in a view with a
-    float, not past a float's range, since the run would overflow on adding it.
-    `AdaptiveSource.begin` calls it, on the one kind of view not from an instance.
-    """
-    uppers = tuple(upper_limits)
-    if n < 1 or len(uppers) != n:
-        raise ProtocolError(f"bad view: n={n} with {len(uppers)} upper limits")
-    most = sys.float_info.max if any(isinstance(u, float) for u in uppers) else math.inf
-    for j, u in enumerate(uppers):
-        if not is_finite_number(u) or u < 0:
-            raise ProtocolError(f"job {j}: upper limit {u} invalid")
-        if u > most:
-            raise ProtocolError(f"job {j}: upper limit past a float's range among float limits")
-    return uppers
 
 
 def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):

@@ -646,6 +646,33 @@ class TestBadInputFiles:
             f"{trace}, line 3: expected a JSON object with numbers 't' and 'dur', a 'kind' and a 'job'")
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("row, key", [
+        ('{"upper": 2, "proc": 1, "weight": 5}', "weight"),
+        ('{"upper": 2, "prc": 1, "proc": 1}', "prc"),
+        ('{"note": "x", "upper": 2, "lower": 0, "proc": 1}', "note"),
+    ], ids=["extra", "typo_beside_proc", "first_of_two"])
+    def test_unknown_instance_key(self, tmp_path, capsys, row, key, mode):
+        # an instance row holds only 'upper' and 'proc'; the first other key is named
+        inst = tmp_path / "inst.json"
+        inst.write_text(f'[{{"upper": 2, "proc": 1}}, {row}]')
+        assert main(["simulate", "threshold", "--instance", str(inst), "--mode", mode]) == 2
+        assert one_error_line(capsys) == f"job 1: unknown key '{key}' (a job has only 'upper' and 'proc')"
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("line, key", [
+        ('{"t": 1, "kind": "exec_untested", "job": 1, "dur": 2, "note": "x"}', "note"),
+        ('{"lower": 0, "t": 1, "kind": "exec_untested", "job": 1, "dur": 2, "note": "x"}', "lower"),
+    ], ids=["extra", "first_of_two"])
+    def test_unknown_trace_key(self, tmp_path, capsys, line, key, mode):
+        # the schedule is valid without the key, so only the key rule refuses it
+        inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+        inst.write_text('[{"upper": 1, "proc": 1}, {"upper": 2, "proc": 2}]')
+        trace.write_text('{"t": 0, "kind": "exec_untested", "job": 0, "dur": 1}\n\n' + line + "\n")
+        assert main(["replay", "--instance", str(inst), "--trace", str(trace), "--mode", mode]) == 2
+        assert one_error_line(capsys) == (
+            f"{trace}, line 3: unknown key '{key}' (a trace line has only 't', 'kind', 'job' and 'dur')")
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("job, shown", [("0.5", "0.5"), ('"0"', "'0'"), ("false", "False")],
                              ids=["fraction", "string", "bool"])
     def test_job_id_must_be_an_integer(self, tmp_path, capsys, job, shown, mode):

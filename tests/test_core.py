@@ -26,8 +26,7 @@ from testsched.core import (
     build_trace,
     check_trace_durations,
     cost_of_trace,
-    dump_instance,
-    dump_trace,
+    instance_text,
     load_instance,
     load_trace,
     numbers_equal,
@@ -325,7 +324,7 @@ class TestRoundTrips:
     def test_instance_file_float(self, tmp_path):
         inst = Instance.from_pairs([(2.5, 1.25), (3, 0)])
         path = tmp_path / "inst.json"
-        dump_instance(inst, path)
+        path.write_text(instance_text(inst))
         back = load_instance(path)
         assert back.n == 2
         assert back.jobs[0].upper == 2.5
@@ -334,7 +333,7 @@ class TestRoundTrips:
     def test_instance_file_exact(self, tmp_path):
         inst = Instance.from_pairs([(Fraction(5, 2), Fraction(5, 4))])
         path = tmp_path / "inst.json"
-        dump_instance(inst, path)
+        path.write_text(instance_text(inst))
         back = load_instance(path, exact=True)
         assert back.jobs[0].upper == Fraction(5, 2)
         assert isinstance(back.jobs[0].upper, Fraction)
@@ -342,8 +341,7 @@ class TestRoundTrips:
     def test_trace_file(self, tmp_path):
         tr = build_trace(10, staircase_steps())
         path = tmp_path / "trace.jsonl"
-        dump_trace(tr, path)
-        assert path.read_text() == trace_text(tr)  # the text `simulate --trace-out` writes
+        path.write_text(trace_text(tr))  # the text `simulate --trace-out` writes
         back = load_trace(path, n=10, exact=True)
         assert back.total == 105
         assert back.steps[0][:2] == (TEST, 0)
@@ -351,7 +349,7 @@ class TestRoundTrips:
     def test_trace_infers_n(self, tmp_path):
         tr = build_trace(1, [(EXEC_UNTESTED, 0, 0, 3)])
         path = tmp_path / "t.jsonl"
-        dump_trace(tr, path)
+        path.write_text(trace_text(tr))
         assert load_trace(path).n == 1
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -374,7 +372,7 @@ class TestRoundTrips:
 
     def test_dump_writes_upper_and_proc_only(self, tmp_path):
         path = tmp_path / "inst.json"
-        dump_instance(Instance.from_pairs([(2, 0), (Fraction(5, 2), Fraction(1, 2))]), path)
+        path.write_text(instance_text(Instance.from_pairs([(2, 0), (Fraction(5, 2), Fraction(1, 2))])))
         assert json.loads(path.read_text()) == [{"upper": 2, "proc": 0}, {"upper": 2.5, "proc": 0.5}]
 
     def test_bad_instance_file(self, tmp_path):
@@ -398,14 +396,14 @@ class TestLosslessNumbers:
     def test_third_round_trips_in_both_files(self, tmp_path):
         inst = Instance.from_pairs([(Fraction(2, 3), Fraction(1, 3)), (2, 1)])
         path = tmp_path / "inst.json"
-        dump_instance(inst, path)
+        path.write_text(instance_text(inst))
         assert '"upper": "2/3",\n  "proc": "1/3"' in path.read_text()
         back = load_instance(path, exact=True)
         assert back.uppers() == (Fraction(2, 3), 2) and back.procs() == (Fraction(1, 3), 1)
         assert load_instance(path).uppers() == (2 / 3, 2)
         trace_path = tmp_path / "trace.jsonl"
         trace = run(parse_algorithm("threshold", exact=True).generator(), StaticSource(inst), 2, inst.uppers())
-        dump_trace(trace, trace_path)
+        trace_path.write_text(trace_text(trace))
         assert '"dur": "2/3"' in trace_path.read_text()
         assert load_trace(trace_path, exact=True).steps == trace.steps
         assert [s[3] for s in load_trace(trace_path).steps] == [float(s[3]) for s in trace.steps]
@@ -450,7 +448,7 @@ ROUND_TRIP = settings(derandomize=True, max_examples=150, database=None, deadlin
 @given(RATIONAL_PAIRS)
 def test_rational_instance_reads_back_equal(tmp_path, pairs):
     inst = Instance.from_pairs(pairs)
-    dump_instance(inst, tmp_path / "inst.json")
+    (tmp_path / "inst.json").write_text(instance_text(inst))
     back = load_instance(tmp_path / "inst.json", exact=True)
     assert back.uppers() == inst.uppers() and back.procs() == inst.procs()
     assert {*map(type, back.uppers()), *map(type, back.procs())} <= {int, Fraction}
@@ -460,7 +458,7 @@ def test_rational_instance_reads_back_equal(tmp_path, pairs):
 @given(FLOAT_PAIRS)
 def test_float_instance_reads_back_equal(tmp_path, pairs):
     inst = Instance.from_pairs(pairs)
-    dump_instance(inst, tmp_path / "inst.json")
+    (tmp_path / "inst.json").write_text(instance_text(inst))
     back = load_instance(tmp_path / "inst.json")
     assert back.uppers() == inst.uppers() and back.procs() == inst.procs()
     assert list(map(type, back.uppers() + back.procs())) == list(map(type, inst.uppers() + inst.procs()))
@@ -473,5 +471,5 @@ def test_threshold_trace_reads_back_equal(tmp_path, case):
     exact, pairs = case
     inst = Instance.from_pairs(pairs)
     trace = run(parse_algorithm("threshold", exact=exact).generator(), StaticSource(inst), inst.n, inst.uppers())
-    dump_trace(trace, tmp_path / "trace.jsonl")
+    (tmp_path / "trace.jsonl").write_text(trace_text(trace))
     assert load_trace(tmp_path / "trace.jsonl", n=inst.n, exact=exact).steps == trace.steps

@@ -7,8 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from testsched import algorithms, engine
+from testsched import algorithms, core
 from enumeration import exact_outcomes
 from testsched.algorithms import (
     SUM_ALGORITHM_NAMES,
@@ -23,6 +25,7 @@ from testsched.core import (
     EXEC_UNTESTED,
     TEST,
     Instance,
+    InstanceError,
     TraceError,
     build_trace,
     cost_of_trace,
@@ -31,7 +34,6 @@ from testsched.engine import (
     AdaptiveSource,
     ProtocolError,
     StaticSource,
-    _check_view,
     _stderr,
     run,
     run_expected,
@@ -433,17 +435,20 @@ class TestExpectationMatchesRuns:
         assert (res.total, res.makespan) == (total, makespan)
 
 
+# An adaptive source refuses a view as an instance with those limits and zero times refuses it
+NOT_FINITE = "upper is not a finite number"
+PAST_A_FLOAT = "upper is past a float's range, in an instance with floats"
 BAD_VIEWS = {
-    "negative limit": (2, (2, -1), "job 1: upper limit -1 invalid"),
-    "infinite limit": (2, (2, math.inf), "job 1: upper limit inf invalid"),
+    "negative limit": (2, (2, -1), "bad view: job 1: negative upper limit -1"),
+    "infinite limit": (2, (2, math.inf), f"bad view: job 1: {NOT_FINITE}"),
     "length mismatch": (3, (2, 2), "bad view: n=3 with 2 upper limits"),
-    "str limit": (2, (2, "2"), "job 1: upper limit 2 invalid"),
-    "None limit": (2, (None, 2), "job 0: upper limit None invalid"),
+    "no jobs": (0, (), "bad view: instance must contain at least one job"),
+    "str limit": (2, (2, "2"), f"bad view: job 1: {NOT_FINITE}"),
+    "None limit": (2, (None, 2), f"bad view: job 0: {NOT_FINITE}"),
     # float() rounds these down to the largest float, yet `Instance` refuses them beside a float
-    "int past a float": (2, (2.0, int(sys.float_info.max) + 1),
-                         "job 1: upper limit past a float's range among float limits"),
+    "int past a float": (2, (2.0, int(sys.float_info.max) + 1), f"bad view: job 1: {PAST_A_FLOAT}"),
     "fraction past a float": (2, (Fraction(sys.float_info.max) + Fraction(1, 3), 2.0),
-                              "job 0: upper limit past a float's range among float limits"),
+                              f"bad view: job 0: {PAST_A_FLOAT}"),
 }
 
 
@@ -471,7 +476,7 @@ def total_of(mode, source, n, view):
 @pytest.mark.parametrize("mode", ["run", "mc", "exact"])
 @pytest.mark.parametrize("name", sorted(BAD_VIEWS))
 def test_bad_view_rejected(mode, name):
-    """An adaptive source walks its view in `begin`."""
+    """An adaptive source checks its view in `begin`, by the instance rule."""
     n, uppers, message = BAD_VIEWS[name]
     with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
         on_adaptive(mode, n, uppers)
@@ -489,22 +494,22 @@ def test_bad_view_beside_a_static_source(mode, name):
         total_of(mode, StaticSource(Instance.from_pairs([(2, 1), (2, 1)])), n, uppers)
 
 
-# (view, message or None if accepted): each must keep the per-limit walk's verdict,
-# a NaN or a bad limit named at the first job that has one, wherever it sits.
+# (view, message or None if accepted): a NaN or a bad limit is named at the first job that
+# has one, wherever it sits.
 ODD_VIEWS = {
-    "nan first": ((math.nan, 2.0, 2.0), "job 0: upper limit nan invalid"),
-    "nan middle": ((2.0, math.nan, 2.0), "job 1: upper limit nan invalid"),
-    "nan last": ((2.0, 2.0, math.nan), "job 2: upper limit nan invalid"),
-    "nan then negative": ((2.0, math.nan, -1.0), "job 1: upper limit nan invalid"),
-    "negative then nan": ((2.0, -1.0, math.nan), "job 1: upper limit -1.0 invalid"),
-    "inf middle": ((2.0, math.inf, 2.0), "job 1: upper limit inf invalid"),
-    "minus inf first": ((-math.inf, 2.0, 2.0), "job 0: upper limit -inf invalid"),
-    "nan among ints": ((2, math.nan, 2), "job 1: upper limit nan invalid"),
-    "negative fraction": ((2, Fraction(-1, 2), 2), "job 1: upper limit -1/2 invalid"),
+    "nan first": ((math.nan, 2.0, 2.0), f"bad view: job 0: {NOT_FINITE}"),
+    "nan middle": ((2.0, math.nan, 2.0), f"bad view: job 1: {NOT_FINITE}"),
+    "nan last": ((2.0, 2.0, math.nan), f"bad view: job 2: {NOT_FINITE}"),
+    "nan then negative": ((2.0, math.nan, -1.0), f"bad view: job 1: {NOT_FINITE}"),
+    "negative then nan": ((2.0, -1.0, math.nan), "bad view: job 1: negative upper limit -1.0"),
+    "inf middle": ((2.0, math.inf, 2.0), f"bad view: job 1: {NOT_FINITE}"),
+    "minus inf first": ((-math.inf, 2.0, 2.0), f"bad view: job 0: {NOT_FINITE}"),
+    "nan among ints": ((2, math.nan, 2), f"bad view: job 1: {NOT_FINITE}"),
+    "negative fraction": ((2, Fraction(-1, 2), 2), "bad view: job 1: negative upper limit -1/2"),
     "minus zero": ((-0.0, 2.0, 2.0), None),
     "minus zero among ints": ((2, -0.0, 2), None),
     "fraction and int": ((Fraction(5, 2), 2, 3), None),
-    "bool": ((2, True, 2.5), "job 1: upper limit True invalid"),
+    "bool": ((2, True, 2.5), f"bad view: job 1: {NOT_FINITE}"),
 }
 
 
@@ -522,14 +527,46 @@ def test_view_check_keeps_its_verdict(mode, name):
 
 
 def test_view_with_an_int_beyond_float_range():
-    # the clock would add such a limit to a float and overflow, so the walk refuses it by job;
+    # the clock would add such a limit to a float and overflow, so the view is refused by job;
     # without a float in the view the limits stay exact and pass
-    with pytest.raises(ProtocolError, match="^job 0: upper limit past a float's range among float limits$"):
-        _check_view(2, [10**400, 2.5])
-    with pytest.raises(ProtocolError, match="^job 1: upper limit past a float's range"):
+    with pytest.raises(ProtocolError, match=f"^bad view: job 0: {re.escape(PAST_A_FLOAT)}$"):
+        adaptive_at_limit().begin(2, [10**400, 2.5])
+    with pytest.raises(ProtocolError, match=f"^bad view: job 1: {re.escape(PAST_A_FLOAT)}$"):
         run(delay_all_generator, AdaptiveSource(lambda j, v, r, u: u), 3,
             [Fraction(1, 3), Fraction(10**400), 2.5])
-    assert _check_view(2, [10**400, Fraction(5, 2)]) == (10**400, Fraction(5, 2))
+    assert adaptive_at_limit().begin(2, [10**400, Fraction(5, 2)]) == ((10**400, Fraction(5, 2)), None)
+
+
+# Limits the one rule accepts or refuses: every number type, sign, float edge and non-number
+LIMITS = [0, 2, 2.5, -1, -0.0, 10**400, math.nan, math.inf, -math.inf, sys.float_info.max,
+          Fraction(5, 2), Fraction(-1, 2), Fraction(sys.float_info.max) + Fraction(1, 3), True, None, "2"]
+
+
+def first_refused(view):
+    """The reference rule: the index of the first limit that is not a finite int, float or
+    Fraction (a bool is none), not >= 0 or, beside a float, past a float's range; else None."""
+    floats = any(type(u) is float for u in view)
+    for j, u in enumerate(view):
+        if not (type(u) in (int, float, Fraction) and (type(u) is not float or math.isfinite(u))
+                and u >= 0 and not (floats and u > sys.float_info.max)):
+            return j
+    return None
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(st.lists(st.sampled_from(LIMITS), min_size=1, max_size=6))
+def test_a_view_is_refused_exactly_when_an_instance_refuses_its_limits(view):
+    bad = first_refused(view)
+    zeros = (0,) * len(view)
+    if bad is None:
+        assert Instance(view, zeros).uppers() == tuple(view)
+        limits, times = adaptive_at_limit().begin(len(view), view)
+        assert typed(limits) == typed(view) and times is None
+        return
+    with pytest.raises(InstanceError, match=f"^job {bad}: "):
+        Instance(view, zeros)
+    with pytest.raises(ProtocolError, match=f"^bad view: job {bad}: "):
+        adaptive_at_limit().begin(len(view), view)
 
 
 def test_exact_short_view_is_a_protocol_error():
@@ -587,15 +624,16 @@ def test_closed_form_runs_on_the_columns_of_one_begin(monkeypatch, case):
 
 
 def view_check_calls(monkeypatch):
-    """Spy on `engine._check_view`: the list of n it was called with."""
+    """Spy on `core.validate_instance`, which checks an adaptive source's view: the list of n
+    of the instances it checked."""
     calls = []
-    check = engine._check_view
+    check = core.validate_instance
 
-    def spy(n, upper_limits):
-        calls.append(n)
-        return check(n, upper_limits)
+    def spy(inst):
+        calls.append(inst.n)
+        return check(inst)
 
-    monkeypatch.setattr(engine, "_check_view", spy)
+    monkeypatch.setattr(core, "validate_instance", spy)
     return calls
 
 
@@ -635,7 +673,7 @@ def other_view(case):
     (mode, case) for mode in ("run", "mc", "exact")
     for case in ("list copy", "tuple copy", "adaptive", "subclass") if (mode, case) != ("mc", "adaptive")])
 def test_every_other_view_is_checked(monkeypatch, mode, case):
-    # by its source's begin: an adaptive source walks it, a static one compares it with its
+    # by its source's begin: an adaptive source checks it, a static one compares it with its
     # column; a randomized exact expectation then refuses the adaptive source, which holds no times
     calls = view_check_calls(monkeypatch)
     source, view = other_view(case)
@@ -647,7 +685,7 @@ def test_every_other_view_is_checked(monkeypatch, mode, case):
     total_of(mode, source, 3, view)
     assert calls == ([3] if case == "adaptive" else [])
     source, view = other_view(case)
-    message = "job 2: upper limit -1 invalid" if case == "adaptive" else "view's upper limits differ"
+    message = "bad view: job 2: negative upper limit -1" if case == "adaptive" else "view's upper limits differ"
     with pytest.raises(ProtocolError, match=f"^{message}"):
         total_of(mode, source, 3, [*view[:2], -1])
 

@@ -1,9 +1,13 @@
-"""README's code example runs as written, so the documented API cannot drift from the code."""
+"""README's code example runs and its command lines parse, so the documented interface cannot
+drift from the code."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from testsched import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +20,15 @@ def test_the_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
     assert out.getvalue() == "15.3 11.5\n"
+
+
+def test_the_command_lines_parse():
+    # each command of the "Command line" block, continuations joined, parsed but not run
+    block = re.search(r"^## Command line\n\n```\n(.*?)^```$", README.read_text(), re.M | re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 9
+    parser = cli.build_parser()
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "testsched"
+        parser.parse_args(argv[1:])
