@@ -28,12 +28,13 @@ DET_LB_PUBLISHED = 1.854628
 RAND_LB_PUBLISHED = 1.62575
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+GOLDEN_TOL, BISECT_TOL, BISECT_MAX_ITER = 1e-9, 1e-12, 500  # the two searches' stopping rules
 
 # ---------------------------------------------------------------------------
 # Numeric building blocks.
 
 
-def golden_section_min(f, a, b, tol=1e-9):
+def golden_section_min(f, a, b):
     """Minimum of f on [a, b] by golden-section search; endpoints included.
 
     Returns (x, f(x)).  Assumes f is unimodal on the interval; callers that
@@ -44,7 +45,7 @@ def golden_section_min(f, a, b, tol=1e-9):
     c = hi - inv * (hi - lo)
     d = lo + inv * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > GOLDEN_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - inv * (hi - lo)
@@ -57,22 +58,22 @@ def golden_section_min(f, a, b, tol=1e-9):
     return best[1], best[0]
 
 
-def scan_then_golden_min(f, a, b, steps=200, tol=1e-9):
+def scan_then_golden_min(f, a, b, steps=200):
     """Coarse scan to bracket the minimum, then golden-section inside."""
     xs = [a + (b - a) * i / steps for i in range(steps + 1)]
     vals = [f(x) for x in xs]
     i = min(range(len(xs)), key=lambda k: vals[k])
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, steps)]
-    return golden_section_min(f, lo, hi, tol)
+    return golden_section_min(f, lo, hi)
 
 
-def scan_then_golden_max(f, a, b, steps=200, tol=1e-9):
-    x, fx = scan_then_golden_min(lambda t: -f(t), a, b, steps, tol)
+def scan_then_golden_max(f, a, b, steps=200):
+    x, fx = scan_then_golden_min(lambda t: -f(t), a, b, steps)
     return x, -fx
 
 
-def bisect_root(f, a, b, tol=1e-12, max_iter=500):
+def bisect_root(f, a, b):
     """Root of f on [a, b]; requires a sign change."""
     fa, fb = f(a), f(b)
     if fa == 0:
@@ -81,10 +82,10 @@ def bisect_root(f, a, b, tol=1e-12, max_iter=500):
         return b
     if (fa > 0) == (fb > 0):
         raise ValueError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         m = (a + b) / 2
         fm = f(m)
-        if fm == 0 or (b - a) / 2 < tol:
+        if fm == 0 or (b - a) / 2 < BISECT_TOL:
             return m
         if (fm > 0) == (fa > 0):
             a, fa = m, fm

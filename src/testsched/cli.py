@@ -294,12 +294,13 @@ def cmd_verify_constants(args):
 
 def cmd_lower_bound(args):
     names = [s.strip() for s in args.algorithms.split(",")] if args.algorithms else None
-    if args.kind == "det":
-        report = det_lower_bound(args.delta, args.p_bar, args.n, names)
-    elif args.seed is None:
+    if args.kind == "rand" and args.seed is None:
         raise ConfigurationError("the randomized bound needs --seed")
-    else:
-        report = rand_lower_bound(args.q, args.n, args.trials, args.seed, names)
+    try:  # the generators allocate each column whole, so an n too large for memory fails at once
+        report = (det_lower_bound(args.delta, args.p_bar, args.n, names) if args.kind == "det"
+                  else rand_lower_bound(args.q, args.n, args.trials, args.seed, names))
+    except MemoryError:
+        raise InstanceError(f"lower-bound {args.kind}: {args.n} jobs do not fit in memory") from None
     _emit(report, args.out)
     return 0
 
@@ -391,7 +392,7 @@ def cmd_replay(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="testsched",
+    p = argparse.ArgumentParser(prog="testsched", allow_abbrev=False,
                                 description="Workbench for scheduling with testing on one machine.")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -406,7 +407,7 @@ def build_parser():
             sp.add_argument("--trials", type=int, default=1000,
                             help="Monte Carlo replicates for randomized runs")
 
-    sp = sub.add_parser("simulate", help="run one algorithm on one instance")
+    sp = sub.add_parser("simulate", allow_abbrev=False, help="run one algorithm on one instance")
     sp.add_argument("algorithm", help="name or name[key=value,...]")
     sp.add_argument("--instance", help="instance JSON file")
     sp.add_argument("--gen", help="generator name instead of a file")
@@ -419,7 +420,7 @@ def build_parser():
     common(sp)
     sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("sweep", help="grid over generator parameters, CSV out")
+    sp = sub.add_parser("sweep", allow_abbrev=False, help="grid over generator parameters, CSV out")
     sp.add_argument("algorithm")
     sp.add_argument("--gen", required=True)
     sp.add_argument("--param", action="append", default=[], help="fixed generator key=value")
@@ -429,13 +430,13 @@ def build_parser():
     common(sp, mode=False)
     sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("verify-constants", help="recompute the published constants")
+    sp = sub.add_parser("verify-constants", allow_abbrev=False, help="recompute the published constants")
     sp.add_argument("--override", action="append", default=[],
                     help="NAME=VALUE replaces a computed value (negative control)")
     sp.add_argument("--out", help="also write the JSON report here")
     sp.set_defaults(fn=cmd_verify_constants)
 
-    sp = sub.add_parser("lower-bound", help="evaluate a lower-bound construction")
+    sp = sub.add_parser("lower-bound", allow_abbrev=False, help="evaluate a lower-bound construction")
     sp.add_argument("kind", choices=("det", "rand"))
     sp.add_argument("--delta", type=float, default=analysis.DET_LB_DELTA)
     sp.add_argument("--p-bar", type=float, default=analysis.DET_LB_PBAR)
@@ -445,13 +446,13 @@ def build_parser():
     common(sp, mode=False)
     sp.set_defaults(fn=cmd_lower_bound)
 
-    sp = sub.add_parser("gen", help="write an instance file")
+    sp = sub.add_parser("gen", allow_abbrev=False, help="write an instance file")
     sp.add_argument("name", choices=generators.GENERATOR_NAMES)
     sp.add_argument("--param", action="append", default=[], help="generator key=value")
     common(sp, seed=False, trials=False)
     sp.set_defaults(fn=cmd_gen)
 
-    sp = sub.add_parser("replay", help="validate a trace against an instance")
+    sp = sub.add_parser("replay", allow_abbrev=False, help="validate a trace against an instance")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--trace", required=True)
     common(sp, seed=False, trials=False)

@@ -30,8 +30,9 @@ EXEC_TESTED = "exec_tested"
 EXEC_UNTESTED = "exec_untested"
 KINDS = (TEST, EXEC_TESTED, EXEC_UNTESTED)
 
-# Per-job states of a schedule ledger, one byte per job in a bytearray(n).
-UNTOUCHED, TESTED, DONE = 0, 1, 2
+# The one schedule ledger: an entry per job, UNTOUCHED, DONE or, once the job is tested, any other
+# value (the protocol loop keeps the revealed time there, `build_trace` the test's duration).
+UNTOUCHED, DONE = object(), object()
 
 REL_TOL = 1e-9  # float-mode comparison tolerance
 
@@ -174,13 +175,13 @@ class Trace:
     makespan: Num
 
 
-def action_fault(kind, job, state) -> str:
-    """Name the schedule rule that action `kind` on `job` breaks in ledger `state`."""
+def action_fault(kind, job, entry) -> str:
+    """Name the schedule rule that action `kind` on `job` breaks at its ledger `entry`."""
     if kind not in KINDS:
         return f"unknown kind {kind!r}"
     if kind == TEST:
-        return f"job {job} tested twice" if state == TESTED else f"job {job} tested after execution"
-    if state == DONE:
+        return f"job {job} tested after execution" if entry is DONE else f"job {job} tested twice"
+    if entry is DONE:
         return f"job {job} executed twice"
     if kind == EXEC_TESTED:
         return f"job {job} executed as tested before its test"
@@ -196,7 +197,7 @@ def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
     tested job.  The first offending action index is named in the error.
     """
     steps = list(steps)
-    state = bytearray(n)
+    ledger = [UNTOUCHED] * n
     completions: list = [None] * n
     t: Num = 0
     for i, (kind, job, start, dur) in enumerate(steps):
@@ -206,19 +207,19 @@ def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
             raise TraceError(f"action {i}: starts at {start}, schedule time is {t} (gap or overlap)")
         if dur < 0:
             raise TraceError(f"action {i}: negative duration")
-        s = state[job]
-        if kind == TEST and s == UNTOUCHED:
+        s = ledger[job]
+        if kind == TEST and s is UNTOUCHED:
             if not numbers_equal(dur, 1):
                 raise TraceError(f"action {i}: test duration {dur} != 1")
-            state[job] = TESTED
-        elif (kind == EXEC_TESTED and s == TESTED) or (kind == EXEC_UNTESTED and s == UNTOUCHED):
-            state[job] = DONE
+            ledger[job] = dur
+        elif kind == (EXEC_UNTESTED if s is UNTOUCHED else EXEC_TESTED) and s is not DONE:
+            ledger[job] = DONE
             completions[job] = start + dur
         else:
             raise TraceError(f"action {i}: {action_fault(kind, job, s)}")
         t = start + dur
     for j in range(n):
-        if state[j] != DONE:
+        if ledger[j] is not DONE:
             raise TraceError(f"job {j} never executed")
     return Trace(n, steps, tuple(completions), sum(completions), t)
 

@@ -15,8 +15,8 @@ adaptive source checks the view as the limits of an instance with zero times
 and returns no times; the loop calls its `commit(job, via_test)` on each job's
 first touch, which fixes the job's time.
 
-The protocol loop keeps one ledger entry per job: untouched, the time its
-test revealed, or done.  `run` returns the full trace.  Expectation runs
+The protocol loop keeps `core`'s ledger: per job `UNTOUCHED`, the revealed
+time or `DONE`.  `run` returns the full trace.  Expectation runs
 (`run_expected`) read only each run's total and makespan, so they drive the
 same loop with the same checks but keep no step list.  A deterministic
 rule's expectation is its one run; a randomized rule's exact one is its
@@ -33,7 +33,6 @@ from .core import (
     EXEC_TESTED,
     EXEC_UNTESTED,
     TEST,
-    TESTED,
     UNTOUCHED,
     Instance,
     InstanceError,
@@ -42,8 +41,6 @@ from .core import (
     action_fault,
     is_finite_number,
 )
-
-_UNTOUCHED, _DONE = object(), object()  # `_drive`'s ledger entries beside a revealed time
 
 
 class ProtocolError(RuntimeError):
@@ -132,7 +129,7 @@ def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
     With `record=False` no step is kept and the result is `(total, makespan)`,
     the two values the Trace would carry: expectation runs read nothing else.
     Both modes make the same checks.  An action is checked on its job's
-    ledger entry (`_UNTOUCHED`, the revealed time or `_DONE`), then on its
+    ledger entry (`UNTOUCHED`, the revealed time or `DONE`), then on its
     kind; an error names it by its index, the tests so far plus jobs done.
     A test reads the job's time from the source's column; a source with no
     column gets `commit(job, via_test)` on each test and untested run instead.
@@ -142,7 +139,7 @@ def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
     gen = gen_fn((n, uppers))
     send = gen.send
     test, exec_tested, exec_untested = TEST, EXEC_TESTED, EXEC_UNTESTED
-    untouched, done, int_ = _UNTOUCHED, _DONE, int
+    untouched, done, int_ = UNTOUCHED, DONE, int
     ledger = [untouched] * n
     completions: list = [None] * n
     steps: list[tuple] = []
@@ -174,7 +171,7 @@ def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
                     t = t + 1
                     continue
                 if not kind == exec_untested:
-                    raise ProtocolError(f"action {tests + n - remaining}: {action_fault(kind, job, UNTOUCHED)}")
+                    raise ProtocolError(f"action {tests + n - remaining}: {action_fault(kind, job, s)}")
                 if times is None:
                     commit(job, False)
                 dur = uppers[job]
@@ -185,8 +182,7 @@ def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
                 if record:
                     append((exec_tested, job, t, dur))
             else:
-                fault = action_fault(kind, job, DONE if s is done else TESTED)
-                raise ProtocolError(f"action {tests + n - remaining}: {fault}")
+                raise ProtocolError(f"action {tests + n - remaining}: {action_fault(kind, job, s)}")
             t = t + dur
             completions[job] = t
             ledger[job] = done

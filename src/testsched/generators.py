@@ -119,8 +119,8 @@ def det_lb_adversary(n, delta, p_bar):
 
 
 def adversary_view(n, p_bar):
-    """The public side of an adversary run: n identical upper limits."""
-    return [p_bar] * n
+    """The public side of an adversary run: n identical upper limits, n a count (`_whole`)."""
+    return [p_bar] * _whole("n", n, 1)
 
 
 def gen_rand_lb(n, q, seed, exact=False):

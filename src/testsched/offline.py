@@ -4,9 +4,9 @@ With full information a job is worth min(1 + p, upper): test-and-run costs
 1 + p, running blind costs the upper limit.  For the sum of completion
 times the optimum orders jobs by that key ascending; for the makespan only
 the per-job choice matters.  `brute_force_optimum` is the independent
-oracle: it evaluates every test-set choice in every execution order, in
-integers, walking each order's 2^n test sets in Gray-code order so that
-each schedule's cost is one addition away from the previous one's.
+oracle: in integers, it walks the 2^n test sets of every execution order
+(one order for the makespan) in Gray-code order, so that each schedule's
+cost is one addition away from the previous one's.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, permutations, product
+from itertools import accumulate, count, permutations
 from operator import itemgetter, neg
 
 from .core import Instance, Num
@@ -101,19 +101,20 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
 
     A tested job runs immediately after its test (delaying it only adds
     cost), so a schedule is a choice of per-job effective duration, either
-    1 + p or the upper limit, plus a permutation.  Cost grows as n! * 2^n;
-    instances beyond n = 10 are refused, after an unknown objective is.
+    1 + p or the upper limit, plus a permutation.  Cost grows as n! * 2^n for
+    the sum and 2^n for the makespan, which no order changes; instances
+    beyond n = 10 are refused, after an unknown objective is.
 
-    The sum objective scales every duration to an integer over a common
-    denominator (a float is dyadic, so `Fraction(x)` is exact), then walks,
-    for each of the n! orders, all 2^n treatments in Gray-code order: each
-    step switches one job between 1 + p and u, so each schedule's cost is
-    the previous one's plus or minus that job's weight times u - 1 - p.  No
-    schedule is skipped and no order is sorted, so this stays independent
-    of `optimal_sum`; the work per schedule is one C-level addition in an
-    `accumulate` chain.  Exact mode returns a Fraction; float mode (any
-    float value) returns `best / denom`, the float nearest the exact
-    optimum of the instance's values.
+    Both objectives scale every duration to an integer over a common
+    denominator (a float is dyadic, so `Fraction(x)` is exact).  For each
+    order (the sum's n!, a position weighted by the completions it delays;
+    the makespan's one, every weight 1) they walk all 2^n treatments in
+    Gray-code order: each step switches one job between 1 + p and u, so each
+    schedule's cost is the previous one's plus or minus that job's weight
+    times u - 1 - p.  No schedule is skipped and no order is sorted, so this
+    stays independent of `optimal_sum`; the work per schedule is one C-level
+    addition in an `accumulate` chain.  Exact mode returns a Fraction, float
+    mode (any float value) `best / denom`, the float nearest the exact optimum.
     """
     if objective not in ("sum", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -121,22 +122,14 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     if n > BRUTE_FORCE_MAX_N:
         raise OracleSizeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N}")
     uppers, procs = inst.uppers(), inst.procs()
-    if objective == "makespan":
-        best = None
-        for durs in product(*[(1 + p, u) for u, p in zip(uppers, procs)]):
-            c = sum(durs)
-            if best is None or c < best:
-                best = c
-        return best
-
     exact = not any(isinstance(v, float) for v in (*uppers, *procs))
     fracs = [(1 + Fraction(p), Fraction(u)) for u, p in zip(uppers, procs)]
     denom = math.lcm(*(v.denominator for pair in fracs for v in pair))
     jobs = [(int(a * denom), int((b - a) * denom)) for a, b in fracs]
-    weights = range(n, 0, -1)
+    orders, weights = ((jobs,), (1,) * n) if objective == "makespan" else (permutations(jobs), range(n, 0, -1))
     walk = _gray_walk(n)
     best = None
-    for order in permutations(jobs):
+    for order in orders:
         start = 0       # every job tested
         ups = []        # the cost of switching each position to its limit
         for w, (low, gap) in zip(weights, order):

@@ -861,10 +861,29 @@ class TestBadValues:
          "need 0 < delta <= 1 and p_bar > 1, got (0.6306655, nan)"),
         (["lower-bound", "det", "--p-bar", "inf"],
          "need 0 < delta <= 1 and p_bar > 1, got (0.6306655, inf)"),
-    ], ids=["rand_q", "det_delta", "det_p_bar_nan", "det_p_bar_inf"])
+        # no n here is ever allocated: 10**14 jobs fail at their first column's allocation, 10**23 at the count
+        (["lower-bound", "det", "--n", str(10**14)], f"lower-bound det: {10**14} jobs do not fit in memory"),
+        (["lower-bound", "rand", "--n", str(10**14), "--seed", "1", "--trials", "1"],
+         f"lower-bound rand: {10**14} jobs do not fit in memory"),
+        (["lower-bound", "det", "--n", str(10**23)], f"n must be at most {sys.maxsize}, got {10**23}"),
+        (["lower-bound", "rand", "--n", str(10**23), "--seed", "1"], f"n must be at most {sys.maxsize}, got {10**23}"),
+    ], ids=["rand_q", "det_delta", "det_p_bar_nan", "det_p_bar_inf", "det_n_memory", "rand_n_memory",
+            "det_n_index", "rand_n_index"])
     def test_lower_bound_parameters(self, capsys, argv, message):
         assert main(argv) == 2
         assert one_error_line(capsys) == message
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "threshold", "--gen", "extreme_uniform", "--par", "n=4", "--par", "p_bar=2",
+         "--par", "gamma=0.5", "--obj", "makespan"],
+        ["lower-bound", "det", "--n", "10", "--p-b", "2"],
+        ["verify-constants", "--over", "x=1"],
+    ], ids=["simulate", "lower_bound", "verify_constants"])
+    def test_a_prefix_of_a_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4", "--param", "p_bar=2.5",

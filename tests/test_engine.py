@@ -146,6 +146,54 @@ def test_engine_and_trace_ledgers_agree(name):
     assert str(engine_err.value) == str(trace_err.value) == f"action {len(actions) - 1}: {fault}"
 
 
+@st.composite
+def action_lists(draw):
+    """n in 1..3 jobs and up to 8 actions.  About one kind, and one job, in ten lies outside the
+    model ("bogus"; -1, n, True or 0.0): the first such action ends a run, so most runs reach the ledger."""
+    n = draw(st.integers(1, 3))
+
+    def rarely(common, rare):
+        return draw(st.sampled_from(rare if draw(st.integers(0, 9)) == 9 else common))
+
+    actions = [(rarely((TEST, EXEC_TESTED, EXEC_UNTESTED), ("bogus",)), rarely(range(n), (-1, n, True, 0.0)))
+               for _ in range(draw(st.integers(0, 8)))]
+    executed = set()
+    for i, (kind, job) in enumerate(actions):
+        if kind in (EXEC_TESTED, EXEC_UNTESTED) and type(job) is int:
+            executed.add(job)
+        if executed >= set(range(n)):  # the engine reads no action after the last job's execution
+            return n, actions[:i + 1]
+    return n, actions
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(action_lists())
+def test_engine_and_trace_ledgers_agree_on_any_actions(case):
+    """Any action sequence: the engine and a replayed trace fail with the same text, or agree on
+    the steps, total and makespan; a sequence that leaves a job unfinished both refuse in their own words."""
+    n, actions = case
+    try:
+        tr = run_static(lambda view: (action for action in actions), [(2, 1)] * n)
+        engine = (tr.steps, tr.total, tr.makespan)
+    except ProtocolError as exc:
+        engine = str(exc)
+    steps, t = [], 0
+    for kind, job in actions:
+        dur = 2 if kind == EXEC_UNTESTED else 1  # the durations the engine charges on limits 2, times 1
+        steps.append((kind, job, t, dur))
+        t += dur
+    try:
+        tr = build_trace(n, steps)
+        replay = (tr.steps, tr.total, tr.makespan)
+    except TraceError as exc:
+        replay = str(exc)
+    if isinstance(engine, str) and engine.startswith("algorithm stopped"):
+        assert re.fullmatch(rf"algorithm stopped after action {len(actions)} with \d+ jobs unfinished", engine)
+        assert re.fullmatch(r"job \d+ never executed", replay)
+    else:
+        assert engine == replay
+
+
 def scripted_alg(actions):
     """A deterministic rule that yields `actions` in order, whatever the view."""
     def scripted(view):

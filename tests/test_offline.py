@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,13 @@ class TestOptimalMakespan:
             inst = gen_random(5, seed=f"mk:{i}", exact=True, denominator=16)
             value, _ = optimal_makespan(inst)
             assert value == brute_force_optimum(inst, objective="makespan")
+
+    def test_float_brute_force_is_the_float_nearest_the_exact_optimum(self):
+        # both objectives walk the same integer schedule costs; a float sum per schedule would round
+        for i in range(300):
+            inst = gen_random(6, seed=f"mk:{i}")
+            pairs = [(1 + Fraction(p), Fraction(u)) for u, p in zip(inst.uppers(), inst.procs())]
+            assert brute_force_optimum(inst, "makespan") == float(min(sum(d) for d in product(*pairs)))
 
 
 class TestBruteForce:
