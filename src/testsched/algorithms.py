@@ -190,9 +190,10 @@ def make_random_order(T, E):
         for p, _ in late:
             t = t + p
             twice = twice + 2 * t
+        count = math.factorial(len(rest)) if len(rest) < 19 else None  # 18! < 2**53 < 19!
         if isinstance(twice, float):
-            return twice / 2, t, math.factorial(len(rest))
-        return Fraction(twice, 2), Fraction(t), math.factorial(len(rest))
+            return twice / 2, t, count
+        return Fraction(twice, 2), Fraction(t), count
     return build, expected
 
 
@@ -332,7 +333,7 @@ def makespan_rand_expected(uppers, procs):
             coins += 1
         span = span + d
         total = total + (n - j) * d
-    return total, span, 1 << coins
+    return total, span, 1 << coins if coins < 53 else None
 
 
 # ---------------------------------------------------------------------------

@@ -403,15 +403,8 @@ def ute_p_star(rho):
     return (2 * rho + math.sqrt(4 * rho - 3) - 1) / (2 * (rho - 1))
 
 
-def ute_ratio(p_bar, rho_seed=None):
-    """Worst asymptotic ratio of the extreme-uniform rule at limit p_bar.
-
-    `rho_seed` is the target ratio the rule was tuned for; when given, the
-    limit must lie in [rho_seed, p_star(rho_seed)] where the closed form
-    is valid.
-    """
-    if rho_seed is not None and not rho_seed <= p_bar <= ute_p_star(rho_seed):
-        raise ValueError(f"p_bar {p_bar} outside [{rho_seed}, {ute_p_star(rho_seed)}]")
+def ute_ratio(p_bar):
+    """Worst asymptotic ratio of the extreme-uniform rule at limit p_bar."""
     x = p_bar
     disc = -3 + 6 * x - 3 * x * x - 6 * x ** 3 + 10 * x ** 4 - 4 * x ** 5 + x ** 6
     if disc < 0 or x <= 1:

@@ -32,7 +32,7 @@ from .core import (
     load_trace,
     trace_text,
 )
-from .engine import ExpectedRun, ProtocolError, StaticSource, run, run_expected
+from .engine import ExpectedRun, ProtocolError, StaticSource, run, run_expected, trial_seed
 from .offline import optimal_makespan, optimal_sum
 
 
@@ -135,7 +135,7 @@ def _load_or_generate(args, exact):
     raise ConfigurationError("provide --instance FILE or --gen NAME")
 
 
-def _evaluate(alg, inst, objective, trials, seed, exact=False):
+def _evaluate(alg, inst, objective, trials=1, seed=None, exact=False):
     """(cost, OPT, stderr or None, Trace or ExpectedRun); random or exact runs are expectations."""
     makespan = objective == "makespan"
     opt = optimal_makespan(inst)[0] if makespan else optimal_sum(inst).total
@@ -167,9 +167,7 @@ def cmd_simulate(args):
               "objective": objective, "alg_cost": cost, "opt_cost": opt, "ratio": _ratio(cost, opt),
               "exact": expected and res.exact}
     if expected:
-        # an exact outcome count (k! or 2^m) past 2**53 - 1 is no safe JSON number, and past
-        # 4300 digits `json.dumps` refuses it, so it is written as null
-        report.update(trials=res.trials if res.trials < 2 ** 53 else None, stderr=float(stderr))
+        report.update(trials=res.trials, stderr=float(stderr))
         if args.seed is not None:
             report["seed"] = args.seed
     if args.trace_out:
@@ -219,15 +217,18 @@ def worker_count(default):
     return workers
 
 
-def _sweep_results(tasks):
-    workers = worker_count(1)
-    if workers == 1:
+def _sweep_results(tasks, default_workers):
+    """`_sweep_point` of each task, in order, on at most `worker_count(default_workers)` processes."""
+    workers = min(worker_count(default_workers), len(tasks))
+    if workers <= 1:
         return [_sweep_point(t) for t in tasks]
-    # loaded here, not at the top: a serial sweep and every other command never need it
+    # loaded here, not at the top: a serial sweep and every other command never need them
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # the fork start method launches all max_workers processes up front
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    # spawned workers import testsched afresh, as fork is unsafe in a process with threads
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
         return list(pool.map(_sweep_point, tasks))
 
 
@@ -251,12 +252,12 @@ def cmd_sweep(args):
     tasks = []
     for index, point in enumerate(points):
         params = {**base, **dict(zip(names, point))}
-        seed = f"{args.seed}:{index}" if args.seed is not None else None
+        seed = trial_seed(args.seed, index) if args.seed is not None else None
         tasks.append((args.algorithm, args.gen, params, args.objective or alg.objective,
                       args.trials, seed))
 
     try:
-        results = _sweep_results(tasks)
+        results = _sweep_results(tasks, 1)
     except BaseException:
         if created:  # a failed sweep leaves no file it made behind
             os.unlink(args.out)

@@ -203,7 +203,7 @@ class ExpectedRun:
     makespan: Num
     total_stderr: float
     makespan_stderr: float
-    trials: int
+    trials: int | None
     exact: bool
 
 
@@ -220,10 +220,11 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     each.  A deterministic rule's expectation is its one run, in either mode,
     as it is: exact, with zero standard error.  With `exact`, a randomized
     rule's comes from its `expected_cost` hook on the limits and times one
-    `begin` returns, at any n, and `trials` is its number of outcomes.  A
-    source that holds no times is a ProtocolError, and a rule with no hook is
-    one before the source is asked anything.  Otherwise the rule runs
-    `trials` (at least 1) seeded replicates, and the result is their mean.
+    `begin` returns, at any n, and `trials` is its number of outcomes, or
+    None when that count is 2**53 or more, past what a float or a JSON reader
+    holds whole.  A source that holds no times is a ProtocolError, and a
+    rule with no hook is one before the source is asked anything.  Otherwise
+    it is the mean of `trials` (at least 1) seeded replicates.
     Each run goes through the protocol loop with every check `run` makes, but
     keeps no step list: only its total and makespan.
     """

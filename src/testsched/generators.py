@@ -89,10 +89,13 @@ def gen_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
     Fractions of n: alpha at (limit T, time T), beta at (limit E, time E),
     gamma at (limit E + epsilon, time E + epsilon), remainder free at
     (limit T, time 0).  Everything has a limit at or above T, so the
-    tester tests every job.
+    tester tests every job; T > E or epsilon <= 0 is refused.
     """
     T = analysis.RANDOM_T_PUBLISHED if T is None else T
     E = analysis.RANDOM_E_PUBLISHED if E is None else E
+    if not (T <= E and epsilon > 0):
+        raise InstanceError(f"four_type needs T <= E and epsilon > 0, "
+                            f"got T={T}, E={E}, epsilon={epsilon}")
     m0, mt, me, md = four_type_counts(n, alpha, beta, gamma)
     over = E + epsilon
     return Instance((T,) * (m0 + mt) + (E,) * me + (over,) * md,

@@ -6,11 +6,9 @@ purpose; loosening them is a red flag, not a fix.
 """
 
 import math
-import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter
@@ -19,11 +17,10 @@ import pytest
 
 from testsched import analysis as A
 from testsched.algorithms import build_algorithm, parse_algorithm
-from testsched.cli import det_lower_bound, rand_lower_bound
+from testsched.cli import _evaluate, _sweep_results, det_lower_bound, rand_lower_bound
 from testsched.cli import main as cli_main
-from testsched.cli import worker_count
 from testsched.core import REL_TOL, TEST, Instance
-from testsched.engine import StaticSource, run, run_expected
+from testsched.engine import run
 from testsched.generators import (
     adversary_view,
     det_lb_adversary,
@@ -34,7 +31,7 @@ from testsched.generators import (
     gen_threshold_worstcase,
     gen_uniform_mixed,
 )
-from testsched.offline import brute_force_optimum, optimal_makespan, optimal_sum
+from testsched.offline import brute_force_optimum, optimal_sum
 
 
 @pytest.fixture()
@@ -62,11 +59,6 @@ def criterion(capsys):
     return _criterion
 
 
-def sum_ratio(alg, inst):
-    trace = run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())
-    return float(trace.total) / float(optimal_sum(inst).total)
-
-
 def test_criterion_01_threshold_bound(criterion):
     with criterion(1, "threshold ratio <= 2 on random, family, and adversary corpora") as notes:
         start = time.monotonic()
@@ -78,7 +70,8 @@ def test_criterion_01_threshold_bound(criterion):
         size_rng = random.Random("c1:sizes")
         for i in range(10_000):
             inst = gen_random(size_rng.randint(1, 50), seed=f"c1:{i}")
-            worst = max(worst, sum_ratio(thresh, inst))
+            cost, opt, _, _ = _evaluate(thresh, inst, "sum")
+            worst = max(worst, float(cost) / float(opt))
             runs += 1
 
         for a in range(31):
@@ -86,7 +79,8 @@ def test_criterion_01_threshold_bound(criterion):
                 for c in range(31):
                     if a + b + c == 0:
                         continue
-                    worst = max(worst, sum_ratio(thresh, gen_threshold_worstcase(a, b, c)))
+                    cost, opt, _, _ = _evaluate(thresh, gen_threshold_worstcase(a, b, c), "sum")
+                    worst = max(worst, float(cost) / float(opt))
                     runs += 1
 
         n = 2000
@@ -107,10 +101,9 @@ def test_criterion_01_threshold_bound(criterion):
 def test_criterion_02_threshold_tight(criterion):
     with criterion(2, "single-job tightness: ratio >= 2 - 1e-5, exact") as notes:
         p_bar = Fraction(2) - Fraction(1, 10 ** 6)
-        inst = Instance.from_pairs([(p_bar, Fraction(0))])
-        trace = run(parse_algorithm("threshold").generator(),
-                    StaticSource(inst), 1, inst.uppers())
-        ratio = trace.total / optimal_sum(inst).total
+        cost, opt, _, _ = _evaluate(parse_algorithm("threshold"),
+                                    Instance.from_pairs([(p_bar, Fraction(0))]), "sum")
+        ratio = cost / opt
         assert isinstance(ratio, Fraction)
         assert ratio >= 2 - Fraction(1, 10 ** 5)
         notes["detail"] = f"exact ratio {float(ratio):.7f}"
@@ -130,17 +123,6 @@ def test_criterion_03_deterministic_lower_bound(criterion):
         assert elapsed < 60
         notes["detail"] = (f"analytic {value:.7f}, engine min {low:.5f} "
                            f"({best['algorithm']}), {elapsed:.1f}s of 60s")
-
-
-def monte_carlo_mix(task):
-    """(mean total, its standard error, float OPT) of `trials` seeded runs of the
-    published random rule on the four-type mix `fracs` of n jobs."""
-    n, fracs, trials, seed = task
-    inst = gen_four_type(n, *fracs)
-    opt = float(optimal_sum(inst).total)
-    res = run_expected(build_algorithm("random", {}), StaticSource(inst), n, inst.uppers(),
-                       trials=trials, seed=seed)
-    return res.total, res.total_stderr, opt
 
 
 def test_criterion_04_random_parameters(criterion):
@@ -169,9 +151,8 @@ def test_criterion_04_random_parameters(criterion):
                         seen.add((n, counts))
                         inst = gen_four_type(n, Fraction(i, 4), Fraction(j, 4),
                                              Fraction(k, 4), T=FT, E=FE, epsilon=eps)
-                        res = run_expected(exact_alg, StaticSource(inst),
-                                           n, inst.uppers(), exact=True)
-                        assert res.total <= FT * optimal_sum(inst).total
+                        cost, opt, _, _ = _evaluate(exact_alg, inst, "sum", exact=True)
+                        assert cost <= FT * opt
                         exact_checks += 1
 
         # exact rational expectation, from the closed form, over the 0.1-step profile grid
@@ -184,8 +165,8 @@ def test_criterion_04_random_parameters(criterion):
                 for k in range(11 - i - j):
                     inst = gen_four_type(n, Fraction(i, 10), Fraction(j, 10), Fraction(k, 10),
                                          T=FT, E=FE, epsilon=eps)
-                    res = run_expected(exact_alg, StaticSource(inst), n, inst.uppers(), exact=True)
-                    ratio = res.total / optimal_sum(inst).total
+                    cost, opt, _, _ = _evaluate(exact_alg, inst, "sum", exact=True)
+                    ratio = cost / opt
                     assert ratio <= FT, (i, j, k, ratio)
                     worst_exact = max(worst_exact, ratio)
                     exact_mixes += 1
@@ -194,23 +175,17 @@ def test_criterion_04_random_parameters(criterion):
         # Monte Carlo over the 0.1-step profile grid at n = 1000; each mean lies
         # within 5 standard errors of the closed-form E[ALG].  A one-type mix has
         # a fixed cost, so its error is float noise and its z score is not kept.
-        # The mixes run across up to min(CPUs, 4) processes (TESTSCHED_WORKERS
-        # overrides it); every check is made here, in combo order.
+        # The mixes are sweep points, run across up to min(CPUs, 4) processes
+        # (TESTSCHED_WORKERS overrides it); every check is made here, in combo order.
         mixes = [(i / 10, j / 10, k / 10) for i in range(11) for j in range(11 - i) for k in range(11 - i - j)]
-        tasks = [(n, mix, 200, f"c4:{combo}") for combo, mix in enumerate(mixes)]
-        workers = min(worker_count(min(os.cpu_count() or 1, 4)), len(tasks))
-        if workers > 1:
-            # spawned workers import this module afresh, as fork is unsafe in a process with threads
-            spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-                results = list(pool.map(monte_carlo_mix, tasks))
-        else:
-            results = [monte_carlo_mix(task) for task in tasks]
+        tasks = [("random", "four_type", {"n": n, "alpha": a, "beta": b, "gamma": g}, "sum", 200,
+                  f"c4:{combo}") for combo, (a, b, g) in enumerate(mixes)]
+        results = _sweep_results(tasks, min(os.cpu_count() or 1, 4))
         worst_mc = 0.0
         worst_z = 0.0
         combo = 0
-        for mix, (total, stderr, opt) in zip(mixes, results):
-            worst_mc = max(worst_mc, float(total) / opt)
+        for mix, (total, _, ratio, stderr) in zip(mixes, results):
+            worst_mc = max(worst_mc, ratio)
             want = A.random_expected_cost(four_type_counts(n, *mix), A.RANDOM_T_PUBLISHED,
                                           A.RANDOM_E_PUBLISHED, 1e-6)
             miss = abs(total - want)
@@ -269,7 +244,8 @@ def test_criterion_06_combined_guarantee(criterion):
                 instances.append(gen_uniform_mixed(n, p_bar, long_frac=0.0,
                                                    mid_frac=beta, mid_value=2.0))
             for inst in instances:
-                worst_excess = max(worst_excess, sum_ratio(combined, inst) - curve)
+                cost, opt, _, _ = _evaluate(combined, inst, "sum")
+                worst_excess = max(worst_excess, float(cost) / float(opt) - curve)
         assert worst_excess <= 0.02
         notes["detail"] = (f"T1={t1:.5f} T2={t2:.5f}, peak-T1={abs(peak - t1):.1e}, "
                            f"max sweep excess {worst_excess:+.5f}")
@@ -292,7 +268,8 @@ def test_criterion_07_threshold_uniform_curve(criterion):
                     long_frac = (10 - i - j) / 10
                     inst = gen_uniform_mixed(n, p_bar, long_frac=long_frac,
                                              mid_frac=j / 10, mid_value=2.0)
-                    worst_excess = max(worst_excess, sum_ratio(thresh, inst) - curve)
+                    cost, opt, _, _ = _evaluate(thresh, inst, "sum")
+                    worst_excess = max(worst_excess, float(cost) / float(opt) - curve)
         assert worst_excess <= 0.02
         notes["detail"] = f"max sweep excess {worst_excess:+.5f} over 198 mixes"
 
@@ -306,15 +283,15 @@ def test_criterion_08_ute_guarantee(criterion):
         for k in range(33):
             p_bar = round(1.8668 + 0.05 * k, 10)
             for gi in range(51):
-                inst = gen_extreme_uniform(n, p_bar, gi / 50)
-                worst = max(worst, sum_ratio(ute, inst))
+                cost, opt, _, _ = _evaluate(ute, gen_extreme_uniform(n, p_bar, gi / 50), "sum")
+                worst = max(worst, float(cost) / float(opt))
                 points += 1
         assert worst <= 1.8668 + 0.02
 
         worst_lb_limit = 0.0
         for gi in range(51):
-            inst = gen_extreme_uniform(n, 1.9896, gi / 50)
-            worst_lb_limit = max(worst_lb_limit, sum_ratio(ute, inst))
+            cost, opt, _, _ = _evaluate(ute, gen_extreme_uniform(n, 1.9896, gi / 50), "sum")
+            worst_lb_limit = max(worst_lb_limit, float(cost) / float(opt))
         assert worst_lb_limit <= 1.8552 + 0.02
         notes["detail"] = (f"worst {worst:.5f} over {points} grid points, "
                            f"{worst_lb_limit:.5f} at the lower-bound limit")
@@ -333,19 +310,17 @@ def test_criterion_09_makespan(criterion):
 
         jobs_checked = 0
         for inst in corpora:
-            trace = run(det.generator(), StaticSource(inst), inst.n, inst.uppers())
+            makespan, opt, _, trace = _evaluate(det, inst, "makespan")
             tested = {s[1] for s in trace.steps if s[0] == TEST}
             for job in inst.jobs:
                 contrib = 1 + job.proc if job.id in tested else job.upper
                 key = min(1 + job.proc, job.upper)
                 assert float(contrib) <= phi * float(key) * (1 + 1e-9)
                 jobs_checked += 1
-            opt, _ = optimal_makespan(inst)
-            assert float(trace.makespan) <= phi * float(opt) * (1 + 1e-9)
+            assert float(makespan) <= phi * float(opt) * (1 + 1e-9)
 
-        edge = Instance.from_pairs([(phi + 1e-6, phi + 1e-6)])
-        trace = run(det.generator(), StaticSource(edge), 1, edge.uppers())
-        gap = phi - trace.makespan / optimal_makespan(edge)[0]
+        makespan, opt, _, _ = _evaluate(det, Instance.from_pairs([(phi + 1e-6, phi + 1e-6)]), "makespan")
+        gap = phi - makespan / opt
         assert abs(gap) < 1e-6
 
         rand = parse_algorithm("makespan_rand")
@@ -354,11 +329,11 @@ def test_criterion_09_makespan(criterion):
         for p_bar in (Fraction(6, 5), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)):
             for p in (Fraction(0), p_bar / 2, p_bar):
                 inst = Instance.from_pairs([(p_bar, p)])
-                res = run_expected(rand, StaticSource(inst), 1, inst.uppers(), exact=True)
-                opt = min(1 + p, p_bar)
-                assert res.makespan <= four_thirds * opt
+                makespan, opt, _, _ = _evaluate(rand, inst, "makespan", exact=True)
+                assert opt == min(1 + p, p_bar)
+                assert makespan <= four_thirds * opt
                 if (p_bar, p) in ((Fraction(2), Fraction(0)), (Fraction(2), Fraction(2))):
-                    assert res.makespan == four_thirds * opt
+                    assert makespan == four_thirds * opt
                     equalities += 1
         assert equalities == 2
         notes["detail"] = (f"{jobs_checked} per-job checks, tightness gap {gap:.1e}, "

@@ -431,7 +431,8 @@ def test_random_hook_matches_the_four_type_closed_form(n, mix):
     assert total == analysis.random_expected_cost(counts, T, E, eps)
     # every job is tested, so the deterministic makespan is the phase plus the deferred times
     assert makespan == n + T * counts[1] + E * counts[2] + (E + eps) * counts[3]
-    assert count == math.factorial(n)
+    # n! outcomes, a count given only below 2**53
+    assert count == (math.factorial(n) if n < 19 else None)
 
 
 # random[T, E] as it was written with the stdlib shuffle and nothing shared

@@ -232,13 +232,6 @@ class TestExtremeUniformRule:
         assert abs(A.ute_beta(rho, rho) - 0.2869610) < 1e-6
         assert abs(A.ute_ratio(A.DET_LB_PBAR) - 1.8551896) < 1e-6
 
-    def test_seeded_domain_check(self):
-        rho = A.ute_rho_star()
-        with pytest.raises(ValueError):
-            A.ute_ratio(3.0, rho_seed=rho)
-        with pytest.raises(ValueError):
-            A.ute_ratio(1.5, rho_seed=rho)
-
 
 class TestMakespanCurves:
     def test_det_curve_shape(self):

@@ -225,7 +225,7 @@ class TestSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -252,12 +252,25 @@ class TestSweep:
         code = ("import sys\n"
                 "from testsched.cli import main\n"
                 f"rc = main({self.GRID + ['--out', str(out)]!r})\n"
-                "print(rc, 'concurrent.futures' in sys.modules)\n")
+                "print(rc, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                               capture_output=True, text=True)
-        assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False\n")
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False False\n")
         assert self.run_sweep(tmp_path / "in_process.csv") == 0
         assert out.read_text() == (tmp_path / "in_process.csv").read_text()
+
+    def test_spawned_workers_through_the_module_entry_point(self, tmp_path):
+        # `python -m testsched` runs an unguarded __main__.py, which a spawned worker must not run
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "TESTSCHED_WORKERS": "2"}
+        out = tmp_path / "spawned.csv"
+        # the output pipes end only once every process holding them, each worker and the
+        # resource tracker too, has exited: run returns with none of them left
+        done = subprocess.run([sys.executable, "-m", "testsched"] + self.GRID + ["--out", str(out)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "")
+        assert self.run_sweep(tmp_path / "serial.csv") == 0
+        assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     @pytest.mark.parametrize("where", ["absent/x.csv", "."], ids=["missing_dir", "directory"])
     def test_an_unwritable_out_is_refused_before_any_point(self, tmp_path, monkeypatch, capsys, where):
@@ -754,8 +767,14 @@ class TestBadValues:
         ("uniform_mixed n=10 p_bar=3.0 mid_frac=-0.5", "fraction -0.5 of n=10 is a negative number of jobs (-5)"),
         ("extreme_uniform n=10 p_bar=2.5 gamma=-0.1", "bad long fraction -0.1 for n=10"),
         ("four_type n=10 alpha=0.5 beta=0.5 gamma=0.1", "fractions exceed 1: (0.5, 0.5, 0.1)"),
+        # a limit below T would go untested, and a deferred type at or below E run at once
+        ("four_type n=10 alpha=0.1 beta=0.1 gamma=0.1 T=3 E=2",
+         "four_type needs T <= E and epsilon > 0, got T=3, E=2, epsilon=1e-06"),
+        ("four_type n=10 alpha=0.1 beta=0.1 gamma=0.1 epsilon=-0.5",
+         "four_type needs T <= E and epsilon > 0, got T=1.7453, E=2.8609, epsilon=-0.5"),
     ], ids=["four_type_gamma", "four_type_alpha", "four_type_n", "uniform_mixed_long", "uniform_mixed_mid",
-            "extreme_uniform_keeps_its_text", "four_type_exceeds_1"])
+            "extreme_uniform_keeps_its_text", "four_type_exceeds_1", "four_type_T_above_E",
+            "four_type_epsilon_negative"])
     def test_generator_fraction_must_not_be_negative(self, capsys, params, message):
         name, *pairs = params.split()
         assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
