@@ -165,23 +165,7 @@ def det_lb_value(delta, p_bar):
 # Randomized testing algorithm (uniform random test order).
 #
 # Worst instances mix four job types; fractions alpha (p = T), beta (p = E),
-# gamma (p = E + eps, deferred), remainder p = 0.  Cost coefficients are in
-# units of n^2/2 and n/2.
-
-
-def random_cost_coeffs(alpha, beta, gamma, T, E):
-    """(alg2, alg1, opt2, opt1): ALG = (n^2/2) alg2 + (n/2) alg1, same for OPT."""
-    alg2 = 1 + gamma + beta * E + beta * gamma * E + gamma * gamma * E + alpha * T + alpha * gamma * T
-    alg1 = 1 - gamma + beta * E + gamma * E + alpha * T
-    opt2 = (
-        1
-        - alpha * alpha - 2 * alpha * beta - beta * beta
-        - 2 * alpha * gamma - 2 * beta * gamma - gamma * gamma
-        + beta * beta * E + 2 * beta * gamma * E + gamma * gamma * E
-        + alpha * alpha * T + 2 * alpha * beta * T + 2 * alpha * gamma * T
-    )
-    opt1 = 1 - alpha - beta - gamma + beta * E + gamma * E + alpha * T
-    return alg2, alg1, opt2, opt1
+# gamma (p = E + eps, deferred), remainder p = 0.
 
 
 def random_expected_cost(counts, T, E, eps=0):
@@ -487,17 +471,6 @@ def threshold_family_costs(a, b, c, eps=0.0):
         + 2 * b * c
         + (2 + eps) * (c * (c + 1) // 2)
     )
-    return alg, opt
-
-
-def delay_all_family_costs(a, b):
-    """Exact (alg, opt) of the delay-everything rule's hardest instances.
-
-    a jobs (limit 2, p 0) and b jobs (limit 2, p 2): everything is tested
-    first, so even free jobs wait for the whole test phase.
-    """
-    alg = (a + b) * (a + b) + b * (b + 1)
-    opt = a * (a + 1) // 2 + a * b + b * (b + 1)
     return alg, opt
 
 

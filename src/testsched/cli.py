@@ -15,13 +15,14 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 from . import analysis, generators
-from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
+from .algorithms import ConfigurationError, parse_algorithm
 from .core import (
     InputFileError,
     InstanceError,
@@ -32,7 +33,8 @@ from .core import (
     load_trace,
     trace_text,
 )
-from .engine import ExpectedRun, ProtocolError, StaticSource, run, run_expected, trial_seed
+from .engine import ExpectedRun, ProtocolError, trial_seed
+from .evaluation import NonFiniteError, det_lower_bound, evaluate, rand_lower_bound, sweep_results
 from .offline import optimal_makespan, optimal_sum
 
 
@@ -61,27 +63,25 @@ def _parse_params(items, exact=False):
     return out
 
 
-def _report_number(x):
-    """A Fraction in a report: an int when whole, else its float (reports are never read back),
-    or the string "p/q" when it is past a float's range."""
-    if x.denominator == 1:
-        return x.numerator
+def _float(x):
+    """x as a float, or as the string "p/q" when it is past a float's range."""
     try:
         return float(x)
     except OverflowError:
         return str(x)
 
 
-def _ratio(cost, opt):
-    """cost / opt as a float, or as the string "p/q" when it is past a float's range."""
-    try:
-        return float(cost / opt)
-    except OverflowError:
-        return str(Fraction(cost) / Fraction(opt))
+def _report_number(x):
+    """A Fraction in a report: an int when whole, else its `_float` (reports are never read back)."""
+    return x.numerator if x.denominator == 1 else _float(x)
 
 
 def _emit(payload, out_path):
-    _write(json.dumps(payload, indent=2, default=_report_number) + "\n", out_path)
+    try:
+        text = json.dumps(payload, indent=2, default=_report_number, allow_nan=False)
+    except ValueError:  # JSON has no NaN or Infinity
+        raise NonFiniteError("a report value is not finite in floats") from None
+    _write(text + "\n", out_path)
 
 
 def _write(text, out_path):
@@ -135,22 +135,6 @@ def _load_or_generate(args, exact):
     raise ConfigurationError("provide --instance FILE or --gen NAME")
 
 
-def _evaluate(alg, inst, objective, trials=1, seed=None, exact=False):
-    """(cost, OPT, stderr or None, Trace or ExpectedRun); random or exact runs are expectations."""
-    makespan = objective == "makespan"
-    opt = optimal_makespan(inst)[0] if makespan else optimal_sum(inst).total
-    if opt <= 0:
-        raise InstanceError("offline optimum is zero; ratio undefined")
-    if alg.randomized or exact:
-        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(),
-                           trials=trials, seed=seed, exact=exact)
-        if makespan:
-            return res.makespan, opt, res.makespan_stderr, res
-        return res.total, opt, res.total_stderr, res
-    trace = run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())
-    return trace.makespan if makespan else trace.total, opt, None, trace
-
-
 def cmd_simulate(args):
     exact_numbers = args.mode == "rational"
     alg = parse_algorithm(args.algorithm, exact=exact_numbers)
@@ -161,11 +145,11 @@ def cmd_simulate(args):
     if args.trace_out and (alg.randomized or args.exact):
         raise ConfigurationError("--trace-out needs a deterministic single run")
 
-    cost, opt, stderr, res = _evaluate(alg, inst, objective, args.trials, args.seed, args.exact)
+    cost, opt, stderr, res = evaluate(alg, inst, objective, args.trials, args.seed, args.exact)
     expected = isinstance(res, ExpectedRun)
     report = {"algorithm": alg.key, "source": args.instance or args.gen, "n": inst.n,
-              "objective": objective, "alg_cost": cost, "opt_cost": opt, "ratio": _ratio(cost, opt),
-              "exact": expected and res.exact}
+              "objective": objective, "alg_cost": cost, "opt_cost": opt,
+              "ratio": _float(Fraction(cost) / Fraction(opt)), "exact": expected and res.exact}
     if expected:
         report.update(trials=res.trials, stderr=float(stderr))
         if args.seed is not None:
@@ -196,42 +180,6 @@ def _sweep_values(spec):
     return name.strip(), vals
 
 
-def _sweep_point(task):
-    (alg_text, gen_name, params, objective, trials, seed) = task
-    inst = generators.build_instance(gen_name, params)
-    cost, opt, stderr, _ = _evaluate(parse_algorithm(alg_text), inst, objective, trials, seed)
-    return float(cost), float(opt), float(cost) / float(opt), "" if stderr is None else stderr
-
-
-def worker_count(default):
-    """The process count `TESTSCHED_WORKERS` asks for, or `default` when it is unset."""
-    raw = os.environ.get("TESTSCHED_WORKERS")
-    if raw is None:
-        return default
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"TESTSCHED_WORKERS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
-def _sweep_results(tasks, default_workers):
-    """`_sweep_point` of each task, in order, on at most `worker_count(default_workers)` processes."""
-    workers = min(worker_count(default_workers), len(tasks))
-    if workers <= 1:
-        return [_sweep_point(t) for t in tasks]
-    # loaded here, not at the top: a serial sweep and every other command never need them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # spawned workers import testsched afresh, as fork is unsafe in a process with threads
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-        return list(pool.map(_sweep_point, tasks))
-
-
 def cmd_sweep(args):
     alg = parse_algorithm(args.algorithm)
     if alg.randomized and args.seed is None:
@@ -257,7 +205,7 @@ def cmd_sweep(args):
                       args.trials, seed))
 
     try:
-        results = _sweep_results(tasks, 1)
+        results = sweep_results(tasks, 1)
     except BaseException:
         if created:  # a failed sweep leaves no file it made behind
             os.unlink(args.out)
@@ -294,7 +242,8 @@ def cmd_verify_constants(args):
 
 
 def cmd_lower_bound(args):
-    names = [s.strip() for s in args.algorithms.split(",")] if args.algorithms else None
+    # a comma inside [...] separates a rule's parameters, not two rules
+    names = [s.strip() for s in re.split(r",(?![^[]*\])", args.algorithms)] if args.algorithms else None
     if args.kind == "rand" and args.seed is None:
         raise ConfigurationError("the randomized bound needs --seed")
     try:  # the generators allocate each column whole, so an n too large for memory fails at once
@@ -304,69 +253,6 @@ def cmd_lower_bound(args):
         raise InstanceError(f"lower-bound {args.kind}: {args.n} jobs do not fit in memory") from None
     _emit(report, args.out)
     return 0
-
-
-def det_lower_bound(delta, p_bar, n, names=None):
-    """The `lower-bound det` report: the analytic bound at (delta, p_bar) and each
-    deterministic rule's ratio against the adaptive adversary on n jobs."""
-    analytic = analysis.det_lb_value(delta, p_bar)
-    uppers = generators.adversary_view(n, p_bar)
-    runs = []
-    for name in names or ["threshold", "delay_all", "combined", "ute", "best_schedule"]:
-        if name == "best_schedule":
-            nu, lam = analysis.det_lb_best_schedule(delta, p_bar)
-            alg = build_algorithm("lb_schedule", {"nu": nu, "lam": lam, "delta": delta})
-        else:
-            alg = parse_algorithm(name)
-        if alg.randomized:
-            raise ConfigurationError(f"{name}: the adaptive bound applies to deterministic rules")
-        source = generators.det_lb_adversary(n, delta, p_bar)
-        trace = run(alg.generator(), source, n, uppers)
-        opt = optimal_sum(source.realized_instance()).total
-        runs.append({
-            "algorithm": alg.key if name != "best_schedule" else "best_schedule",
-            "label": alg.label,
-            "alg_cost": float(trace.total),
-            "opt_cost": float(opt),
-            "ratio": float(trace.total) / float(opt),
-        })
-    return {
-        "bound": "adaptive-deterministic",
-        "delta": delta, "p_bar": p_bar, "n": n,
-        "analytic": analytic,
-        "min_observed": min(r["ratio"] for r in runs),
-        "runs": runs,
-    }
-
-
-def rand_lower_bound(q, n, trials, seed, names=None):
-    """The `lower-bound rand` report: the analytic bound at q and each rule's mean cost
-    over `trials` two-point instances of n jobs, seeded `{seed}:inst:{i}` and
-    `{seed}:{name}:{i}`."""
-    analytic = analysis.rand_lb_value(q)
-    names = names or list(SUM_ALGORITHM_NAMES)
-    algs = {name: parse_algorithm(name) for name in names}
-    sums = {name: 0.0 for name in names}
-    opt_sum = 0.0
-    for i in range(trials):
-        inst = generators.gen_rand_lb(n, q, seed=f"{seed}:inst:{i}")
-        opt_sum += float(optimal_sum(inst).total)
-        for name, alg in algs.items():
-            gen = alg.generator(f"{seed}:{name}:{i}" if alg.randomized else None)
-            trace = run(gen, StaticSource(inst), inst.n, inst.uppers())
-            sums[name] += float(trace.total)
-    runs = [{"algorithm": name,
-             "mean_alg": sums[name] / trials,
-             "mean_opt": opt_sum / trials,
-             "ratio": sums[name] / opt_sum} for name in names]
-    return {
-        "bound": "randomized-two-point",
-        "q": q, "n": n, "trials": trials,
-        "analytic": analytic,
-        "expected_opt_coeff": analysis.rand_lb_opt_coeff(q),
-        "min_observed": min(r["ratio"] for r in runs),
-        "runs": runs,
-    }
 
 
 def cmd_gen(args):
@@ -382,10 +268,10 @@ def cmd_replay(args):
     check_trace_durations(trace, inst)
     payload = {
         "n": inst.n,
-        "total": float(trace.total),
-        "makespan": float(trace.makespan),
-        "opt_total": float(optimal_sum(inst).total),
-        "opt_makespan": float(optimal_makespan(inst)[0]),
+        "total": _float(trace.total),
+        "makespan": _float(trace.makespan),
+        "opt_total": _float(optimal_sum(inst).total),
+        "opt_makespan": _float(optimal_makespan(inst)[0]),
         "ok": True,
     }
     _emit(payload, args.out)
@@ -470,7 +356,8 @@ def main(argv=None):
             raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
         return args.fn(args)
     except (ConfigurationError, InstanceError, InputFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        exact = isinstance(exc, NonFiniteError) and getattr(args, "mode", None) == "float"
+        print(f"error: {exc}{'; use --mode rational for exact numbers' if exact else ''}", file=sys.stderr)
         return 2
     except (ProtocolError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 `plan_trace` replays an optimal plan through the trace validator,
 `det_lb_value_grid` minimizes the deterministic lower bound by brute force,
-and `enumerated_sum_optimum` sums every schedule afresh, the reference for
-`brute_force_optimum`'s Gray-code walk.
+`enumerated_sum_optimum` sums every schedule afresh, the reference for
+`brute_force_optimum`'s Gray-code walk, and `random_cost_coeffs` and
+`delay_all_family_costs` are closed forms of two rules' costs on their hard families.
 """
 
 import math
@@ -70,3 +71,31 @@ def enumerated_sum_optimum(inst: Instance) -> Num:
             if best is None or c < best:
                 best = c
     return Fraction(best, denom) if exact else best
+
+
+def random_cost_coeffs(alpha, beta, gamma, T, E):
+    """(alg2, alg1, opt2, opt1) of the random-order tester on a four-type mix with fractions
+    alpha (p = T), beta (p = E), gamma (p = E + eps, deferred), remainder p = 0:
+    ALG = (n^2/2) alg2 + (n/2) alg1 plus the deferred jobs' eps tail, same for OPT."""
+    alg2 = 1 + gamma + beta * E + beta * gamma * E + gamma * gamma * E + alpha * T + alpha * gamma * T
+    alg1 = 1 - gamma + beta * E + gamma * E + alpha * T
+    opt2 = (
+        1
+        - alpha * alpha - 2 * alpha * beta - beta * beta
+        - 2 * alpha * gamma - 2 * beta * gamma - gamma * gamma
+        + beta * beta * E + 2 * beta * gamma * E + gamma * gamma * E
+        + alpha * alpha * T + 2 * alpha * beta * T + 2 * alpha * gamma * T
+    )
+    opt1 = 1 - alpha - beta - gamma + beta * E + gamma * E + alpha * T
+    return alg2, alg1, opt2, opt1
+
+
+def delay_all_family_costs(a, b):
+    """Exact (alg, opt) of the delay-everything rule's hardest instances.
+
+    a jobs (limit 2, p 0) and b jobs (limit 2, p 2): everything is tested
+    first, so even free jobs wait for the whole test phase.
+    """
+    alg = (a + b) * (a + b) + b * (b + 1)
+    opt = a * (a + 1) // 2 + a * b + b * (b + 1)
+    return alg, opt

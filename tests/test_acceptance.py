@@ -17,10 +17,10 @@ import pytest
 
 from testsched import analysis as A
 from testsched.algorithms import build_algorithm, parse_algorithm
-from testsched.cli import _evaluate, _sweep_results, det_lower_bound, rand_lower_bound
 from testsched.cli import main as cli_main
 from testsched.core import REL_TOL, TEST, Instance
 from testsched.engine import run
+from testsched.evaluation import det_lower_bound, evaluate, rand_lower_bound, sweep_results
 from testsched.generators import (
     adversary_view,
     det_lb_adversary,
@@ -70,7 +70,7 @@ def test_criterion_01_threshold_bound(criterion):
         size_rng = random.Random("c1:sizes")
         for i in range(10_000):
             inst = gen_random(size_rng.randint(1, 50), seed=f"c1:{i}")
-            cost, opt, _, _ = _evaluate(thresh, inst, "sum")
+            cost, opt, _, _ = evaluate(thresh, inst, "sum")
             worst = max(worst, float(cost) / float(opt))
             runs += 1
 
@@ -79,7 +79,7 @@ def test_criterion_01_threshold_bound(criterion):
                 for c in range(31):
                     if a + b + c == 0:
                         continue
-                    cost, opt, _, _ = _evaluate(thresh, gen_threshold_worstcase(a, b, c), "sum")
+                    cost, opt, _, _ = evaluate(thresh, gen_threshold_worstcase(a, b, c), "sum")
                     worst = max(worst, float(cost) / float(opt))
                     runs += 1
 
@@ -101,7 +101,7 @@ def test_criterion_01_threshold_bound(criterion):
 def test_criterion_02_threshold_tight(criterion):
     with criterion(2, "single-job tightness: ratio >= 2 - 1e-5, exact") as notes:
         p_bar = Fraction(2) - Fraction(1, 10 ** 6)
-        cost, opt, _, _ = _evaluate(parse_algorithm("threshold"),
+        cost, opt, _, _ = evaluate(parse_algorithm("threshold"),
                                     Instance.from_pairs([(p_bar, Fraction(0))]), "sum")
         ratio = cost / opt
         assert isinstance(ratio, Fraction)
@@ -151,7 +151,7 @@ def test_criterion_04_random_parameters(criterion):
                         seen.add((n, counts))
                         inst = gen_four_type(n, Fraction(i, 4), Fraction(j, 4),
                                              Fraction(k, 4), T=FT, E=FE, epsilon=eps)
-                        cost, opt, _, _ = _evaluate(exact_alg, inst, "sum", exact=True)
+                        cost, opt, _, _ = evaluate(exact_alg, inst, "sum", exact=True)
                         assert cost <= FT * opt
                         exact_checks += 1
 
@@ -165,7 +165,7 @@ def test_criterion_04_random_parameters(criterion):
                 for k in range(11 - i - j):
                     inst = gen_four_type(n, Fraction(i, 10), Fraction(j, 10), Fraction(k, 10),
                                          T=FT, E=FE, epsilon=eps)
-                    cost, opt, _, _ = _evaluate(exact_alg, inst, "sum", exact=True)
+                    cost, opt, _, _ = evaluate(exact_alg, inst, "sum", exact=True)
                     ratio = cost / opt
                     assert ratio <= FT, (i, j, k, ratio)
                     worst_exact = max(worst_exact, ratio)
@@ -180,7 +180,7 @@ def test_criterion_04_random_parameters(criterion):
         mixes = [(i / 10, j / 10, k / 10) for i in range(11) for j in range(11 - i) for k in range(11 - i - j)]
         tasks = [("random", "four_type", {"n": n, "alpha": a, "beta": b, "gamma": g}, "sum", 200,
                   f"c4:{combo}") for combo, (a, b, g) in enumerate(mixes)]
-        results = _sweep_results(tasks, min(os.cpu_count() or 1, 4))
+        results = sweep_results(tasks, min(os.cpu_count() or 1, 4))
         worst_mc = 0.0
         worst_z = 0.0
         combo = 0
@@ -244,7 +244,7 @@ def test_criterion_06_combined_guarantee(criterion):
                 instances.append(gen_uniform_mixed(n, p_bar, long_frac=0.0,
                                                    mid_frac=beta, mid_value=2.0))
             for inst in instances:
-                cost, opt, _, _ = _evaluate(combined, inst, "sum")
+                cost, opt, _, _ = evaluate(combined, inst, "sum")
                 worst_excess = max(worst_excess, float(cost) / float(opt) - curve)
         assert worst_excess <= 0.02
         notes["detail"] = (f"T1={t1:.5f} T2={t2:.5f}, peak-T1={abs(peak - t1):.1e}, "
@@ -268,7 +268,7 @@ def test_criterion_07_threshold_uniform_curve(criterion):
                     long_frac = (10 - i - j) / 10
                     inst = gen_uniform_mixed(n, p_bar, long_frac=long_frac,
                                              mid_frac=j / 10, mid_value=2.0)
-                    cost, opt, _, _ = _evaluate(thresh, inst, "sum")
+                    cost, opt, _, _ = evaluate(thresh, inst, "sum")
                     worst_excess = max(worst_excess, float(cost) / float(opt) - curve)
         assert worst_excess <= 0.02
         notes["detail"] = f"max sweep excess {worst_excess:+.5f} over 198 mixes"
@@ -283,14 +283,14 @@ def test_criterion_08_ute_guarantee(criterion):
         for k in range(33):
             p_bar = round(1.8668 + 0.05 * k, 10)
             for gi in range(51):
-                cost, opt, _, _ = _evaluate(ute, gen_extreme_uniform(n, p_bar, gi / 50), "sum")
+                cost, opt, _, _ = evaluate(ute, gen_extreme_uniform(n, p_bar, gi / 50), "sum")
                 worst = max(worst, float(cost) / float(opt))
                 points += 1
         assert worst <= 1.8668 + 0.02
 
         worst_lb_limit = 0.0
         for gi in range(51):
-            cost, opt, _, _ = _evaluate(ute, gen_extreme_uniform(n, 1.9896, gi / 50), "sum")
+            cost, opt, _, _ = evaluate(ute, gen_extreme_uniform(n, 1.9896, gi / 50), "sum")
             worst_lb_limit = max(worst_lb_limit, float(cost) / float(opt))
         assert worst_lb_limit <= 1.8552 + 0.02
         notes["detail"] = (f"worst {worst:.5f} over {points} grid points, "
@@ -310,7 +310,7 @@ def test_criterion_09_makespan(criterion):
 
         jobs_checked = 0
         for inst in corpora:
-            makespan, opt, _, trace = _evaluate(det, inst, "makespan")
+            makespan, opt, _, trace = evaluate(det, inst, "makespan")
             tested = {s[1] for s in trace.steps if s[0] == TEST}
             for job in inst.jobs:
                 contrib = 1 + job.proc if job.id in tested else job.upper
@@ -319,7 +319,7 @@ def test_criterion_09_makespan(criterion):
                 jobs_checked += 1
             assert float(makespan) <= phi * float(opt) * (1 + 1e-9)
 
-        makespan, opt, _, _ = _evaluate(det, Instance.from_pairs([(phi + 1e-6, phi + 1e-6)]), "makespan")
+        makespan, opt, _, _ = evaluate(det, Instance.from_pairs([(phi + 1e-6, phi + 1e-6)]), "makespan")
         gap = phi - makespan / opt
         assert abs(gap) < 1e-6
 
@@ -329,7 +329,7 @@ def test_criterion_09_makespan(criterion):
         for p_bar in (Fraction(6, 5), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)):
             for p in (Fraction(0), p_bar / 2, p_bar):
                 inst = Instance.from_pairs([(p_bar, p)])
-                makespan, opt, _, _ = _evaluate(rand, inst, "makespan", exact=True)
+                makespan, opt, _, _ = evaluate(rand, inst, "makespan", exact=True)
                 assert opt == min(1 + p, p_bar)
                 assert makespan <= four_thirds * opt
                 if (p_bar, p) in ((Fraction(2), Fraction(0)), (Fraction(2), Fraction(2))):

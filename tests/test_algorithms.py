@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumeration import enumerated_expectation
+from oracles import delay_all_family_costs
 from testsched import algorithms, analysis
 from testsched.algorithms import (
     SUM_ALGORITHM_NAMES,
@@ -95,7 +96,7 @@ class TestDelayAll:
         inst = Instance.from_pairs([(2, 0)] * 2 + [(2, 2)])
         tr = run(parse_algorithm("delay_all").generator(), StaticSource(inst),
                  inst.n, inst.uppers())
-        alg, opt = analysis.delay_all_family_costs(2, 1)
+        alg, opt = delay_all_family_costs(2, 1)
         assert tr.total == alg == 11
         assert optimal_sum(inst).total == opt
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det_lb_value_grid
+from oracles import delay_all_family_costs, det_lb_value_grid, random_cost_coeffs
 from testsched import analysis as A
 from testsched.algorithms import build_algorithm
 from testsched.engine import StaticSource, run_expected
@@ -115,7 +115,7 @@ class TestRandomTester:
         for counts in ((1, 1, 1, 1), (2, 2, 1, 1), (0, 3, 0, 2), (4, 0, 1, 0)):
             m0, mt, me, md = counts
             n = sum(counts)
-            al2, al1, op2, op1 = A.random_cost_coeffs(
+            al2, al1, op2, op1 = random_cost_coeffs(
                 Fraction(mt, n), Fraction(me, n), Fraction(md, n), T, E)
             tail = eps * Fraction(md * (md + 1), 2)
             assert A.random_expected_cost(counts, T, E, eps) == (
@@ -269,7 +269,7 @@ class TestFamilyCosts:
         assert 1.999999 < alg / opt < 2
 
     def test_delay_all_family_exact(self):
-        assert A.delay_all_family_costs(2, 1) == (11, 7)
+        assert delay_all_family_costs(2, 1) == (11, 7)
 
 
 class TestConstantRegistry:

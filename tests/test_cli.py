@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from testsched import cli
-from testsched.cli import main, worker_count
+from testsched import evaluation
+from testsched.cli import main
+from testsched.evaluation import worker_count
 
 
 def read_json(path):
@@ -275,7 +276,7 @@ class TestSweep:
     @pytest.mark.parametrize("where", ["absent/x.csv", "."], ids=["missing_dir", "directory"])
     def test_an_unwritable_out_is_refused_before_any_point(self, tmp_path, monkeypatch, capsys, where):
         calls = []
-        monkeypatch.setattr(cli, "_sweep_point", lambda task: calls.append(task))
+        monkeypatch.setattr(evaluation, "sweep_point", lambda task: calls.append(task))
         path = tmp_path / where
         assert self.run_sweep(path) == 2
         strerror = "Is a directory" if path.is_dir() else "No such file or directory"
@@ -465,6 +466,18 @@ class TestLowerBound:
     def test_det_rejects_randomized(self, capsys):
         assert main(["lower-bound", "det", "--n", "50",
                      "--algorithms", "random"]) == 2
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["rand", "--n", "3", "--seed", "1", "--trials", "2", "--algorithms", "random[T=1.5,E=2]"],
+         [("random[T=1.5,E=2]", None)]),
+        (["det", "--n", "5", "--algorithms", "lb_schedule[nu=0.1,lam=0.2],threshold"],
+         [("lb_schedule", "adversary schedule (nu=0.1, lam=0.2, delta=0.6306655)"),
+          ("threshold", "threshold rule")]),
+    ], ids=["rand_two_parameters", "det_two_parameters_then_a_rule"])
+    def test_a_comma_inside_brackets_belongs_to_its_rule(self, capsys, argv, runs):
+        assert main(["lower-bound"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(r["algorithm"], r.get("label")) for r in report["runs"]] == runs
 
 
 def lb_run(algorithm, label, alg_cost, opt_cost, ratio):
@@ -892,6 +905,30 @@ class TestBadValues:
         assert main(argv) == 2
         assert one_error_line(capsys) == message
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "threshold", "--gen", "extreme_uniform", "--param", "n=10", "--param", "p_bar=1e308",
+          "--param", "gamma=0.5"], "OPT is inf in floats; use --mode rational for exact numbers"),
+        (["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=10", "--param", "gamma=0.5",
+          "--sweep", "p_bar=1e307:1e308:5e307"], "OPT is inf in floats"),
+        (["lower-bound", "det", "--n", "50", "--p-bar", "1e307"], "alg cost is inf in floats"),
+        (["lower-bound", "rand", "--n", "50", "--q", "1e-306", "--seed", "1", "--trials", "2",
+          "--algorithms", "threshold"], "alg cost is inf in floats"),
+        (["replay", "--instance", "big.json", "--trace", "big.jsonl"],
+         "a report value is not finite in floats; use --mode rational for exact numbers"),
+    ], ids=["simulate", "sweep", "lower_bound_det", "lower_bound_rand", "replay"])
+    def test_a_float_past_its_range_is_refused(self, tmp_path, monkeypatch, capsys, argv, message):
+        # JSON has no NaN or Infinity and a CSV cell "inf" is no cost; where rational mode exists, it
+        # carries the exact numbers
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text('[{"upper": 1e308, "proc": 0}, {"upper": 1e308, "proc": 0}]')
+        (tmp_path / "big.jsonl").write_text('{"t": 0, "kind": "exec_untested", "job": 0, "dur": 1e308}\n'
+                                            '{"t": 1e308, "kind": "exec_untested", "job": 1, "dur": 1e308}\n')
+        assert main(argv) == 2
+        assert one_error_line(capsys) == message
+        if "--mode" in message:
+            assert main(argv + ["--mode", "rational"]) == 0
+            json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "threshold", "--gen", "extreme_uniform", "--par", "n=4", "--par", "p_bar=2",
          "--par", "gamma=0.5", "--obj", "makespan"],
@@ -924,6 +961,19 @@ def test_makespan_rand_is_exact_for_an_integer_limit(capsys):
     assert main(argv + ["p_bar=3.0"]) == 0
     assert as_int == capsys.readouterr().out
     assert json.loads(as_int)["alg_cost"] == float(Fraction(45, 7))
+
+
+def test_the_library_modules_load_no_command_line_code():
+    # the benchmark's set-up child imports these through bench/workloads.py, and times it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "import testsched\n"
+            "from testsched import algorithms, analysis, core, engine, generators, offline\n"
+            "print([m for m in ('testsched.cli', 'testsched.evaluation', 'argparse', 'multiprocessing')"
+            " if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 def test_python_m_runs_the_cli_from_a_checkout(tmp_path):
