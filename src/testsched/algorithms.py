@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Callable, Optional
 
 from . import analysis
@@ -55,12 +54,9 @@ def _uniform_limit(uppers, who):
 # Test-then-defer rules, one body: run `blind` untested, then test each
 # segment's `order` in turn, run a job at once when its revealed time is at
 # most that segment's E, and defer the others to one shortest-first tail.
-# The tail is sorted by (p, id) once, after the last test: as every id is
-# distinct, that is the order in which a heap of the pairs would pop them.
-# It takes two stable passes, by id and then by p, each on one key that
-# CPython compares with a type-specialised compare; a tuple sort falls back
-# to a generic compare on each pair, and a tied p (a four-type mix defers
-# only E + epsilon) sends every comparison on to the id.
+# The tail keeps each deferred job's revealed time and runs after the last
+# test, in (p, id) order: the ids sorted, then stably by time.  As every id
+# is distinct, that is the order in which a heap of (p, id) pairs would pop.
 # E = inf runs every tested job at once, E = -1 defers every one.  Each rule
 # is a choice of (blind, segments):
 #   threshold    limits below 2 blind, then (the rest in id order, 2)
@@ -84,17 +80,15 @@ def _blind_test_defer(blind, *segments):
     """Run `blind` untested, then test each (order, E), deferring revealed times above E."""
     for j in blind:
         yield EXEC_UNTESTED, j
-    deferred = []
+    late = {}
     for order, E in segments:
         for j in order:
             p = yield TEST, j
             if p <= E:
                 yield EXEC_TESTED, j
             else:
-                deferred.append((p, j))
-    deferred.sort(key=itemgetter(1))
-    deferred.sort(key=itemgetter(0))
-    for _, j in deferred:
+                late[j] = p
+    for j in sorted(sorted(late), key=late.__getitem__):
         yield EXEC_TESTED, j
 
 
@@ -182,12 +176,12 @@ def make_random_order(T, E):
             t = t + uppers[j]
             twice = twice + 2 * t
         now = [1 + procs[j] for j in rest if procs[j] <= E]
-        late = sorted((procs[j], j) for j in rest if not procs[j] <= E)
+        late = sorted(procs[j] for j in rest if not procs[j] <= E)
         chunks = sum(now)
         length = chunks + len(late)
         twice = twice + len(now) * (2 * t + length) + chunks
         t = t + length
-        for p, _ in late:
+        for p in late:
             t = t + p
             twice = twice + 2 * t
         count = math.factorial(len(rest)) if len(rest) < 19 else None  # 18! < 2**53 < 19!

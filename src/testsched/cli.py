@@ -33,7 +33,7 @@ from .core import (
     load_trace,
     trace_text,
 )
-from .engine import ExpectedRun, ProtocolError, trial_seed
+from .engine import ProtocolError, StaticSource, run, trial_seed
 from .evaluation import NonFiniteError, det_lower_bound, evaluate, rand_lower_bound, sweep_results
 from .offline import optimal_makespan, optimal_sum
 
@@ -126,27 +126,23 @@ def _check_writable(out_path):
             return False
 
 
-def _load_or_generate(args, exact):
-    if getattr(args, "instance", None):
-        return load_instance(args.instance, exact=exact)
-    if getattr(args, "gen", None):
-        params = _parse_params(args.param, exact)
-        return generators.build_instance(args.gen, params)
-    raise ConfigurationError("provide --instance FILE or --gen NAME")
-
-
 def cmd_simulate(args):
     exact_numbers = args.mode == "rational"
     alg = parse_algorithm(args.algorithm, exact=exact_numbers)
-    inst = _load_or_generate(args, exact_numbers)
+    if args.instance:
+        inst = load_instance(args.instance, exact=exact_numbers)
+    elif args.gen:
+        inst = generators.build_instance(args.gen, _parse_params(args.param, exact_numbers))
+    else:
+        raise ConfigurationError("provide --instance FILE or --gen NAME")
     objective = args.objective or alg.objective
+    expected = alg.randomized or args.exact  # an expectation, with trials and stderr, not one run
     if alg.randomized and not args.exact and args.seed is None:
         raise ConfigurationError("randomized algorithm needs --seed (or --exact)")
-    if args.trace_out and (alg.randomized or args.exact):
+    if args.trace_out and expected:
         raise ConfigurationError("--trace-out needs a deterministic single run")
 
     cost, opt, stderr, res = evaluate(alg, inst, objective, args.trials, args.seed, args.exact)
-    expected = isinstance(res, ExpectedRun)
     report = {"algorithm": alg.key, "source": args.instance or args.gen, "n": inst.n,
               "objective": objective, "alg_cost": cost, "opt_cost": opt,
               "ratio": _float(Fraction(cost) / Fraction(opt)), "exact": expected and res.exact}
@@ -154,8 +150,8 @@ def cmd_simulate(args):
         report.update(trials=res.trials, stderr=float(stderr))
         if args.seed is not None:
             report["seed"] = args.seed
-    if args.trace_out:
-        _write(trace_text(res), args.trace_out)
+    if args.trace_out:  # the priced run kept no steps; the trace is the same run, recorded
+        _write(trace_text(run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())), args.trace_out)
     _emit(report, args.out)
     return 0
 
@@ -224,7 +220,10 @@ def cmd_verify_constants(args):
     for name, value in overrides.items():
         if isinstance(value, str):
             raise ConfigurationError(f"{name}: expected a number, got {value!r}")
-        overrides[name] = float(value)
+        try:
+            overrides[name] = float(value)
+        except OverflowError:  # an int past a float's range ends as "1e400" does: infinite
+            overrides[name] = math.inf if value > 0 else -math.inf
     try:
         report = analysis.verify_constants(overrides)
     except KeyError as exc:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 from .core import (
     DONE,
@@ -256,8 +258,16 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
 
 
 def _stderr(xs: list) -> float:
+    """The standard error of the mean of xs in floats, or from exact sums where floats overflow."""
     if len(xs) < 2:
         return 0.0
-    m = float(sum(xs)) / len(xs)
-    var = sum((float(x) - m) ** 2 for x in xs) / (len(xs) - 1)
-    return math.sqrt(var / len(xs))
+    try:
+        m = float(sum(xs)) / len(xs)
+        se = math.sqrt(sum((float(x) - m) ** 2 for x in xs) / (len(xs) - 1) / len(xs))
+    except OverflowError:  # a value past a float's range, or a square of a deviation
+        se = math.inf
+    if math.isfinite(se):
+        return se
+    k, exact = len(xs), [Fraction(x) for x in xs]
+    var = (sum(x * x for x in exact) - sum(exact) ** 2 / k) / (k * (k - 1))
+    return float((Decimal(var.numerator) / var.denominator).sqrt())  # inf only past a float's range

@@ -31,19 +31,15 @@ def _float_row(cost, opt):
 
 
 def evaluate(alg, inst, objective, trials=1, seed=None, exact=False):
-    """(cost, OPT, stderr or None, Trace or ExpectedRun); random or exact runs are expectations."""
+    """(cost, OPT, stderr, ExpectedRun) from `run_expected`; stderr is None unless random or exact."""
     makespan = objective == "makespan"
     opt = optimal_makespan(inst)[0] if makespan else optimal_sum(inst).total
     _finite(OPT=opt)
     if opt <= 0:
         raise InstanceError("offline optimum is zero; ratio undefined")
-    if alg.randomized or exact:
-        res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(),
-                           trials=trials, seed=seed, exact=exact)
-        cost, stderr = (res.makespan, res.makespan_stderr) if makespan else (res.total, res.total_stderr)
-    else:
-        res = run(alg.generator(), StaticSource(inst), inst.n, inst.uppers())
-        cost, stderr = res.makespan if makespan else res.total, None
+    res = run_expected(alg, StaticSource(inst), inst.n, inst.uppers(), trials=trials, seed=seed, exact=exact)
+    cost, stderr = (res.makespan, res.makespan_stderr) if makespan else (res.total, res.total_stderr)
+    stderr = stderr if alg.randomized or exact else None
     _finite(alg_cost=cost, stderr=stderr)
     return cost, opt, stderr, res
 
@@ -101,8 +97,8 @@ def det_lower_bound(delta, p_bar, n, names=None):
         if alg.randomized:
             raise ConfigurationError(f"{name}: the adaptive bound applies to deterministic rules")
         source = generators.det_lb_adversary(n, delta, p_bar)
-        trace = run(alg.generator(), source, n, uppers)
-        cost, opt, ratio = _float_row(trace.total, optimal_sum(source.realized_instance()).total)
+        total = run_expected(alg, source, n, uppers).total
+        cost, opt, ratio = _float_row(total, optimal_sum(source.realized_instance()).total)
         runs.append({"algorithm": alg.key if name != "best_schedule" else "best_schedule",
                      "label": alg.label, "alg_cost": cost, "opt_cost": opt, "ratio": ratio})
     return {"bound": "adaptive-deterministic", "delta": delta, "p_bar": p_bar, "n": n,

@@ -19,7 +19,7 @@ from testsched import analysis as A
 from testsched.algorithms import build_algorithm, parse_algorithm
 from testsched.cli import main as cli_main
 from testsched.core import REL_TOL, TEST, Instance
-from testsched.engine import run
+from testsched.engine import StaticSource, run
 from testsched.evaluation import det_lower_bound, evaluate, rand_lower_bound, sweep_results
 from testsched.generators import (
     adversary_view,
@@ -310,7 +310,9 @@ def test_criterion_09_makespan(criterion):
 
         jobs_checked = 0
         for inst in corpora:
-            makespan, opt, _, trace = evaluate(det, inst, "makespan")
+            makespan, opt, _, _ = evaluate(det, inst, "makespan")
+            trace = run(det.generator(), StaticSource(inst), inst.n, inst.uppers())
+            assert trace.makespan == makespan
             tested = {s[1] for s in trace.steps if s[0] == TEST}
             for job in inst.jobs:
                 contrib = 1 + job.proc if job.id in tested else job.upper

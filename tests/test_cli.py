@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from testsched import evaluation
+from testsched import engine, evaluation, generators
+from testsched.algorithms import parse_algorithm
+from testsched.analysis import DET_LB_DELTA, DET_LB_PBAR
 from testsched.cli import main
 from testsched.evaluation import worker_count
 
@@ -429,6 +432,16 @@ class TestVerifyConstants:
 
     def test_malformed_override(self, capsys):
         assert main(["verify-constants", "--override", "rand_lb_ratio"]) == 2
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_an_int_override_past_a_float_is_infinite(self, capsys, sign):
+        # an int with 401 digits ends as "1e400" does: an infinite value that fails its check
+        assert main(["verify-constants", "--override", f"threshold_sum_ratio={sign}1e400"]) == 1
+        as_float = capsys.readouterr()
+        assert main(["verify-constants", "--override", f"threshold_sum_ratio={sign}1{'0' * 400}"]) == 1
+        assert capsys.readouterr() == as_float
+        line = next(line for line in as_float.out.splitlines() if line.startswith("threshold_sum_ratio"))
+        assert f" computed={sign}inf " in line and line.endswith(" FAIL")
 
 
 class TestLowerBound:
@@ -951,6 +964,44 @@ class TestBadValues:
             main(argv + ["--mode", "rational"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --mode rational" in capsys.readouterr().err
+
+
+BIG_COSTS = ["simulate", "random", "--gen", "extreme_uniform", "--param", "n=10", "--param", "gamma=0.3",
+             "--seed", "1", "--trials", "5"]
+
+
+@pytest.mark.parametrize("extra", [["--param", "p_bar=1e200"],
+                                   ["--param", "p_bar=1e200", "--mode", "rational"],
+                                   ["--param", "p_bar=1e400", "--mode", "rational"]],
+                         ids=["float", "rational", "rational_past_a_float"])
+def test_a_monte_carlo_stderr_of_costs_near_a_float_limit(capsys, extra):
+    # each cost is near p_bar, so a deviation's square, or the cost itself, is past a float's range
+    assert main(BIG_COSTS + extra) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert math.isfinite(report["stderr"])
+
+
+def test_the_readme_monte_carlo_stderr_keeps_its_bits(capsys):
+    assert main(["simulate", "random", "--gen", "four_type", "--param", "n=1000", "--param", "alpha=0.3",
+                 "--param", "beta=0.2", "--param", "gamma=0.1", "--seed", "7", "--trials", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["stderr"] == 644.1630200129612
+
+
+def test_priced_runs_record_no_trace(monkeypatch):
+    # `evaluate`, `sweep_point` and `det_lower_bound` price each run through `run_expected`
+    def refuse(*args):
+        raise AssertionError("a priced run went through engine.run")
+
+    monkeypatch.setattr(engine, "run", refuse)
+    monkeypatch.setattr(evaluation, "run", refuse)
+    inst = generators.gen_random(12, seed="no-trace")
+    for name in ("threshold", "lb_schedule[nu=0.2,lam=0.3]", "makespan_det"):
+        alg = parse_algorithm(name)
+        cost, _, stderr, res = evaluation.evaluate(alg, inst, alg.objective)
+        assert stderr is None and cost == (res.makespan if alg.objective == "makespan" else res.total)
+    params = {"n": 20, "p_bar": 2.5, "gamma": 0.3}
+    assert evaluation.sweep_point(("ute", "extreme_uniform", params, "sum", 1, None))[3] == ""
+    assert len(evaluation.det_lower_bound(DET_LB_DELTA, DET_LB_PBAR, 50)["runs"]) == 5
 
 
 def test_makespan_rand_is_exact_for_an_integer_limit(capsys):

@@ -482,6 +482,25 @@ class TestExpectationMatchesRuns:
         assert type(res.total) is type(res.makespan) is Fraction
         assert (res.total, res.makespan) == (total, makespan)
 
+    def test_stderr_keeps_the_float_formula(self):
+        xs = [3.25, 7.0, 1.5, 11.125, 4.0]
+        m = sum(xs) / 5
+        assert _stderr(xs) == math.sqrt(sum((x - m) ** 2 for x in xs) / 4 / 5)
+
+    @pytest.mark.parametrize("xs, want", [
+        # a square overflows
+        ([2.0 ** 665, 2.0 ** 665 + 2.0 ** 620, 2.0 ** 665 - 2.0 ** 620], 2.0 ** 620 / math.sqrt(3)),
+        ([0.0, 2.6e154, 0.0, 2.6e154], 1.3e154 / math.sqrt(3)),  # the squares are finite, their sum is not
+        ([10**400, 10**400 + 2], 1.0),  # no value is a float
+        ([Fraction(10**400, 3), Fraction(10**400, 3) + 2, Fraction(10**400, 3) + 4], 2 / math.sqrt(3)),
+    ], ids=["square", "sum_of_squares", "int", "fraction"])
+    def test_stderr_past_a_float_takes_the_exact_deviations(self, xs, want):
+        assert _stderr(xs) == pytest.approx(want, rel=1e-15)
+
+    def test_stderr_past_a_float_itself_is_infinite(self):
+        assert _stderr([0, 10**400]) == math.inf
+        assert _stderr([-10**400, Fraction(1, 3), 10**400]) == math.inf
+
 
 # An adaptive source refuses a view as an instance with those limits and zero times refuses it
 NOT_FINITE = "upper is not a finite number"
