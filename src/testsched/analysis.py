@@ -3,9 +3,9 @@
 Everything here is plain real arithmetic over the asymptotic cost
 expressions (costs per n^2/2 unless said otherwise), so the simulation
 side of the package can be checked against formulas and vice versa.
-Extremizers follow fixed numeric recipes: a coarse scan, then
-golden-section with endpoint checks, for one dimension; that search nested
-in itself for a job mix on the simplex (`simplex_max`); bisection for roots.
+Extremizers follow fixed numeric recipes: one maximiser in one dimension
+(`scan_then_golden_max`; a minimum of f is its maximum of -f), nested in
+itself for a job mix on the simplex (`simplex_max`); bisection for roots.
 """
 
 from __future__ import annotations
@@ -34,19 +34,23 @@ GOLDEN_TOL, BISECT_TOL, BISECT_MAX_ITER = 1e-9, 1e-12, 500  # the two searches' 
 # Numeric building blocks.
 
 
-def golden_section_min(f, a, b):
-    """Minimum of f on [a, b] by golden-section search; endpoints included.
+def scan_then_golden_max(f, a, b, steps=200):
+    """Maximum of f on [a, b] as (x, f(x)); a minimum is the maximum of -f.
 
-    Returns (x, f(x)).  Assumes f is unimodal on the interval; callers that
-    cannot promise that should go through scan_then_golden_min.
+    A coarse scan brackets the best of steps + 1 points, golden-section search
+    narrows the bracket, and its two ends and final midpoint compete.  Assumes
+    one peak in the bracket; ties keep the first point.
     """
+    xs = [a + (b - a) * i / steps for i in range(steps + 1)]
+    vals = [f(x) for x in xs]
+    i = max(range(len(xs)), key=lambda k: vals[k])
+    lo, hi = left, right = xs[max(i - 1, 0)], xs[min(i + 1, steps)]
     inv = (math.sqrt(5) - 1) / 2
-    lo, hi = a, b
     c = hi - inv * (hi - lo)
     d = lo + inv * (hi - lo)
     fc, fd = f(c), f(d)
     while hi - lo > GOLDEN_TOL:
-        if fc < fd:
+        if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - inv * (hi - lo)
             fc = f(c)
@@ -54,23 +58,8 @@ def golden_section_min(f, a, b):
             lo, c, fc = c, d, fd
             d = lo + inv * (hi - lo)
             fd = f(d)
-    best = min(((f(x), x) for x in (a, (lo + hi) / 2, b)), key=lambda t: t[0])
+    best = max(((f(x), x) for x in (left, (lo + hi) / 2, right)), key=lambda t: t[0])
     return best[1], best[0]
-
-
-def scan_then_golden_min(f, a, b, steps=200):
-    """Coarse scan to bracket the minimum, then golden-section inside."""
-    xs = [a + (b - a) * i / steps for i in range(steps + 1)]
-    vals = [f(x) for x in xs]
-    i = min(range(len(xs)), key=lambda k: vals[k])
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, steps)]
-    return golden_section_min(f, lo, hi)
-
-
-def scan_then_golden_max(f, a, b, steps=200):
-    x, fx = scan_then_golden_min(lambda t: -f(t), a, b, steps)
-    return x, -fx
 
 
 def bisect_root(f, a, b):
@@ -143,22 +132,21 @@ def _clamped_best_lam(nu, delta, p_bar):
 
 
 def det_lb_best_schedule(delta, p_bar):
-    """The (nu, lam) schedule minimizing the ratio against the adversary."""
+    """(nu, lam, ratio): the schedule minimizing the ratio against the adversary, and that ratio."""
+    if not (0 < delta <= 1 and 1 < p_bar < math.inf):
+        raise InstanceError(f"need 0 < delta <= 1 and p_bar > 1, got ({delta}, {p_bar})")
 
     def ratio_at(nu):
         lam = _clamped_best_lam(nu, delta, p_bar)
         return det_lb_alg(nu, lam, delta, p_bar) / det_lb_opt(nu, delta, p_bar)
 
-    nu, _ = scan_then_golden_min(ratio_at, 0.0, delta, steps=2000)
-    return nu, _clamped_best_lam(nu, delta, p_bar)
+    nu, neg_ratio = scan_then_golden_max(lambda nu: -ratio_at(nu), 0.0, delta, steps=2000)
+    return nu, _clamped_best_lam(nu, delta, p_bar), -neg_ratio
 
 
 def det_lb_value(delta, p_bar):
     """Lower bound on every deterministic algorithm's ratio at (delta, p_bar)."""
-    if not (0 < delta <= 1 and 1 < p_bar < math.inf):
-        raise InstanceError(f"need 0 < delta <= 1 and p_bar > 1, got ({delta}, {p_bar})")
-    nu, lam = det_lb_best_schedule(delta, p_bar)
-    return det_lb_alg(nu, lam, delta, p_bar) / det_lb_opt(nu, delta, p_bar)
+    return det_lb_best_schedule(delta, p_bar)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +225,9 @@ def solve_random_params():
 
 # ---------------------------------------------------------------------------
 # Randomized lower bound: upper limit 1/q, processing time 0 with
-# probability q, else 1/q.
+# probability q, else 1/q.  The bound peaks at q = RAND_LB_Q.
+
+RAND_LB_Q = 1 - 1 / math.sqrt(3)
 
 
 def rand_lb_opt_coeff(q):
@@ -496,7 +486,7 @@ CONSTANT_CHECKS = (
     ("det_lb_ratio", DET_LB_PUBLISHED, 1e-5, lambda: det_lb_value(DET_LB_DELTA, DET_LB_PBAR)),
     ("random_test_threshold", RANDOM_T_PUBLISHED, 1e-4, lambda: solve_random_params()[0]),
     ("random_exec_threshold", RANDOM_E_PUBLISHED, 1e-4, lambda: solve_random_params()[1]),
-    ("rand_lb_ratio", RAND_LB_PUBLISHED, 1e-5, lambda: rand_lb_value(1 - 1 / math.sqrt(3))),
+    ("rand_lb_ratio", RAND_LB_PUBLISHED, 1e-5, lambda: rand_lb_value(RAND_LB_Q)),
     ("rand_lb_worst_q", 0.42265, 1e-5, solve_rand_lb_q),
     ("combined_no_test_threshold", COMBINED_T1_PUBLISHED, 1e-4, lambda: solve_thresholds()[0]),
     ("combined_switch_threshold", COMBINED_T2_PUBLISHED, 1e-4, lambda: solve_thresholds()[1]),

@@ -182,8 +182,6 @@ def cmd_sweep(args):
         raise ConfigurationError("randomized algorithm needs --seed")
     base = _parse_params(args.param)
     axes = [_sweep_values(s) for s in args.sweep]
-    if not axes:
-        raise ConfigurationError("need at least one --sweep axis")
 
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
@@ -326,7 +324,7 @@ def build_parser():
     sp.add_argument("kind", choices=("det", "rand"))
     sp.add_argument("--delta", type=float, default=analysis.DET_LB_DELTA)
     sp.add_argument("--p-bar", type=float, default=analysis.DET_LB_PBAR)
-    sp.add_argument("--q", type=float, default=1 - 1 / 3 ** 0.5)
+    sp.add_argument("--q", type=float, default=analysis.RAND_LB_Q)
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--algorithms", help="comma-separated names (det: best_schedule allowed)")
     common(sp, mode=False)

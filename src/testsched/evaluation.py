@@ -9,7 +9,7 @@ import os
 from . import analysis, generators
 from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
 from .core import InstanceError
-from .engine import StaticSource, run, run_expected
+from .engine import StaticSource, _drive, run_expected
 from .offline import optimal_makespan, optimal_sum
 
 
@@ -85,12 +85,11 @@ def sweep_results(tasks, default_workers):
 def det_lower_bound(delta, p_bar, n, names=None):
     """The `lower-bound det` report: the analytic bound at (delta, p_bar) and each
     deterministic rule's ratio against the adaptive adversary on n jobs."""
-    analytic = analysis.det_lb_value(delta, p_bar)
+    nu, lam, analytic = analysis.det_lb_best_schedule(delta, p_bar)
     uppers = generators.adversary_view(n, p_bar)
     runs = []
     for name in names or ["threshold", "delay_all", "combined", "ute", "best_schedule"]:
         if name == "best_schedule":
-            nu, lam = analysis.det_lb_best_schedule(delta, p_bar)
             alg = build_algorithm("lb_schedule", {"nu": nu, "lam": lam, "delta": delta})
         else:
             alg = parse_algorithm(name)
@@ -119,8 +118,8 @@ def rand_lower_bound(q, n, trials, seed, names=None):
         opt_sum += float(optimal_sum(inst).total)
         for name, alg in algs.items():
             gen = alg.generator(f"{seed}:{name}:{i}" if alg.randomized else None)
-            trace = run(gen, StaticSource(inst), inst.n, inst.uppers())
-            sums[name] += float(trace.total)
+            total, _ = _drive(gen, StaticSource(inst), inst.n, inst.uppers(), record=False)
+            sums[name] += float(total)
     runs = [{"algorithm": name, "mean_alg": sums[name] / trials, "mean_opt": opt_sum / trials,
              "ratio": _float_row(sums[name], opt_sum)[2]} for name in names]
     return {"bound": "randomized-two-point", "q": q, "n": n, "trials": trials, "analytic": analytic,

@@ -22,8 +22,6 @@ from testsched.core import REL_TOL, TEST, Instance
 from testsched.engine import StaticSource, run
 from testsched.evaluation import det_lower_bound, evaluate, rand_lower_bound, sweep_results
 from testsched.generators import (
-    adversary_view,
-    det_lb_adversary,
     four_type_counts,
     gen_extreme_uniform,
     gen_four_type,
@@ -86,10 +84,8 @@ def test_criterion_01_threshold_bound(criterion):
         n = 2000
         for delta in (0.2, 0.4, 0.6, 0.8):
             for p_bar in (1.2, 1.5, 2.0, 2.5, 3.0):
-                source = det_lb_adversary(n, delta, p_bar)
-                trace = run(thresh.generator(), source, n, adversary_view(n, p_bar))
-                opt = optimal_sum(source.realized_instance()).total
-                worst = max(worst, float(trace.total) / float(opt))
+                ratio = det_lower_bound(delta, p_bar, n, ["threshold"])["runs"][0]["ratio"]
+                worst = max(worst, ratio)
                 runs += 1
 
         elapsed = time.monotonic() - start
@@ -202,7 +198,7 @@ def test_criterion_04_random_parameters(criterion):
 
 def test_criterion_05_randomized_lower_bound(criterion):
     with criterion(5, "randomized lower bound: analytic value, E[OPT] form, E[ALG] floor") as notes:
-        q = 1 - 1 / math.sqrt(3)
+        q = A.RAND_LB_Q
         n, trials = 500, 500
         report = rand_lower_bound(q, n, trials, "c5")
         assert abs(report["analytic"] - 1.62575) < 1e-5

@@ -246,6 +246,9 @@ class TestRegistry:
     def test_parse_with_params(self):
         alg = parse_algorithm("random[T=1.8,E=3.0]")
         assert alg.params == {"T": 1.8, "E": 3.0}
+        # an empty part is skipped: a trailing comma names the same rule
+        alg, plain = parse_algorithm("random[T=1.8,]"), parse_algorithm("random[T=1.8]")
+        assert (alg.key, alg.params) == (plain.key, plain.params)
 
     def test_parse_exact_params(self):
         alg = parse_algorithm("random[T=1.7453,E=2.8609]", exact=True)

@@ -15,14 +15,14 @@ from testsched.offline import optimal_sum
 
 class TestNumericUtilities:
     def test_golden_section_interior_min(self):
-        x, v = A.golden_section_min(lambda x: (x - 2) ** 2, 0, 5)
+        x, v = A.scan_then_golden_max(lambda x: -((x - 2) ** 2), 0, 5)
         assert abs(x - 2) < 1e-7
-        assert v < 1e-13
+        assert -v < 1e-13
 
     def test_scan_endpoint_min(self):
-        x, v = A.scan_then_golden_min(lambda x: x, 1, 3)
+        x, v = A.scan_then_golden_max(lambda x: -x, 1, 3)
         assert abs(x - 1) < 1e-7
-        assert abs(v - 1) < 1e-7
+        assert abs(-v - 1) < 1e-7
 
     def test_scan_max(self):
         x, v = A.scan_then_golden_max(lambda x: -(x - 1.5) ** 2 + 4, 0, 3)
@@ -31,6 +31,10 @@ class TestNumericUtilities:
 
     def test_bisect_finds_pi(self):
         assert abs(A.bisect_root(math.sin, 3, 3.2) - math.pi) < 1e-11
+
+    def test_bisect_returns_an_endpoint_where_f_is_zero(self):
+        assert A.bisect_root(lambda x: x - 1, 1, 4) == 1
+        assert A.bisect_root(lambda x: x - 4, 1, 4) == 4
 
     def test_bisect_needs_sign_change(self):
         with pytest.raises(ValueError, match="sign change"):
@@ -75,6 +79,14 @@ class TestDeterministicLowerBound:
             A.det_lb_value(0.0, 2.0)
         with pytest.raises(ValueError):
             A.det_lb_value(0.5, 1.0)
+        with pytest.raises(ValueError, match=r"need 0 < delta <= 1 and p_bar > 1, got \(0.5, inf\)"):
+            A.det_lb_best_schedule(0.5, math.inf)
+
+    def test_best_schedule_carries_its_ratio(self):
+        nu, lam, ratio = A.det_lb_best_schedule(A.DET_LB_DELTA, A.DET_LB_PBAR)
+        assert ratio == (A.det_lb_alg(nu, lam, A.DET_LB_DELTA, A.DET_LB_PBAR)
+                         / A.det_lb_opt(nu, A.DET_LB_DELTA, A.DET_LB_PBAR))
+        assert ratio == A.det_lb_value(A.DET_LB_DELTA, A.DET_LB_PBAR)
 
 
 class TestRandomTester:

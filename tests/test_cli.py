@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from testsched import engine, evaluation, generators
+from testsched import analysis, engine, evaluation, generators
 from testsched.algorithms import parse_algorithm
 from testsched.analysis import DET_LB_DELTA, DET_LB_PBAR
 from testsched.cli import main
@@ -389,6 +389,17 @@ class TestSweep:
                    "--sweep", "gamma=0.2:0.4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_an_axis_with_no_range_exits_2(self, capsys):
+        assert main(["sweep", "threshold", "--gen", "extreme_uniform", "--sweep", "gamma"]) == 2
+        assert one_error_line(capsys) == "expected name=lo:hi:step, got 'gamma'"
+
+    def test_no_axis_is_a_usage_error(self, capsys):
+        # argparse refuses it, before the command runs
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4"])
+        assert exc.value.code == 2
+        assert "--sweep" in capsys.readouterr().err
+
     def test_duplicate_axis_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main(["sweep", "threshold", "--gen", "extreme_uniform",
@@ -683,6 +694,20 @@ class TestBadInputFiles:
         assert main(["replay", "--instance", str(inst), "--trace", str(trace), "--mode", mode]) == 2
         assert one_error_line(capsys) == (
             f"{trace}, line 3: expected a JSON object with numbers 't' and 'dur', a 'kind' and a 'job'")
+
+    def test_an_instance_row_that_is_no_object(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text("[1]")
+        assert main(["simulate", "threshold", "--instance", str(inst)]) == 2
+        assert one_error_line(capsys) == "job 0: expected an object with 'upper' and 'proc'"
+
+    def test_a_negative_duration_in_a_trace(self, tmp_path, capsys):
+        inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+        inst.write_text('[{"upper": 2, "proc": 1}, {"upper": 2, "proc": 1}]')
+        trace.write_text('{"t": 0, "kind": "exec_untested", "job": 0, "dur": 2}\n'
+                         '{"t": 2, "kind": "exec_untested", "job": 1, "dur": -1}\n')
+        assert main(["replay", "--instance", str(inst), "--trace", str(trace)]) == 1
+        assert one_error_line(capsys) == "action 1: negative duration"
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("row, key", [
@@ -988,12 +1013,13 @@ def test_the_readme_monte_carlo_stderr_keeps_its_bits(capsys):
 
 
 def test_priced_runs_record_no_trace(monkeypatch):
-    # `evaluate`, `sweep_point` and `det_lower_bound` price each run through `run_expected`
-    def refuse(*args):
-        raise AssertionError("a priced run went through engine.run")
+    # `evaluate`, `sweep_point` and `det_lower_bound` price each run through `run_expected`,
+    # `rand_lower_bound` through the loop with no record; a recorded run builds a Trace
+    def refuse(*args, **kwargs):
+        raise AssertionError("a priced run recorded its steps")
 
     monkeypatch.setattr(engine, "run", refuse)
-    monkeypatch.setattr(evaluation, "run", refuse)
+    monkeypatch.setattr(engine, "Trace", refuse)
     inst = generators.gen_random(12, seed="no-trace")
     for name in ("threshold", "lb_schedule[nu=0.2,lam=0.3]", "makespan_det"):
         alg = parse_algorithm(name)
@@ -1002,6 +1028,21 @@ def test_priced_runs_record_no_trace(monkeypatch):
     params = {"n": 20, "p_bar": 2.5, "gamma": 0.3}
     assert evaluation.sweep_point(("ute", "extreme_uniform", params, "sum", 1, None))[3] == ""
     assert len(evaluation.det_lower_bound(DET_LB_DELTA, DET_LB_PBAR, 50)["runs"]) == 5
+    assert len(evaluation.rand_lower_bound(0.4, 20, 2, "no-trace")["runs"]) == 6
+
+
+def test_lower_bound_det_searches_once(monkeypatch):
+    calls = []
+    search = analysis.det_lb_best_schedule
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(analysis, "det_lb_best_schedule", spy)
+    report = evaluation.det_lower_bound(DET_LB_DELTA, DET_LB_PBAR, 50)
+    assert calls == [(DET_LB_DELTA, DET_LB_PBAR)]
+    assert report["analytic"] == search(DET_LB_DELTA, DET_LB_PBAR)[2]
 
 
 def test_makespan_rand_is_exact_for_an_integer_limit(capsys):
