@@ -321,14 +321,17 @@ def build_parser():
     sp.set_defaults(fn=cmd_verify_constants)
 
     sp = sub.add_parser("lower-bound", allow_abbrev=False, help="evaluate a lower-bound construction")
-    sp.add_argument("kind", choices=("det", "rand"))
-    sp.add_argument("--delta", type=float, default=analysis.DET_LB_DELTA)
-    sp.add_argument("--p-bar", type=float, default=analysis.DET_LB_PBAR)
-    sp.add_argument("--q", type=float, default=analysis.RAND_LB_Q)
-    sp.add_argument("--n", type=int, default=2000)
-    sp.add_argument("--algorithms", help="comma-separated names (det: best_schedule allowed)")
-    common(sp, mode=False)
-    sp.set_defaults(fn=cmd_lower_bound)
+    kinds = sp.add_subparsers(dest="kind", required=True)
+    det = kinds.add_parser("det", allow_abbrev=False, help="adaptive adversary against deterministic rules")
+    det.add_argument("--delta", type=float, default=analysis.DET_LB_DELTA)
+    det.add_argument("--p-bar", type=float, default=analysis.DET_LB_PBAR)
+    rand = kinds.add_parser("rand", allow_abbrev=False, help="random two-point instances")
+    rand.add_argument("--q", type=float, default=analysis.RAND_LB_Q)
+    for kind, randomized in ((det, False), (rand, True)):
+        kind.add_argument("--n", type=int, default=2000)
+        kind.add_argument("--algorithms", help="comma-separated names (det: best_schedule allowed)")
+        common(kind, seed=randomized, trials=randomized, mode=False)
+        kind.set_defaults(fn=cmd_lower_bound)
 
     sp = sub.add_parser("gen", allow_abbrev=False, help="write an instance file")
     sp.add_argument("name", choices=generators.GENERATOR_NAMES)

@@ -298,9 +298,9 @@ def trace_text(trace: Trace) -> str:
                    for kind, job, start, dur in trace.steps)
 
 
-def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
-    """Read a trace file and replay it; "p/q" times by `_number`, each time finite (`is_finite_number`:
-    JSON's NaN and Infinity are bad input), a job id a JSON integer in either mode."""
+def load_trace(path, n: int, exact: bool = False) -> Trace:
+    """Read a trace file and replay it as a run on n jobs; "p/q" times by `_number`, each time finite
+    (`is_finite_number`: JSON's NaN and Infinity are bad input), a job id a JSON integer in either mode."""
     steps = []
     for lineno, line in enumerate(_read(path).split("\n"), 1):
         if not line.strip():
@@ -320,8 +320,6 @@ def load_trace(path, n: int | None = None, exact: bool = False) -> Trace:
         if exact and type(job) is not int:  # name it as float mode does, not as a Fraction
             job = json.loads(line)["job"]
         steps.append((kind, job, t, dur))
-    if n is None:
-        n = 1 + max((s[1] for s in steps if type(s[1]) is int), default=-1)
     return build_trace(n, steps)
 
 

@@ -17,10 +17,11 @@ first touch, which fixes the job's time.
 
 The protocol loop keeps `core`'s ledger: per job `UNTOUCHED`, the revealed
 time or `DONE`.  `run` returns the full trace.  Expectation runs
-(`run_expected`) read only each run's total and makespan, so they drive the
-same loop with the same checks but keep no step list.  A deterministic
-rule's expectation is its one run; a randomized rule's exact one is its
-`expected_cost` hook on the columns `begin` returns, with no run at all.
+(`run_expected`) read only each run's total and makespan, so they call
+`run(..., record=False)`: the same loop with the same checks, but no step
+list.  A deterministic rule's expectation is its one run; a randomized
+rule's exact one is its `expected_cost` hook on the columns `begin`
+returns, with no run at all.
 """
 
 from __future__ import annotations
@@ -114,27 +115,20 @@ class AdaptiveSource:
         return Instance(self._uppers, map(self._committed.__getitem__, range(self._n)))
 
 
-def run(algorithm, source, n: int, upper_limits) -> Trace:
+def run(gen_fn, source, n: int, upper_limits, record: bool = True):
     """Run one algorithm to completion and return its trace.
 
-    `algorithm` is a generator function taking the view (n, uppers).  The
+    `gen_fn` is a generator function taking the view (n, uppers).  The
     source's `begin` checks the view and returns the limits the run uses and
-    any times it holds; any structural violation raises ProtocolError naming
-    the action index.
-    """
-    return _drive(algorithm, source, n, upper_limits)
-
-
-def _drive(gen_fn, source, n: int, upper_limits, record: bool = True):
-    """`run`, on the limits and times the source's `begin` returns for the view.
-
-    With `record=False` no step is kept and the result is `(total, makespan)`,
-    the two values the Trace would carry: expectation runs read nothing else.
-    Both modes make the same checks.  An action is checked on its job's
-    ledger entry (`UNTOUCHED`, the revealed time or `DONE`), then on its
-    kind; an error names it by its index, the tests so far plus jobs done.
-    A test reads the job's time from the source's column; a source with no
-    column gets `commit(job, via_test)` on each test and untested run instead.
+    any times it holds.  With `record=False` no step is kept and the result
+    is `(total, makespan)`, the two values the Trace would carry:
+    expectation runs read nothing else.  Both modes make the same checks.
+    An action is checked on its job's ledger entry (`UNTOUCHED`, the
+    revealed time or `DONE`), then on its kind; any structural violation
+    raises ProtocolError naming the action by its index, the tests so far
+    plus jobs done.  A test reads the job's time from the source's column;
+    a source with no column gets `commit(job, via_test)` on each test and
+    untested run instead.
     """
     uppers, times = source.begin(n, upper_limits)
     commit = source.commit if times is None else None
@@ -227,8 +221,8 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     holds whole.  A source that holds no times is a ProtocolError, and a
     rule with no hook is one before the source is asked anything.  Otherwise
     it is the mean of `trials` (at least 1) seeded replicates.
-    Each run goes through the protocol loop with every check `run` makes, but
-    keeps no step list: only its total and makespan.
+    Each run is `run(..., record=False)`: every check of a recorded run, but
+    no step list, only its total and makespan.
     """
     if not exact and alg.randomized and seed is None:
         raise ProtocolError("randomized run without a master seed")
@@ -238,7 +232,7 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         raise ProtocolError(f"an exact expectation of {alg.key} needs its expected_cost hook,"
                             " and this randomized rule has none")
     if not alg.randomized:
-        total, makespan = _drive(alg.generator(), source, n, upper_limits, record=False)
+        total, makespan = run(alg.generator(), source, n, upper_limits, record=False)
         return ExpectedRun(total, makespan, 0.0, 0.0, 1, True)
     if exact:
         uppers, times = source.begin(n, upper_limits)
@@ -250,7 +244,7 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     totals = []
     spans = []
     for i in range(trials):
-        cost, span = _drive(alg.generator(trial_seed(seed, i)), source, n, upper_limits, record=False)
+        cost, span = run(alg.generator(trial_seed(seed, i)), source, n, upper_limits, record=False)
         totals.append(cost)
         spans.append(span)
     return ExpectedRun(sum(totals) / trials, sum(spans) / trials, _stderr(totals), _stderr(spans),

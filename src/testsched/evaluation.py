@@ -9,7 +9,7 @@ import os
 from . import analysis, generators
 from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
 from .core import InstanceError
-from .engine import StaticSource, _drive, run_expected
+from .engine import StaticSource, run, run_expected
 from .offline import optimal_makespan, optimal_sum
 
 
@@ -25,7 +25,10 @@ def _finite(**values):
 
 def _float_row(cost, opt):
     """(cost, OPT, cost / OPT) as floats, each of them finite."""
-    row = float(cost), float(opt), float(cost) / float(opt)
+    try:
+        row = float(cost), float(opt), float(cost) / float(opt)
+    except OverflowError:  # an int or Fraction past a float's range; OPT is at most the cost
+        raise NonFiniteError("alg cost is inf in floats") from None
     _finite(alg_cost=row[0], OPT=row[1], ratio=row[2])
     return row
 
@@ -118,7 +121,7 @@ def rand_lower_bound(q, n, trials, seed, names=None):
         opt_sum += float(optimal_sum(inst).total)
         for name, alg in algs.items():
             gen = alg.generator(f"{seed}:{name}:{i}" if alg.randomized else None)
-            total, _ = _drive(gen, StaticSource(inst), inst.n, inst.uppers(), record=False)
+            total, _ = run(gen, StaticSource(inst), inst.n, inst.uppers(), record=False)
             sums[name] += float(total)
     runs = [{"algorithm": name, "mean_alg": sums[name] / trials, "mean_opt": opt_sum / trials,
              "ratio": _float_row(sums[name], opt_sum)[2]} for name in names]

@@ -126,17 +126,18 @@ def adversary_view(n, p_bar):
     return [p_bar] * _whole("n", n, 1)
 
 
-def gen_rand_lb(n, q, seed, exact=False):
+def gen_rand_lb(n, q, seed):
     """Random two-point instance behind the randomized lower bound.
 
     Every job has limit 1/q; its time is 0 with probability q and the full
-    1/q otherwise.  With exact=True the values are Fractions.
+    1/q otherwise.  A Fraction q, as `--mode rational` reads it, gives
+    Fraction values.
     """
     if not 0 < q < 1:
         raise InstanceError(f"q must be in (0, 1), got {q}")
     n = _whole("n", n, 1)
     rng = random.Random(seed)
-    limit = Fraction(q) ** -1 if exact else 1 / q
+    limit = 1 / q
     procs = [limit] * n
     for j in range(n):
         if rng.random() < q:
@@ -168,13 +169,11 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     return Instance((p_bar,) * n, procs)
 
 
-def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, middle=None):
+def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None):
     """Three-value uniform-limit family, ordered by decreasing time.
 
     long_frac of the jobs run at the full limit, mid_frac at mid_value
-    (default max(1, limit - 1)), the rest at 0.  An optional single
-    `middle` job with the given time is placed between longs and mids;
-    it replaces one zero.
+    (default max(1, limit - 1)), the rest at 0.
     """
     if mid_value is None:
         mid_value = max(1, p_bar - 1)
@@ -183,12 +182,10 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, mid
     nlong = _family_count(long_frac, n)
     nmid = _family_count(mid_frac, n)
     n = _whole("n", n, 1)
-    nzero = n - nlong - nmid - (1 if middle is not None else 0)
+    nzero = n - nlong - nmid
     if nzero < 0:
         raise InstanceError(f"fractions exceed 1 for n={n}: {(long_frac, mid_frac)}")
-    if middle is not None and not 0 <= middle <= p_bar:
-        raise InstanceError(f"middle time {middle} outside [0, {p_bar}]")
-    procs = (p_bar,) * nlong + (() if middle is None else (middle,)) + (mid_value,) * nmid + (0,) * nzero
+    procs = (p_bar,) * nlong + (mid_value,) * nmid + (0,) * nzero
     return Instance((p_bar,) * n, procs)
 
 

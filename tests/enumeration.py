@@ -12,7 +12,7 @@ from itertools import permutations, product
 
 from testsched import analysis
 from testsched.algorithms import _blind_test_defer, _per_job, _split
-from testsched.engine import ProtocolError, _drive
+from testsched.engine import ProtocolError, run
 
 
 def make_random_order_exact(T, E):
@@ -53,7 +53,7 @@ def enumerated_expectation(alg, make_source, n, uppers):
     weight_sum = 0
     count = 0
     for weight, gen_fn in exact_outcomes(alg, n, uppers):
-        cost, span = _drive(gen_fn, make_source(), n, uppers, record=False)
+        cost, span = run(gen_fn, make_source(), n, uppers, record=False)
         total = total + weight * cost
         makespan = makespan + weight * span
         weight_sum = weight_sum + weight

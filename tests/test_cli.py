@@ -1,7 +1,9 @@
 """End-to-end command line behavior through main(argv)."""
 
+import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from testsched import analysis, engine, evaluation, generators
+from testsched import analysis, cli, engine, evaluation, generators
 from testsched.algorithms import parse_algorithm
 from testsched.analysis import DET_LB_DELTA, DET_LB_PBAR
 from testsched.cli import main
@@ -491,6 +493,17 @@ class TestLowerBound:
         assert main(["lower-bound", "det", "--n", "50",
                      "--algorithms", "random"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["det", "--q", "0.3"], ["det", "--seed", "zz"], ["det", "--trials", "7"],
+        ["rand", "--seed", "1", "--delta", "0.5"], ["rand", "--seed", "1", "--p-bar", "2"],
+    ], ids=["det_q", "det_seed", "det_trials", "rand_delta", "rand_p_bar"])
+    def test_a_flag_of_the_other_kind_is_refused(self, capsys, argv):
+        # each kind reads its own flags only; another kind's flag once parsed and was ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["lower-bound"] + argv + ["--n", "10"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, runs", [
         (["rand", "--n", "3", "--seed", "1", "--trials", "2", "--algorithms", "random[T=1.5,E=2]"],
          [("random[T=1.5,E=2]", None)]),
@@ -967,6 +980,22 @@ class TestBadValues:
             assert main(argv + ["--mode", "rational"]) == 0
             json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
 
+    def test_an_int_past_a_float_in_a_sweep_row_is_refused(self, tmp_path, capsys):
+        # a CSV row holds floats, and the cost of a 401-digit int limit has none
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4", "--param",
+                     f"p_bar={10**400}", "--sweep", "gamma=0:0.5:0.5", "--out", str(out)]) == 2
+        assert one_error_line(capsys) == "alg cost is inf in floats"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, params", [
+        ("rand_lb", ["n=3", "q=0.4", "seed=1", "exact=1"]),
+        ("uniform_mixed", ["n=3", "p_bar=2", "middle=1"]),
+    ], ids=["rand_lb_exact", "uniform_mixed_middle"])
+    def test_a_removed_generator_parameter_is_refused(self, capsys, name, params):
+        assert main(["gen", name] + [arg for pair in params for arg in ("--param", pair)]) == 2
+        assert one_error_line(capsys).startswith(f"bad parameters for {name}: ")
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "threshold", "--gen", "extreme_uniform", "--par", "n=4", "--par", "p_bar=2",
          "--par", "gamma=0.5", "--obj", "makespan"],
@@ -1014,11 +1043,18 @@ def test_the_readme_monte_carlo_stderr_keeps_its_bits(capsys):
 
 def test_priced_runs_record_no_trace(monkeypatch):
     # `evaluate`, `sweep_point` and `det_lower_bound` price each run through `run_expected`,
-    # `rand_lower_bound` through the loop with no record; a recorded run builds a Trace
+    # `rand_lower_bound` through `run(..., record=False)`; a recorded run builds a Trace
+    loop = engine.run
+
+    def unrecorded(gen_fn, source, n, upper_limits, record=True):
+        if record:
+            raise AssertionError("a priced run recorded its steps")
+        return loop(gen_fn, source, n, upper_limits, record=False)
+
     def refuse(*args, **kwargs):
         raise AssertionError("a priced run recorded its steps")
 
-    monkeypatch.setattr(engine, "run", refuse)
+    monkeypatch.setattr(engine, "run", unrecorded)
     monkeypatch.setattr(engine, "Trace", refuse)
     inst = generators.gen_random(12, seed="no-trace")
     for name in ("threshold", "lb_schedule[nu=0.2,lam=0.3]", "makespan_det"):
@@ -1029,6 +1065,46 @@ def test_priced_runs_record_no_trace(monkeypatch):
     assert evaluation.sweep_point(("ute", "extreme_uniform", params, "sum", 1, None))[3] == ""
     assert len(evaluation.det_lower_bound(DET_LB_DELTA, DET_LB_PBAR, 50)["runs"]) == 5
     assert len(evaluation.rand_lower_bound(0.4, 20, 2, "no-trace")["runs"]) == 6
+
+
+# Every option and generator parameter, so that a new one shows in review as a line here:
+# each must change a result, as `lower-bound`'s kinds once shared flags that one of them ignored.
+FLAGS = {
+    "": [],
+    "simulate": ["--instance", "--gen", "--param", "--objective", "--exact", "--trace-out", "--mode", "--out",
+                 "--seed", "--trials"],
+    "sweep": ["--gen", "--param", "--sweep", "--objective", "--out", "--seed", "--trials"],
+    "verify-constants": ["--override", "--out"],
+    "lower-bound": [],
+    "lower-bound det": ["--delta", "--p-bar", "--n", "--algorithms", "--out"],
+    "lower-bound rand": ["--q", "--n", "--algorithms", "--out", "--seed", "--trials"],
+    "gen": ["--param", "--mode", "--out"],
+    "replay": ["--instance", "--trace", "--mode", "--out"],
+}
+GENERATOR_PARAMETERS = {
+    "threshold_worstcase": ["a", "b", "c", "epsilon"],
+    "four_type": ["n", "alpha", "beta", "gamma", "T", "E", "epsilon"],
+    "rand_lb": ["n", "q", "seed"],
+    "extreme_uniform": ["n", "p_bar", "gamma", "placement"],
+    "uniform_mixed": ["n", "p_bar", "long_frac", "mid_frac", "mid_value"],
+    "random": ["n", "seed", "max_upper", "exact", "denominator"],
+}
+
+
+def test_every_flag_and_generator_parameter_is_pinned():
+    flags = {}
+
+    def walk(parser, path):
+        flags[path] = [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{path} {name}".strip())
+
+    walk(cli.build_parser(), "")
+    assert flags == FLAGS
+    assert {name: list(inspect.signature(gen).parameters)
+            for name, gen in generators.GENERATORS.items()} == GENERATOR_PARAMETERS
 
 
 def test_lower_bound_det_searches_once(monkeypatch):

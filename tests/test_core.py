@@ -346,12 +346,6 @@ class TestRoundTrips:
         assert back.total == 105
         assert back.steps[0][:2] == (TEST, 0)
 
-    def test_trace_infers_n(self, tmp_path):
-        tr = build_trace(1, [(EXEC_UNTESTED, 0, 0, 3)])
-        path = tmp_path / "t.jsonl"
-        path.write_text(trace_text(tr))
-        assert load_trace(path).n == 1
-
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("field, value", [("dur", "NaN"), ("t", "Infinity"), ("dur", "-Infinity")])
     def test_trace_numbers_must_be_finite(self, tmp_path, exact, field, value):
@@ -361,7 +355,7 @@ class TestRoundTrips:
         path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
         with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}, line 1: expected a JSON object"
                                                  " with numbers 't' and 'dur'"):
-            load_trace(path, exact=exact)
+            load_trace(path, n=1, exact=exact)
 
     def test_lower_key_rejected(self, tmp_path):
         path = tmp_path / "lower.json"
@@ -405,8 +399,8 @@ class TestLosslessNumbers:
         trace = run(parse_algorithm("threshold", exact=True).generator(), StaticSource(inst), 2, inst.uppers())
         trace_path.write_text(trace_text(trace))
         assert '"dur": "2/3"' in trace_path.read_text()
-        assert load_trace(trace_path, exact=True).steps == trace.steps
-        assert [s[3] for s in load_trace(trace_path).steps] == [float(s[3]) for s in trace.steps]
+        assert load_trace(trace_path, n=2, exact=True).steps == trace.steps
+        assert [s[3] for s in load_trace(trace_path, n=2).steps] == [float(s[3]) for s in trace.steps]
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
     @pytest.mark.parametrize("value", ['"2"', '"1/0"', '"1 /3"', '"0x1/3"', '"1/3.0"', '"+1/3"'],

@@ -99,7 +99,7 @@ class TestRandLb:
         assert a.procs() != c.procs()
 
     def test_exact_mode(self):
-        inst = gen_rand_lb(30, Fraction(1, 2), seed="e", exact=True)
+        inst = gen_rand_lb(30, Fraction(1, 2), seed="e")
         assert all(isinstance(j.upper, Fraction) and j.upper == 2 for j in inst.jobs)
         assert all(j.proc in (0, Fraction(2)) for j in inst.jobs)
 
@@ -153,20 +153,11 @@ class TestUniformMixed:
         assert procs[2:5] == (2.0,) * 3
         assert procs[5:] == (0,) * 5
 
-    def test_middle_replaces_a_zero(self):
-        inst = gen_uniform_mixed(10, 3.0, long_frac=0.2, mid_frac=0.2, middle=1.5)
-        procs = inst.procs()
-        assert procs[2] == 1.5
-        assert procs.count(0) == 5
-        assert inst.n == 10
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(InstanceError):
             gen_uniform_mixed(10, 3.0, long_frac=0.6, mid_frac=0.6)
         with pytest.raises(InstanceError):
             gen_uniform_mixed(10, 3.0, mid_frac=0.1, mid_value=3.5)
-        with pytest.raises(InstanceError):
-            gen_uniform_mixed(10, 3.0, middle=4.0)
 
 
 class TestGenRandom:
@@ -216,9 +207,9 @@ def pairs_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
     return [(T, 0)] * m0 + [(T, T)] * mt + [(E, E)] * me + [(E + epsilon, E + epsilon)] * md
 
 
-def pairs_rand_lb(n, q, seed, exact=False):
+def pairs_rand_lb(n, q, seed):
     rng = random.Random(seed)
-    limit = Fraction(q) ** -1 if exact else 1 / q
+    limit = 1 / q
     return [(limit, 0 if rng.random() < q else limit) for _ in range(n)]
 
 
@@ -232,14 +223,10 @@ def pairs_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     return [long_job if (i + 1) * nlong // n > i * nlong // n else zero_job for i in range(n)]
 
 
-def pairs_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None, middle=None):
+def pairs_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None):
     mid_value = max(1, p_bar - 1) if mid_value is None else mid_value
     nlong, nmid = math.floor(long_frac * n), math.floor(mid_frac * n)
-    nzero = n - nlong - nmid - (1 if middle is not None else 0)
-    pairs = [(p_bar, p_bar)] * nlong
-    if middle is not None:
-        pairs.append((p_bar, middle))
-    return pairs + [(p_bar, mid_value)] * nmid + [(p_bar, 0)] * nzero
+    return [(p_bar, p_bar)] * nlong + [(p_bar, mid_value)] * nmid + [(p_bar, 0)] * (n - nlong - nmid)
 
 
 def pairs_random(n, seed, max_upper=4, exact=False, denominator=1000):
@@ -277,14 +264,12 @@ COLUMN_CASES = {
         ((n, p_bar), kw)
         for n in (1, 10, 2000)
         for p_bar in (3.0, Fraction(5, 2), 4)
-        for kw in ({}, {"long_frac": 0.2, "mid_frac": 0.3}, {"long_frac": Fraction(1, 2), "mid_value": 1},
-                   {"long_frac": 0.2, "mid_frac": 0.2, "middle": 1.5}, {"middle": 0})]),
+        for kw in ({}, {"long_frac": 0.2, "mid_frac": 0.3}, {"long_frac": Fraction(1, 2), "mid_value": 1})]),
     "rand_lb": (gen_rand_lb, pairs_rand_lb, [
-        ((n, q, seed), {"exact": exact})
+        ((n, q, seed), {})
         for n in (1, 60, 2000)
         for seed in ("a", 1, 918273)
-        for q, exact in ((0.5, False), (0.3, False), (Fraction(1, 3), False), (Fraction(1, 3), True),
-                         (0.25, True))]),
+        for q in (0.5, 0.3, Fraction(1, 3))]),
     "random": (gen_random, pairs_random, [
         ((n, seed), kw)
         for n in (1, 50, 500)
