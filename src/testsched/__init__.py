@@ -32,12 +32,7 @@ from .engine import (
     run,
     run_expected,
 )
-from .offline import (
-    OptPlan,
-    brute_force_optimum,
-    optimal_makespan,
-    optimal_sum,
-)
+from .offline import brute_force_optimum, optimal_sum
 
 __all__ = [
     "AdaptiveSource",
@@ -46,7 +41,6 @@ __all__ = [
     "InstanceError",
     "Job",
     "OnlineAlgorithm",
-    "OptPlan",
     "ProtocolError",
     "StaticSource",
     "Trace",
@@ -56,7 +50,6 @@ __all__ = [
     "cost_of_trace",
     "load_instance",
     "load_trace",
-    "optimal_makespan",
     "optimal_sum",
     "parse_algorithm",
     "run",

@@ -35,7 +35,7 @@ from .core import (
 )
 from .engine import ProtocolError, StaticSource, run, trial_seed
 from .evaluation import NonFiniteError, det_lower_bound, evaluate, rand_lower_bound, sweep_results
-from .offline import optimal_makespan, optimal_sum
+from .offline import optimal_sum
 
 
 def _parse_value(raw, exact=False):
@@ -263,12 +263,13 @@ def cmd_replay(args):
     inst = load_instance(args.instance, exact=exact_numbers)
     trace = load_trace(args.trace, n=inst.n, exact=exact_numbers)
     check_trace_durations(trace, inst)
+    opt = optimal_sum(inst)
     payload = {
         "n": inst.n,
         "total": _float(trace.total),
         "makespan": _float(trace.makespan),
-        "opt_total": _float(optimal_sum(inst).total),
-        "opt_makespan": _float(optimal_makespan(inst)[0]),
+        "opt_total": _float(opt.total),
+        "opt_makespan": _float(opt.makespan),
         "ok": True,
     }
     _emit(payload, args.out)

@@ -220,7 +220,8 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
     None when that count is 2**53 or more, past what a float or a JSON reader
     holds whole.  A source that holds no times is a ProtocolError, and a
     rule with no hook is one before the source is asked anything.  Otherwise
-    it is the mean of `trials` (at least 1) seeded replicates.
+    it is the mean of `trials` (at least 1) seeded replicates, exact where
+    an int mean would overflow a float.
     Each run is `run(..., record=False)`: every check of a recorded run, but
     no step list, only its total and makespan.
     """
@@ -247,8 +248,16 @@ def run_expected(alg, source, n: int, upper_limits, trials: int = 100, seed=None
         cost, span = run(alg.generator(trial_seed(seed, i)), source, n, upper_limits, record=False)
         totals.append(cost)
         spans.append(span)
-    return ExpectedRun(sum(totals) / trials, sum(spans) / trials, _stderr(totals), _stderr(spans),
-                       trials, False)
+    return ExpectedRun(_mean(totals), _mean(spans), _stderr(totals), _stderr(spans), trials, False)
+
+
+def _mean(xs: list) -> Num:
+    """sum(xs) / len(xs), or the exact Fraction where that division overflows a float."""
+    s = sum(xs)
+    try:
+        return s / len(xs)
+    except OverflowError:  # an int sum past a float's range
+        return Fraction(s, len(xs))
 
 
 def _stderr(xs: list) -> float:

@@ -10,7 +10,7 @@ from . import analysis, generators
 from .algorithms import ConfigurationError, SUM_ALGORITHM_NAMES, build_algorithm, parse_algorithm
 from .core import InstanceError
 from .engine import StaticSource, run, run_expected
-from .offline import optimal_makespan, optimal_sum
+from .offline import optimal_sum
 
 
 class NonFiniteError(InstanceError):
@@ -36,7 +36,8 @@ def _float_row(cost, opt):
 def evaluate(alg, inst, objective, trials=1, seed=None, exact=False):
     """(cost, OPT, stderr, ExpectedRun) from `run_expected`; stderr is None unless random or exact."""
     makespan = objective == "makespan"
-    opt = optimal_makespan(inst)[0] if makespan else optimal_sum(inst).total
+    best = optimal_sum(inst)
+    opt = best.makespan if makespan else best.total
     _finite(OPT=opt)
     if opt <= 0:
         raise InstanceError("offline optimum is zero; ratio undefined")

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis
-from .core import Instance, InstanceError, is_finite_number
+from .core import Instance, InstanceError
 from .engine import AdaptiveSource
 
 
@@ -189,36 +189,26 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None):
     return Instance((p_bar,) * n, procs)
 
 
-def gen_random(n, seed, max_upper=4, exact=False, denominator=1000):
+def gen_random(n, seed, exact=False, denominator=1000):
     """Unstructured random instance for stress tests.
 
-    Limits are uniform in [1e-3, max_upper], times uniform in [0, limit].
-    exact=True draws everything on a 1/denominator grid as Fractions; then
-    denominator is an int >= 1 with max_upper * denominator >= 1.
+    Limits are uniform in [1e-3, 4], times uniform in [0, limit].
+    exact=True draws everything on a 1/denominator grid as Fractions, with
+    denominator an int >= 1.
     """
     n = _whole("n", n, 1)
-    if not (is_finite_number(max_upper) and max_upper >= 1e-3):
-        raise InstanceError(f"max_upper must be a finite number >= 1e-3, got {max_upper}")
-    if exact:
-        try:
-            top = math.floor(max_upper * denominator) if type(denominator) is int and denominator >= 1 else 0
-        except OverflowError:  # an infinite product, or a float times an int past a float's range
-            top = 0
-        if top < 1:
-            raise InstanceError(f"exact draws need an int denominator >= 1 with max_upper * denominator"
-                                f" a finite number >= 1, got max_upper={max_upper}, denominator={denominator}")
-    elif max_upper > sys.float_info.max:
-        raise InstanceError(f"max_upper {max_upper} is past a float's range")
+    if exact and not (type(denominator) is int and denominator >= 1):
+        raise InstanceError(f"exact draws need an int denominator >= 1, got {denominator}")
     rng = random.Random(seed)
     uppers = [0] * n
     procs = [0] * n
     for j in range(n):
         if exact:
-            num = rng.randrange(1, top + 1)
+            num = rng.randrange(1, 4 * denominator + 1)
             uppers[j] = Fraction(num, denominator)
             procs[j] = Fraction(rng.randrange(0, num + 1), denominator)
         else:
-            uppers[j] = u = rng.uniform(1e-3, max_upper)
+            uppers[j] = u = rng.uniform(1e-3, 4)
             procs[j] = rng.uniform(0.0, u)
     return Instance(uppers, procs)
 

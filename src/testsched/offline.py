@@ -1,9 +1,9 @@
 """Offline benchmarks: optimal schedules when processing times are known.
 
 With full information a job is worth min(1 + p, upper): test-and-run costs
-1 + p, running blind costs the upper limit.  For the sum of completion
-times the optimum orders jobs by that key ascending; for the makespan only
-the per-job choice matters.  `brute_force_optimum` is the independent
+1 + p, running blind costs the upper limit.  `optimal_sum` orders the jobs
+by that key ascending, which minimizes the sum of completion times and,
+with no idle time, the makespan too.  `brute_force_optimum` is the independent
 oracle: in integers, it walks the 2^n test sets of every execution order
 (one order for the makespan) in Gray-code order, so that each schedule's
 cost is one addition away from the previous one's.
@@ -12,10 +12,10 @@ cost is one addition away from the previous one's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, permutations
+from itertools import accumulate, permutations
 from operator import itemgetter, neg
+from typing import NamedTuple
 
 from .core import Instance, Num
 
@@ -26,58 +26,31 @@ class OracleSizeError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class OptPlan:
-    """An optimal offline schedule for the sum objective."""
+class OptCost(NamedTuple):
+    """The offline optimum's two costs."""
 
-    order: tuple[int, ...]      # job ids in execution order
-    tested: frozenset           # ids that are tested (right before execution)
-    total: Num
-    makespan: Num
+    total: Num      # least sum of completion times
+    makespan: Num   # least makespan: the keys summed in id order
 
 
-def _keys(inst: Instance) -> tuple[list, list]:
-    """The one OPT key rule: each job's key and the ids tested, in id order.
+def optimal_sum(inst: Instance) -> OptCost:
+    """Exact optimal sum of completion times and makespan.
 
     A job's key is min(1 + p, u), its duration under the better treatment, and
-    1 + p on a tie, whose type the sums keep.  A job is tested iff 1 + p < u:
-    a tie runs blind, at the same cost with one action fewer.
+    1 + p on a tie, whose type the sums keep.  Shortest key first (a stable
+    sort, so ties by id) gives the least total; that schedule has no idle
+    time, so its makespan, the sum of the keys, is the least too.
     """
-    keys: list = []
-    tested = []
-    for jid, u, p in zip(count(), inst.uppers(), inst.procs()):
-        c = 1 + p
-        if u < c:
-            keys.append(u)
-        else:
-            keys.append(c)
-            if c < u:
-                tested.append(jid)
-    return keys, tested
-
-
-def optimal_sum(inst: Instance) -> OptPlan:
-    """Exact optimal sum of completion times (shortest key first, ties by id).
-
-    `inst` was checked when built, so job ids are the indices sorted here.
-    """
-    keys, tested = _keys(inst)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [u if u < (c := 1 + p) else c for u, p in zip(inst.uppers(), inst.procs())]
     t: Num = 0
     total: Num = 0
-    for key in map(keys.__getitem__, order):
+    for key in sorted(keys):
         t = t + key
         total = total + t
-    return OptPlan(tuple(order), frozenset(tested), total, t)
-
-
-def optimal_makespan(inst: Instance) -> tuple[Num, frozenset]:
-    """Minimal makespan and the set of jobs tested to achieve it."""
-    keys, tested = _keys(inst)
-    value: Num = 0
-    for key in keys:
-        value = value + key
-    return value, frozenset(tested)
+    makespan: Num = 0
+    for key in keys:    # not sum(): from Python 3.12 it rounds a float sum differently
+        makespan = makespan + key
+    return OptCost(total, makespan)
 
 
 def _gray_walk(n: int) -> itemgetter:

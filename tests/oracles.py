@@ -1,6 +1,5 @@
 """Reference code that only the tests call: each checks a src result another way.
 
-`plan_trace` replays an optimal plan through the trace validator,
 `det_lb_value_grid` minimizes the deterministic lower bound by brute force,
 `enumerated_sum_optimum` sums every schedule afresh, the reference for
 `brute_force_optimum`'s Gray-code walk, and `random_cost_coeffs` and
@@ -13,25 +12,7 @@ from itertools import permutations, product
 from operator import mul
 
 from testsched.analysis import det_lb_alg, det_lb_opt
-from testsched.core import EXEC_TESTED, EXEC_UNTESTED, TEST, Instance, Num, Trace, build_trace
-from testsched.offline import OptPlan
-
-
-def plan_trace(inst: Instance, plan: OptPlan) -> Trace:
-    """Materialize an OptPlan as a replayable trace."""
-    uppers, procs = inst.uppers(), inst.procs()
-    steps = []
-    t: Num = 0
-    for jid in plan.order:
-        if jid in plan.tested:
-            steps.append((TEST, jid, t, 1))
-            t = t + 1
-            steps.append((EXEC_TESTED, jid, t, procs[jid]))
-            t = t + procs[jid]
-        else:
-            steps.append((EXEC_UNTESTED, jid, t, uppers[jid]))
-            t = t + uppers[jid]
-    return build_trace(inst.n, steps)
+from testsched.core import Instance, Num
 
 
 def det_lb_value_grid(delta, p_bar, steps=400):

@@ -35,7 +35,7 @@ from testsched.core import (
 )
 from testsched.engine import StaticSource, run, run_expected, trial_seed
 from testsched.generators import four_type_counts, gen_four_type, gen_random, gen_threshold_worstcase
-from testsched.offline import optimal_makespan, optimal_sum
+from testsched.offline import optimal_sum
 
 
 # Heavily tied numbers of mixed types: 1, 1.0 and Fraction(1) are equal, and so are 2.5 and 5/2.
@@ -555,7 +555,7 @@ def test_sum_rules_pay_at_least_the_optimum(jobs):
 @given(JOBS | COMMON_LIMIT)
 def test_makespan_rules_pay_at_least_the_optimum(jobs):
     inst = Instance.from_pairs(jobs)
-    opt = optimal_makespan(inst)[0]
+    opt = optimal_sum(inst).makespan
     for name, seed in (("makespan_det", None), ("makespan_rand", "p:0")):
         tr = run(build_algorithm(name).generator(seed), StaticSource(inst), inst.n, inst.uppers())
         check_trace_durations(tr, inst)
@@ -591,7 +591,7 @@ def test_rules_keep_the_paper_s_upper_bounds(jobs):
     threshold = run(build_algorithm("threshold").generator(), StaticSource(inst), inst.n, inst.uppers())
     assert threshold.total <= 2 * opt
     det = run(build_algorithm("makespan_det").generator(), StaticSource(inst), inst.n, inst.uppers())
-    assert det.makespan <= PHI_UP * optimal_makespan(inst)[0]
+    assert det.makespan <= PHI_UP * optimal_sum(inst).makespan
     rand = build_algorithm("random", {"T": RANDOM_T, "E": RANDOM_E})
     assert run_expected(rand, StaticSource(inst), inst.n, inst.uppers(), exact=True).total <= RANDOM_T * opt
 

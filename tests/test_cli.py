@@ -914,23 +914,10 @@ class TestBadValues:
         assert main(argv) == 2
         assert one_error_line(capsys) == f"a+b+c must be at most {sys.maxsize}, got {sys.maxsize + 1}"
 
-    EXACT_GRID = "exact draws need an int denominator >= 1 with max_upper * denominator a finite number >= 1"
-
     @pytest.mark.parametrize("params, message", [
-        ("exact=1 max_upper=inf", "max_upper must be a finite number >= 1e-3, got inf"),
-        ("exact=1 max_upper=nan", "max_upper must be a finite number >= 1e-3, got nan"),
-        ("exact=1 max_upper=-1", "max_upper must be a finite number >= 1e-3, got -1"),
-        ("exact=0 max_upper=-1", "max_upper must be a finite number >= 1e-3, got -1"),
-        ("exact=0 max_upper=0", "max_upper must be a finite number >= 1e-3, got 0"),
-        ("exact=0 max_upper=0.0005", "max_upper must be a finite number >= 1e-3, got 0.0005"),
-        ("exact=0 max_upper=1" + "0" * 400, f"max_upper {10**400} is past a float's range"),
-        ("exact=1 denominator=0", f"{EXACT_GRID}, got max_upper=4, denominator=0"),
-        ("exact=1 denominator=2.5", f"{EXACT_GRID}, got max_upper=4, denominator=2.5"),
-        ("exact=1 max_upper=0.002 denominator=100", f"{EXACT_GRID}, got max_upper=0.002, denominator=100"),
-        ("exact=1 max_upper=1e308", f"{EXACT_GRID}, got max_upper=1e+308, denominator=1000"),
-    ], ids=["exact_inf", "exact_nan", "exact_negative", "float_negative", "float_zero", "float_below_1e-3",
-            "float_past_a_float", "exact_denominator_zero", "exact_denominator_float", "exact_empty_grid",
-            "exact_grid_past_a_float"])
+        ("exact=1 denominator=0", "exact draws need an int denominator >= 1, got 0"),
+        ("exact=1 denominator=2.5", "exact draws need an int denominator >= 1, got 2.5"),
+    ], ids=["exact_denominator_zero", "exact_denominator_float"])
     def test_random_generator_bounds(self, capsys, params, message):
         argv = ["gen", "random", "--param", "n=3", "--param", "seed=1"]
         assert main(argv + [arg for pair in params.split() for arg in ("--param", pair)]) == 2
@@ -988,10 +975,27 @@ class TestBadValues:
         assert one_error_line(capsys) == "alg cost is inf in floats"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_a_monte_carlo_mean_past_a_float_is_exact(self, tmp_path, capsys, mode):
+        # two int totals past a float's range: the report carries their exact mean, a sweep row refuses it
+        gen = ["--seed", "1", "--trials", "2", "--gen", "extreme_uniform", "--param", "n=4",
+               "--param", f"p_bar={10**400}"]
+        assert main(["simulate", "random", *gen, "--param", "gamma=0.5", "--mode", mode]) == 0
+        report = json.loads(capsys.readouterr().out)
+        inst = generators.build_instance("extreme_uniform", {"n": 4, "p_bar": 10**400, "gamma": 0.5})
+        res = engine.run_expected(parse_algorithm("random"), engine.StaticSource(inst), 4, inst.uppers(),
+                                  trials=2, seed="1")
+        assert isinstance(res.total, Fraction) and report["alg_cost"] == str(res.total)  # p/q
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "random", *gen, "--sweep", "gamma=0:0.5:0.5", "--out", str(out)]) == 2
+        assert one_error_line(capsys) == "alg cost is inf in floats"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, params", [
         ("rand_lb", ["n=3", "q=0.4", "seed=1", "exact=1"]),
         ("uniform_mixed", ["n=3", "p_bar=2", "middle=1"]),
-    ], ids=["rand_lb_exact", "uniform_mixed_middle"])
+        ("random", ["n=3", "seed=1", "max_upper=4"]),
+    ], ids=["rand_lb_exact", "uniform_mixed_middle", "random_max_upper"])
     def test_a_removed_generator_parameter_is_refused(self, capsys, name, params):
         assert main(["gen", name] + [arg for pair in params for arg in ("--param", pair)]) == 2
         assert one_error_line(capsys).startswith(f"bad parameters for {name}: ")
@@ -1087,7 +1091,7 @@ GENERATOR_PARAMETERS = {
     "rand_lb": ["n", "q", "seed"],
     "extreme_uniform": ["n", "p_bar", "gamma", "placement"],
     "uniform_mixed": ["n", "p_bar", "long_frac", "mid_frac", "mid_value"],
-    "random": ["n", "seed", "max_upper", "exact", "denominator"],
+    "random": ["n", "seed", "exact", "denominator"],
 }
 
 

@@ -162,7 +162,7 @@ class TestUniformMixed:
 
 class TestGenRandom:
     def test_bounds(self):
-        inst = gen_random(200, seed="r", max_upper=4)
+        inst = gen_random(200, seed="r")
         for j in inst.jobs:
             assert 0 < j.upper <= 4
             assert 0 <= j.proc <= j.upper
@@ -229,16 +229,16 @@ def pairs_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None):
     return [(p_bar, p_bar)] * nlong + [(p_bar, mid_value)] * nmid + [(p_bar, 0)] * (n - nlong - nmid)
 
 
-def pairs_random(n, seed, max_upper=4, exact=False, denominator=1000):
+def pairs_random(n, seed, exact=False, denominator=1000):
     rng = random.Random(seed)
     pairs = []
     for _ in range(n):
         if exact:
-            num = rng.randrange(1, int(max_upper * denominator) + 1)
+            num = rng.randrange(1, 4 * denominator + 1)
             u = Fraction(num, denominator)
             p = Fraction(rng.randrange(0, num + 1), denominator)
         else:
-            u = rng.uniform(1e-3, max_upper)
+            u = rng.uniform(1e-3, 4)
             p = rng.uniform(0.0, u)
         pairs.append((u, p))
     return pairs
@@ -274,9 +274,8 @@ COLUMN_CASES = {
         ((n, seed), kw)
         for n in (1, 50, 500)
         for seed in ("r", 2, 918273)
-        for kw in ({}, {"max_upper": 2.5}, {"max_upper": 1e-3}, {"exact": True},
-                   {"exact": True, "denominator": 8, "max_upper": 3},
-                   {"exact": True, "max_upper": Fraction(7, 2), "denominator": 6})]),
+        for kw in ({}, {"exact": True}, {"exact": True, "denominator": 8},
+                   {"exact": True, "denominator": 6})]),
 }
 
 

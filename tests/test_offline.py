@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerated_sum_optimum, plan_trace
+from oracles import enumerated_sum_optimum
 from testsched.algorithms import parse_algorithm
 from testsched.core import (
     Instance,
     check_trace_durations,
-    cost_of_trace,
     numbers_equal,
     validate_instance,
 )
@@ -22,42 +21,31 @@ from testsched.engine import run
 from testsched.generators import det_lb_adversary, gen_four_type, gen_random
 from testsched.offline import (
     BRUTE_FORCE_MAX_N,
-    OptPlan,
     OracleSizeError,
     brute_force_optimum,
-    optimal_makespan,
     optimal_sum,
 )
 
 
 class TestKeyRule:
-    """A one-job OPT costs the job's key, and tests it iff testing is strictly cheaper."""
+    """A one-job OPT costs the job's key, min(1 + p, u)."""
 
     def test_testing_pays_when_limit_is_high(self):
-        plan = optimal_sum(Instance.from_pairs([(3, 1)]))
-        assert plan.total == 2
-        assert plan.tested == frozenset({0})
+        assert optimal_sum(Instance.from_pairs([(3, 1)])).total == 2
 
     def test_blind_run_when_limit_is_low(self):
-        plan = optimal_sum(Instance.from_pairs([(Fraction(3, 2), 1)]))
-        assert plan.total == Fraction(3, 2)
-        assert plan.tested == frozenset()
+        assert optimal_sum(Instance.from_pairs([(Fraction(3, 2), 1)])).total == Fraction(3, 2)
 
     def test_tie_goes_blind(self):
         # 1 + p equals the limit: both cost 2, testing buys nothing
-        plan = optimal_sum(Instance.from_pairs([(2, 1)]))
-        assert plan.total == 2
-        assert plan.tested == frozenset()
+        assert optimal_sum(Instance.from_pairs([(2, 1)])).total == 2
 
 
 class TestOptimalSum:
     def test_small_by_hand(self):
         # keys: min(1+0, 2) = 1 tested, min(1+2, 2) = 2 blind -> 1 + 3
         inst = Instance.from_pairs([(2, 0), (2, 2)])
-        plan = optimal_sum(inst)
-        assert plan.total == 4
-        assert plan.order == (0, 1)
-        assert plan.tested == frozenset({0})
+        assert optimal_sum(inst).total == 4
 
     def test_agrees_with_brute_force(self):
         for i in range(120):
@@ -86,25 +74,17 @@ class TestOptimalSum:
             bumped[k] = (job.upper, job.proc + room / 2)
             assert optimal_sum(Instance.from_pairs(bumped)).total >= base
 
-    def test_plan_trace_replays_to_same_cost(self):
-        inst = gen_random(8, seed="plan", exact=True)
-        plan = optimal_sum(inst)
-        tr = plan_trace(inst, plan)
-        total, makespan = cost_of_trace(tr)
-        assert total == plan.total
-        assert makespan == plan.makespan
-
-
     @pytest.mark.parametrize("num", [float, Fraction])
     def test_matches_reference_sort_with_ties(self, num):
         def reference(inst):
             order = sorted(inst.jobs, key=lambda j: (min(1 + j.proc, j.upper), j.id))
-            t = total = 0
+            t = total = makespan = 0
             for j in order:
                 t = t + min(1 + j.proc, j.upper)
                 total = total + t
-            tested = frozenset(j.id for j in inst.jobs if 1 + j.proc < j.upper)
-            return OptPlan(tuple(j.id for j in order), tested, total, t)
+            for j in inst.jobs:
+                makespan = makespan + min(1 + j.proc, j.upper)
+            return total, makespan
 
         grid = [num(v) / 2 for v in range(7)]  # few values, so many keys tie
         for i in range(150):
@@ -114,14 +94,19 @@ class TestOptimalSum:
                 u = rng.choice(grid)
                 pairs.append((u, rng.choice([v for v in grid if v <= u])))
             inst = Instance.from_pairs(pairs)
-            plan, want = optimal_sum(inst), reference(inst)
-            assert plan == want
-            assert type(plan.total) is type(want.total)
+            got, want = optimal_sum(inst), reference(inst)
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
 
     def test_tie_key_is_one_plus_proc(self):
         # 1 + p == upper: the key is min(1 + p, upper)'s first operand, whose type the sums keep
-        plan = optimal_sum(Instance.from_pairs([(2, 1.0), (3, 2.0)]))
-        assert repr((plan.total, plan.makespan, plan.tested)) == "(7.0, 5.0, frozenset())"
+        got = optimal_sum(Instance.from_pairs([(2, 1.0), (3, 2.0)]))
+        assert repr((got.total, got.makespan)) == "(7.0, 5.0)"
+
+    def test_makespan_sums_the_keys_in_id_order(self):
+        # sorted, the keys 0.1 + 0.2 + 0.6 would sum to 0.9; in id order they give the report's bits
+        got = optimal_sum(Instance.from_pairs([(0.6, 0.6), (0.1, 0.1), (0.2, 0.2)]))
+        assert repr((got.total, got.makespan)) == "(1.3, 0.8999999999999999)"
 
     def test_adversary_realized_instance_is_valid(self):
         source = det_lb_adversary(60, 0.4, 2.5)
@@ -136,15 +121,12 @@ class TestOptimalSum:
 class TestOptimalMakespan:
     def test_sum_of_keys(self):
         inst = Instance.from_pairs([(3, 1), (Fraction(3, 2), 1), (2, 0)])
-        value, tested = optimal_makespan(inst)
-        assert value == 2 + Fraction(3, 2) + 1
-        assert tested == frozenset({0, 2})
+        assert optimal_sum(inst).makespan == 2 + Fraction(3, 2) + 1
 
     def test_agrees_with_brute_force(self):
         for i in range(60):
             inst = gen_random(5, seed=f"mk:{i}", exact=True, denominator=16)
-            value, _ = optimal_makespan(inst)
-            assert value == brute_force_optimum(inst, objective="makespan")
+            assert optimal_sum(inst).makespan == brute_force_optimum(inst, objective="makespan")
 
     def test_float_brute_force_is_the_float_nearest_the_exact_optimum(self):
         # both objectives walk the same integer schedule costs; a float sum per schedule would round

@@ -1,5 +1,5 @@
-"""README's code example runs and its command lines parse, so the documented interface cannot
-drift from the code."""
+"""README's code example runs, its command lines parse, and the package's public names are
+pinned, so the documented interface cannot drift from the code."""
 
 import contextlib
 import io
@@ -7,6 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
+import testsched
 from testsched import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +33,33 @@ def test_the_command_lines_parse():
         argv = shlex.split(command)
         assert argv[0] == "testsched"
         parser.parse_args(argv[1:])
+
+
+PUBLIC_NAMES = [
+    "AdaptiveSource",
+    "ConfigurationError",
+    "Instance",
+    "InstanceError",
+    "Job",
+    "OnlineAlgorithm",
+    "ProtocolError",
+    "StaticSource",
+    "Trace",
+    "TraceError",
+    "brute_force_optimum",
+    "build_algorithm",
+    "cost_of_trace",
+    "load_instance",
+    "load_trace",
+    "optimal_sum",
+    "parse_algorithm",
+    "run",
+    "run_expected",
+    "validate_instance",
+]
+
+
+def test_the_public_names_are_pinned():
+    # an added or removed public name shows in review as a one-line diff here
+    assert testsched.__all__ == PUBLIC_NAMES
+    assert all(hasattr(testsched, name) for name in PUBLIC_NAMES)
