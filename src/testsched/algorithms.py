@@ -27,18 +27,6 @@ class ConfigurationError(ValueError):
     """Bad algorithm name, parameter, or instance/algorithm mismatch."""
 
 
-def small_limit_prefix(uppers, cutoff):
-    """Ids whose limit is strictly below cutoff, ordered by (limit, id).
-
-    These are the jobs a threshold-style strategy runs untested up front.
-    The ids are taken in ascending order, so one stable sort by limit gives
-    the (limit, id) order.
-    """
-    ids = [j for j, u in enumerate(uppers) if u < cutoff]
-    ids.sort(key=uppers.__getitem__)
-    return ids
-
-
 def _uniform_limit(uppers, who):
     """The common limit, `uppers[0]`; the others need only pass `numbers_equal`."""
     limit = uppers[0]
@@ -72,8 +60,15 @@ def _uniform_limit(uppers, who):
 
 
 def _split(uppers, T):
-    """(blind prefix of limits below T, the other ids in id order)."""
-    return small_limit_prefix(uppers, T), [j for j in range(len(uppers)) if uppers[j] >= T]
+    """(the ids of limits below T in (limit, id) order, the other ids in id order).
+
+    The first list is the blind prefix a threshold-style rule runs untested up
+    front: the ids are taken in ascending order, so one stable sort by limit
+    gives the (limit, id) order.
+    """
+    blind = [j for j, u in enumerate(uppers) if u < T]
+    blind.sort(key=uppers.__getitem__)
+    return blind, [j for j in range(len(uppers)) if uppers[j] >= T]
 
 
 def _blind_test_defer(blind, *segments):
@@ -251,7 +246,11 @@ def make_ute(rho):
         limit = _uniform_limit(uppers, "extreme-uniform rule")
         if limit <= rho:
             return _blind_test_defer(range(n))
-        k = math.ceil(max(0.0, analysis.ute_beta(rho, limit)) * n)
+        try:
+            beta = analysis.ute_beta(rho, limit)
+        except OverflowError:  # an exact limit past a float's range meets a float rho: work exactly
+            beta = analysis.ute_beta(Fraction(rho), limit)
+        k = math.ceil(max(0.0, beta) * n)
         return _blind_test_defer((), (range(k), math.inf), (range(k, n), 0))
     return gen
 

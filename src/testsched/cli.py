@@ -156,8 +156,14 @@ def cmd_simulate(args):
     return 0
 
 
+SWEEP_MAX_POINTS = 100_000  # the most points a sweep grid may have, on one axis or in all
+
+
 def _sweep_values(spec):
-    # name=lo:hi:step, endpoints inclusive up to rounding slack
+    """(name, values) of the axis `name=lo:hi:step`: lo + k * step, rounded to 12 places, for each
+    k = 0, 1, ... while it is at most hi + 1e-12 (endpoints inclusive up to rounding slack).
+    The count is worked out before any value is built, so a step that does not move lo, and
+    a count above `SWEEP_MAX_POINTS` or past a float's range, are refused at once."""
     if "=" not in spec:
         raise ConfigurationError(f"expected name=lo:hi:step, got {spec!r}")
     name, rng = spec.split("=", 1)
@@ -170,10 +176,18 @@ def _sweep_values(spec):
         raise ConfigurationError(f"expected numbers lo:hi:step in {spec!r}") from None
     if not (all(map(math.isfinite, bounds)) and step > 0 and hi >= lo):
         raise ConfigurationError(f"bad range in {spec!r}: need finite lo <= hi and step > 0")
-    vals = []
-    while (v := lo + len(vals) * step) <= hi + 1e-12:
-        vals.append(round(v, 12))
-    return name.strip(), vals
+    if lo + step == lo:
+        raise ConfigurationError(f"bad range in {spec!r}: step {step} does not move lo {lo}")
+    top = hi + 1e-12
+    # the last k with lo + k * step <= top, from its closed form, which rounding moves by a step at most
+    k = int(min((top - lo) / step, SWEEP_MAX_POINTS))  # an infinite quotient too
+    while k < SWEEP_MAX_POINTS and lo + (k + 1) * step <= top:
+        k += 1
+    while lo + k * step > top:
+        k -= 1
+    if k >= SWEEP_MAX_POINTS:
+        raise ConfigurationError(f"bad range in {spec!r}: more than {SWEEP_MAX_POINTS} points")
+    return name.strip(), [round(lo + i * step, 12) for i in range(k + 1)]
 
 
 def cmd_sweep(args):
@@ -189,6 +203,8 @@ def cmd_sweep(args):
     for name in names:
         if name in base:
             raise ConfigurationError(f"sweep axis {name!r} is also given as a --param")
+    if (size := math.prod(len(vals) for _, vals in axes)) > SWEEP_MAX_POINTS:
+        raise ConfigurationError(f"the sweep grid has {size} points, more than {SWEEP_MAX_POINTS}")
     created = bool(args.out) and _check_writable(args.out)
     points = list(product(*(vals for _, vals in axes)))  # row-major: the last axis varies fastest
     tasks = []
@@ -335,7 +351,7 @@ def build_parser():
         kind.set_defaults(fn=cmd_lower_bound)
 
     sp = sub.add_parser("gen", allow_abbrev=False, help="write an instance file")
-    sp.add_argument("name", choices=generators.GENERATOR_NAMES)
+    sp.add_argument("name", choices=generators.GENERATORS)
     sp.add_argument("--param", action="append", default=[], help="generator key=value")
     common(sp, seed=False, trials=False)
     sp.set_defaults(fn=cmd_gen)

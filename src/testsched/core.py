@@ -170,7 +170,6 @@ class Trace:
 
     n: int
     steps: list[tuple]  # (kind, job, start, dur)
-    completions: tuple[Num, ...]
     total: Num
     makespan: Num
 
@@ -221,7 +220,7 @@ def build_trace(n: int, steps: Sequence[tuple]) -> Trace:
     for j in range(n):
         if ledger[j] is not DONE:
             raise TraceError(f"job {j} never executed")
-    return Trace(n, steps, tuple(completions), sum(completions), t)
+    return Trace(n, steps, sum(completions), t)
 
 
 def cost_of_trace(trace: Trace) -> tuple[Num, Num]:

@@ -60,13 +60,12 @@ class StaticSource:
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         self._uppers = inst.uppers()
         self._procs = inst.procs()
 
     def begin(self, n: int, uppers) -> tuple:
-        if n != self.inst.n:
-            raise ProtocolError(f"source holds {self.inst.n} jobs, run asked for {n}")
+        if n != len(self._uppers):
+            raise ProtocolError(f"source holds {len(self._uppers)} jobs, run asked for {n}")
         if uppers is not self._uppers and tuple(uppers) != self._uppers:
             raise ProtocolError("view's upper limits differ from the source instance's")
         return self._uppers, self._procs
@@ -98,7 +97,6 @@ class AdaptiveSource:
             self._uppers = Instance(uppers, (0,) * n).uppers()
         except InstanceError as exc:
             raise ProtocolError(f"bad view: {exc}") from exc
-        self._n = n
         return self._uppers, None
 
     def commit(self, job: int, via_test: bool) -> Num:
@@ -110,9 +108,9 @@ class AdaptiveSource:
         return p
 
     def realized_instance(self) -> Instance:
-        if self._uppers is None or len(self._committed) != self._n:
+        if self._uppers is None or len(self._committed) != len(self._uppers):
             raise ProtocolError("realized instance is only defined after a complete run")
-        return Instance(self._uppers, map(self._committed.__getitem__, range(self._n)))
+        return Instance(self._uppers, map(self._committed.__getitem__, range(len(self._uppers))))
 
 
 def run(gen_fn, source, n: int, upper_limits, record: bool = True):
@@ -186,9 +184,8 @@ def run(gen_fn, source, n: int, upper_limits, record: bool = True):
             send_value = None
     finally:
         gen.close()
-    if not record:
-        return sum(completions), t
-    return Trace(n=n, steps=steps, completions=tuple(completions), total=sum(completions), makespan=t)
+    total = sum(completions)
+    return Trace(n=n, steps=steps, total=total, makespan=t) if record else (total, t)
 
 
 @dataclass

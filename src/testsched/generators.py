@@ -97,7 +97,10 @@ def gen_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
         raise InstanceError(f"four_type needs T <= E and epsilon > 0, "
                             f"got T={T}, E={E}, epsilon={epsilon}")
     m0, mt, me, md = four_type_counts(n, alpha, beta, gamma)
-    over = E + epsilon
+    try:
+        over = E + epsilon
+    except OverflowError:  # an int past a float's range beside a float
+        raise InstanceError("four_type: E + epsilon is past a float's range") from None
     return Instance((T,) * (m0 + mt) + (E,) * me + (over,) * md,
                     (0,) * m0 + (T,) * mt + (E,) * me + (over,) * md)
 
@@ -126,6 +129,12 @@ def adversary_view(n, p_bar):
     return [p_bar] * _whole("n", n, 1)
 
 
+def _rng(seed):
+    """`random.Random(seed)`, except that a Fraction seed, which `random` refuses, and a NaN seed,
+    whose hash differs from run to run, seed as their text, as the other mode reads them."""
+    return random.Random(str(seed) if isinstance(seed, Fraction) or seed != seed else seed)
+
+
 def gen_rand_lb(n, q, seed):
     """Random two-point instance behind the randomized lower bound.
 
@@ -136,7 +145,7 @@ def gen_rand_lb(n, q, seed):
     if not 0 < q < 1:
         raise InstanceError(f"q must be in (0, 1), got {q}")
     n = _whole("n", n, 1)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     limit = 1 / q
     procs = [limit] * n
     for j in range(n):
@@ -199,7 +208,7 @@ def gen_random(n, seed, exact=False, denominator=1000):
     n = _whole("n", n, 1)
     if exact and not (type(denominator) is int and denominator >= 1):
         raise InstanceError(f"exact draws need an int denominator >= 1, got {denominator}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     uppers = [0] * n
     procs = [0] * n
     for j in range(n):
@@ -221,7 +230,6 @@ GENERATORS = {
     "uniform_mixed": gen_uniform_mixed,
     "random": gen_random,
 }
-GENERATOR_NAMES = tuple(GENERATORS)
 
 
 def build_instance(name, params):

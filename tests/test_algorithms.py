@@ -18,11 +18,11 @@ from testsched.algorithms import (
     SUM_ALGORITHM_NAMES,
     ConfigurationError,
     _seeded_shuffle,
+    _split,
     _uniform_limit,
     build_algorithm,
     make_lb_schedule,
     parse_algorithm,
-    small_limit_prefix,
 )
 from testsched.core import (
     EXEC_TESTED,
@@ -279,17 +279,17 @@ class TestRegistry:
 
 class TestSmallLimitPrefix:
     def test_orders_by_limit_then_id(self):
-        assert small_limit_prefix((1.5, 0.5, 3, 0.5), 2) == [1, 3, 0]
+        assert _split((1.5, 0.5, 3, 0.5), 2)[0] == [1, 3, 0]
 
     def test_strict_cutoff(self):
-        assert small_limit_prefix((2, 1), 2) == [1]
+        assert _split((2, 1), 2)[0] == [1]
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
     @given(st.lists(TIED, max_size=30), TIED, st.booleans())
     def test_equals_the_pair_sort(self, limits, cutoff, as_tuple):
         uppers = tuple(limits) if as_tuple else limits
         pairs = sorted((u, j) for j, u in enumerate(limits) if u < cutoff)
-        assert small_limit_prefix(uppers, cutoff) == [j for _, j in pairs]
+        assert _split(uppers, cutoff)[0] == [j for _, j in pairs]
 
 
 class TestDeferredTail:

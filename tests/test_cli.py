@@ -2,19 +2,25 @@
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import inspect
+import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from testsched import analysis, cli, engine, evaluation, generators
+from testsched import algorithms, analysis, cli, engine, evaluation, generators
 from testsched.algorithms import parse_algorithm
 from testsched.analysis import DET_LB_DELTA, DET_LB_PBAR
 from testsched.cli import main
@@ -774,6 +780,9 @@ class TestBadInputFiles:
         assert one_error_line(capsys) == f"--trials must be at least 1, got {trials}"
 
 
+CHILD_ADDRESS_SPACE = 512 * 2**20  # bytes: the interpreter and the package need about a tenth of it
+
+
 class TestBadValues:
     """A bad value on the command line or in a file exits 2 with one `error:` line."""
 
@@ -809,6 +818,70 @@ class TestBadValues:
         assert main(["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4",
                      "--param", "p_bar=2.5", "--sweep", axis]) == 2
         assert one_error_line(capsys) == f"bad range in {axis!r}: need finite lo <= hi and step > 0"
+
+    @pytest.mark.parametrize("axes, message", [
+        (["gamma=0:1:1e-9"], "bad range in 'gamma=0:1:1e-9': more than {cap} points"),
+        (["gamma=0:1:5e-324"], "bad range in 'gamma=0:1:5e-324': more than {cap} points"),
+        (["epsilon=-1:1e308:2"], "bad range in 'epsilon=-1:1e308:2': more than {cap} points"),
+        (["n=1:1:1e-300"], "bad range in 'n=1:1:1e-300': step 1e-300 does not move lo 1.0"),
+        (["gamma=0:1:0.001", "p_bar=2:3:0.001"], "the sweep grid has 1002001 points, more than {cap}"),
+    ], ids=["fine_step", "infinite_count", "count_past_memory", "step_below_an_ulp", "grid"])
+    def test_a_sweep_grid_is_bounded(self, tmp_path, axes, message):
+        # the count is worked out before any point is built. Without that bound these grids grow until
+        # memory runs out, or loop for ever, so they run in a child with a cap on its own address space
+        # and a timeout: a regression ends in a MemoryError or a timeout, not in a dead test runner
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=2"]
+        argv += [arg for axis in axes for arg in ("--sweep", axis)]
+        done = subprocess.run([sys.executable, "-m", "testsched", *argv], preexec_fn=cap_memory, timeout=30,
+                              env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr[-500:]
+        assert done.stderr == f"error: {message.format(cap=cli.SWEEP_MAX_POINTS)}\n"
+
+    def test_the_sweep_cap_is_on_the_point_count(self):
+        # 0, 1e-5, ..., 0.99999 is the most an axis may hold; one more point is refused
+        assert len(cli._sweep_values("x=0:0.99999:1e-5")[1]) == cli.SWEEP_MAX_POINTS
+        with pytest.raises(cli.ConfigurationError, match="more than"):
+            cli._sweep_values("x=0:1:1e-5")
+
+    @pytest.mark.parametrize("spec", ["p_bar=1.8668:2.3668:0.05", "p_bar=1.0:5.0:0.1", "gamma=0.6:0.6:0.1",
+                                      "p_bar=1e307:1e308:5e307", "gamma=0.1:0.9:0.2", "x=-1e6:1e6:25"])
+    def test_a_sweep_axis_is_the_rounded_steps_up_to_hi(self, spec):
+        lo, hi, step = map(float, spec.split("=")[1].split(":"))
+        values = []
+        while (v := lo + len(values) * step) <= hi + 1e-12:
+            values.append(round(v, 12))
+        assert cli._sweep_values(spec) == (spec.split("=")[0], values)
+
+    @pytest.mark.parametrize("mode, params", [
+        ("float", [f"E={10**400}"]), ("rational", [f"E={10**400}"]), ("float", ["E=2.5", f"epsilon={10**400}"]),
+    ], ids=["E_float", "E_rational", "epsilon_float"])
+    def test_four_type_gap_past_a_float(self, capsys, mode, params):
+        # an int past a float's range plus a float beside it (the default epsilon is one in both modes)
+        # used to end in an OverflowError traceback
+        argv = ["gen", "four_type", "--mode", mode, "--param", "n=2", "--param", "alpha=0", "--param", "beta=0",
+                "--param", "gamma=0"]
+        assert main(argv + [arg for pair in params for arg in ("--param", pair)]) == 2
+        assert one_error_line(capsys) == "four_type: E + epsilon is past a float's range"
+
+    @pytest.mark.parametrize("seed", ["1/2", "nan"])
+    @pytest.mark.parametrize("command", ["gen", "simulate"])
+    @pytest.mark.parametrize("gen, params", [("random", ["n=3"]), ("rand_lb", ["n=3", "q=0.5"])],
+                             ids=["random", "rand_lb"])
+    def test_a_seed_that_is_no_number_of_its_mode_draws_alike_in_both(self, capsys, command, gen, params, seed):
+        # rational mode reads 1/2 as a Fraction, which random.Random refuses with a two-line message;
+        # float mode reads nan as a NaN, whose hash, and so the draws, differ from run to run
+        head = ["gen", gen] if command == "gen" else ["simulate", "threshold", "--gen", gen]
+        argv = head + [arg for pair in params + [f"seed={seed}"] for arg in ("--param", pair)]
+        reports = []
+        for mode in ("float", "rational", "float"):
+            assert main(argv + ["--mode", mode]) == 0
+            reports.append(json.loads(capsys.readouterr().out, parse_int=float))
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("params, message", [
         ("four_type n=10 alpha=nan beta=0.1 gamma=0.1", "fraction nan of n=10"),
@@ -1111,6 +1184,125 @@ def test_every_flag_and_generator_parameter_is_pinned():
             for name, gen in generators.GENERATORS.items()} == GENERATOR_PARAMETERS
 
 
+# the command-line fuzz draws each value from this pool; a count also from 1..10 (1..5 for --trials),
+# without the pool's large values, so that every run stays small (huge counts have their own tests).
+FUZZ_VALUES = ["0", "-1", "1/3", "3/0", "1e-320", "5e-324", "1e308", "1e400", "7" * 400, "nan", "inf", "x", ""]
+FUZZ_LARGE = ("1e308", "1e400", "7" * 400)
+COUNT_PARAMETERS = ("n", "a", "b", "c")
+
+
+def fuzz_counts(most):
+    return [v for v in FUZZ_VALUES if v not in FUZZ_LARGE] + [str(k) for k in range(1, most + 1)]
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    """An argv over the pinned surface: a command of `FLAGS`, its flags, and values from the pool."""
+    command = draw(st.sampled_from(list(FLAGS)))
+    gen = draw(st.sampled_from(list(GENERATOR_PARAMETERS)))
+    count, others = COUNTED[gen]
+    valid = dict(pair.split("=") for pair in others)
+    valid[count] = draw(st.sampled_from([str(k) for k in range(1, 11)]))
+    numbers = FUZZ_VALUES + [str(k) for k in range(1, 11)]
+
+    def pick(good, bad):  # a good value seven times in eight, so that runs get deep
+        return draw(st.sampled_from(good if draw(st.integers(0, 7)) else bad))
+
+    def value_of(key):
+        bad = fuzz_counts(10) if key in COUNT_PARAMETERS else numbers
+        return pick([valid[key]] if key in valid else numbers, bad)
+
+    def rule():
+        name = pick(list(algorithms._RULES), ["x", ""])
+        if name not in algorithms._RULES or draw(st.integers(0, 3)):
+            return name
+        key = draw(st.sampled_from(list(algorithms._RULES[name][1]) + ["x"]))
+        return f"{name}[{key}={draw(st.sampled_from(numbers))}]"
+
+    values = {
+        "--gen": lambda: pick(list(GENERATOR_PARAMETERS), FUZZ_VALUES),
+        "--objective": lambda: pick(["sum", "makespan"], FUZZ_VALUES),
+        "--mode": lambda: pick(["float", "rational"], FUZZ_VALUES),
+        "--trials": lambda: pick(["1", "5"], fuzz_counts(5)),
+        "--n": lambda: pick(["1", "10"], fuzz_counts(10)),
+        "--algorithms": lambda: ",".join(rule() for _ in range(draw(st.integers(1, 2)))),
+        "--override": lambda: f"{draw(st.sampled_from([c[0] for c in analysis.CONSTANT_CHECKS] + ['x']))}"
+                              f"={draw(st.sampled_from(numbers))}",
+        "--instance": lambda: draw(st.sampled_from([files["instance"], files["trace"], files["missing"]])),
+        "--trace": lambda: draw(st.sampled_from([files["trace"], files["instance"], files["missing"]])),
+        "--out": lambda: draw(st.sampled_from([files["out"], files["dir"]])),
+        "--trace-out": lambda: draw(st.sampled_from([files["trace_out"], files["dir"]])),
+    }
+    argv = command.split()
+    if command in ("simulate", "sweep"):
+        argv += [rule(), "--gen", gen]
+    elif command == "gen":
+        argv.append(pick([gen], FUZZ_VALUES))
+    if "--mode" in FLAGS[command]:
+        argv += ["--mode", values["--mode"]()]
+    keys = GENERATOR_PARAMETERS[gen] + ["x"]
+    axes = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2)) if command == "sweep" else []
+    for key in axes:
+        argv += ["--sweep", f"{key}={value_of(key)}:{value_of(key)}:{pick(['1'], numbers)}"]
+    if "--param" in FLAGS[command]:
+        # one time in eight a required parameter is left out, or an axis is given as a --param too;
+        # then up to two optional or unknown parameters
+        given = [key for key in valid if (key in axes) == (not draw(st.integers(0, 7)))]
+        given += draw(st.lists(st.sampled_from([key for key in keys if key not in valid]), unique=True,
+                               max_size=2))
+        for key in given:
+            argv += ["--param", f"{key}={value_of(key)}"]
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command] or [""]), max_size=4)):
+        if flag == "--exact":
+            argv.append(flag)
+        elif flag:
+            argv += [flag, values[flag]() if flag in values else draw(st.sampled_from(numbers))]
+    if "--trials" in FLAGS[command] and "--trials" not in argv:  # its default is 1000
+        argv += ["--trials", draw(st.sampled_from(["1", "5"]))]
+    if command.startswith("lower-bound ") and "--n" not in argv:  # its default is 2000
+        argv += ["--n", draw(st.sampled_from(["1", "10"]))]
+    return argv
+
+
+def test_any_command_line_exits_0_1_or_2_and_explains_a_2_in_one_line(tmp_path):
+    # the contract of the whole surface: no traceback, bad input is one `error:` line (argparse's own
+    # usage error keeps its usage text above it), and no report holds a non-finite JSON number
+    files = {name: str(tmp_path / name) for name in ("instance", "trace", "missing", "out", "trace_out")}
+    files["dir"] = str(tmp_path)
+    seeded = ["random", "--param", "n=3", "--param", "seed=1"]
+    assert main(["gen", *seeded, "--out", files["instance"]]) == 0
+    assert main(["simulate", "threshold", "--gen", *seeded, "--out", files["out"],
+                 "--trace-out", files["trace"]]) == 0
+    codes = []
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(fuzz_argv(files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error: its usage text, then "testsched ...: error: ..."
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 2:
+            lines = err.splitlines()
+            assert err.endswith("\n") and sum("error: " in line for line in lines) == 1, (argv, err)
+            assert "error: " in lines[-1] and (len(lines) == 1 or lines[0].startswith("usage: ")), (argv, err)
+        written = [out.getvalue()]
+        for name in ("out", "trace_out"):
+            if os.path.isfile(files[name]):
+                written.append(Path(files[name]).read_text())
+                os.unlink(files[name])
+        assert not any("NaN" in text or "Infinity" in text for text in written), argv
+        codes.append(code)
+
+    with mock.patch.dict(os.environ, {"TESTSCHED_WORKERS": "1"}):
+        check()
+    assert set(codes) == {0, 1, 2}
+
+
 def test_lower_bound_det_searches_once(monkeypatch):
     calls = []
     search = analysis.det_lb_best_schedule
@@ -1133,6 +1325,20 @@ def test_makespan_rand_is_exact_for_an_integer_limit(capsys):
     assert main(argv + ["p_bar=3.0"]) == 0
     assert as_int == capsys.readouterr().out
     assert json.loads(as_int)["alg_cost"] == float(Fraction(45, 7))
+
+
+@pytest.mark.parametrize("p_bar", ["1e308", "1e400"])
+def test_ute_on_a_limit_past_a_float_works_exactly(capsys, p_bar):
+    # the default rho is a float, and its arithmetic with an exact limit past a float's range used to
+    # end in an OverflowError traceback; it now runs as the same rho given exactly does
+    argv = ["--mode", "rational", "--gen", "extreme_uniform", "--param", f"p_bar={p_bar}", "--param", "gamma=0.5",
+            "--param", "n=10"]
+    costs = []
+    for rule in ("ute", f"ute[rho={Fraction(analysis.ute_rho_star())}]"):
+        assert main(["simulate", rule, *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        costs.append((report["alg_cost"], report["opt_cost"], report["ratio"]))
+    assert costs[0] == costs[1]
 
 
 def test_the_library_modules_load_no_command_line_code():

@@ -62,8 +62,9 @@ class TestCostOfTrace:
         tr = build_trace(10, staircase_steps(Fraction))
         assert tr.total == 105
         assert tr.makespan == 15
-        assert tr.completions[5] == 6
-        assert tr.completions[0] == 11
+        done = {job: start + dur for kind, job, start, dur in tr.steps if kind != TEST}
+        assert done[5] == 6
+        assert done[0] == 11
 
     def test_staircase_total_float(self):
         tr = build_trace(10, staircase_steps(float))
