@@ -195,7 +195,7 @@ def random_conditions(T, E):
     return (
         E * E * (T - 1) ** 2 + T * (2 * T - 1) - E * T * T,
         4 * (T - 1) - 1 / (T - 1) - E / T,
-        T * (T - 1) - 3 / 4 - E / (4 * T),
+        T * (T - 1) - Fraction(3, 4) - E / (4 * T),
         4 * E * (1 - (2 - T) * T * T) - (2 * T * (T - 1) - 1) ** 2,
         E * (T - 1) - 2,
         4 * T - 5 - 1 / (T - 1),

@@ -4,17 +4,19 @@ With full information a job is worth min(1 + p, upper): test-and-run costs
 1 + p, running blind costs the upper limit.  `optimal_sum` orders the jobs
 by that key ascending, which minimizes the sum of completion times and,
 with no idle time, the makespan too.  `brute_force_optimum` is the independent
-oracle: in integers, it walks the 2^n test sets of every execution order
-(one order for the makespan) in Gray-code order, so that each schedule's
-cost is one addition away from the previous one's.
+oracle: in integers, it walks the 2^n test sets in Gray-code order and, for
+each, all n! execution orders by adjacent swaps (one order for the makespan),
+so that each schedule's cost is one addition away from the previous one's.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from itertools import accumulate, permutations
-from operator import itemgetter, neg
+from functools import cache
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .core import Instance, Num
@@ -53,20 +55,37 @@ def optimal_sum(inst: Instance) -> OptCost:
     return OptCost(total, makespan)
 
 
-def _gray_walk(n: int) -> itemgetter:
-    """Pick a start cost and the 2^n - 1 steps of a Gray-code walk over n choices.
+@cache
+def _plain_changes(n: int) -> Callable[[Sequence], Sequence]:
+    """Pick the n! - 1 adjacent swaps of plain changes from an n * n table.
 
-    Applied to [start, +d_0, ..., +d_{n-1}, -d_0, ..., -d_{n-1}], it returns
-    start, then for step m = 1 .. 2^n - 1 the switch of choice g = ctz(m):
-    +d_g when bit g of the Gray code m ^ (m >> 1) turns on, -d_g when it
-    turns off.  The running sums are the totals of all 2^n choice sets, each
-    once.  Leading with start keeps the pick a tuple at n = 1.
+    Plain changes (Steinhaus-Johnson-Trotter) walks from the identity
+    through all n! orders of n items, each once, each step swapping two
+    neighbours.  Given a table holding f(a, b) at index a * n + b, the
+    returned function gives f(a, b) for each step in turn, where item a
+    stood just before item b.  The table of picks has 362,879 entries at
+    n = 9 and 3,628,799 at n = 10.
     """
-    steps = []
-    for m in range(1, 1 << n):
-        g = (m & -m).bit_length() - 1
-        steps.append(1 + g if (m ^ m >> 1) >> g & 1 else 1 + n + g)
-    return itemgetter(0, *steps)
+    moves: list[int] = []       # the left position of each swap; grown from k - 1 items to k
+    for k in range(2, n + 1):
+        left = list(range(k - 2, -1, -1))   # item k - 1 sweeps to the left end, later back
+        right = left[::-1]
+        grown = left[:]
+        for i, s in enumerate(moves):       # between sweeps, one swap of the k - 1 walk
+            if i % 2 == 0:                  # item k - 1 at the left end: one position on
+                grown += [s + 1, *right]
+            else:
+                grown += [s, *left]
+        moves = grown
+    order = list(range(n))
+    picks = []
+    for i in moves:
+        a, b = order[i], order[i + 1]
+        picks.append(a * n + b)
+        order[i], order[i + 1] = b, a
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    return lambda table: [table[i] for i in picks]  # itemgetter returns one pick bare
 
 
 def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
@@ -79,15 +98,20 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     beyond n = 10 are refused, after an unknown objective is.
 
     Both objectives scale every duration to an integer over a common
-    denominator (a float is dyadic, so `Fraction(x)` is exact).  For each
-    order (the sum's n!, a position weighted by the completions it delays;
-    the makespan's one, every weight 1) they walk all 2^n treatments in
-    Gray-code order: each step switches one job between 1 + p and u, so each
-    schedule's cost is the previous one's plus or minus that job's weight
-    times u - 1 - p.  No schedule is skipped and no order is sorted, so this
-    stays independent of `optimal_sum`; the work per schedule is one C-level
-    addition in an `accumulate` chain.  Exact mode returns a Fraction, float
-    mode (any float value) `best / denom`, the float nearest the exact optimum.
+    denominator (a float is dyadic, so `Fraction(x)` is exact).  They walk
+    all 2^n treatments in Gray-code order: each step switches one job g
+    between 1 + p and u, so the identity order's cost moves by g's weight
+    times u - 1 - p (the sum weights a position by the completions it
+    delays; the makespan has one order, every weight 1).  For the sum, each
+    treatment then walks all n! orders by plain changes: a swap that puts
+    job b just before job a moves the cost by d_b - d_a, where d holds the
+    treatment's scaled durations, picked by a cached table
+    (`_plain_changes`) from the n * n differences of d.
+    No schedule is skipped and no order is sorted, so this stays
+    independent of `optimal_sum`; the work per schedule is one C-level
+    addition in an `accumulate` chain, and the Python loop runs once per
+    treatment.  Exact mode returns a Fraction, float mode (any float value)
+    `best / denom`, the float nearest the exact optimum.
     """
     if objective not in ("sum", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -98,19 +122,26 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     exact = not any(isinstance(v, float) for v in (*uppers, *procs))
     fracs = [(1 + Fraction(p), Fraction(u)) for u, p in zip(uppers, procs)]
     denom = math.lcm(*(v.denominator for pair in fracs for v in pair))
-    jobs = [(int(a * denom), int((b - a) * denom)) for a, b in fracs]
-    orders, weights = ((jobs,), (1,) * n) if objective == "makespan" else (permutations(jobs), range(n, 0, -1))
-    walk = _gray_walk(n)
+    d = [int(a * denom) for a, _ in fracs]     # every job tested
+    gaps = [int((b - a) * denom) for a, b in fracs]
+    if objective == "sum":
+        weights, swaps = range(n, 0, -1), _plain_changes(n)
+    else:           # one order, every weight 1
+        weights, swaps = (1,) * n, None
+    cost = sum(map(mul, weights, d))            # the identity order's
     best = None
-    for order in orders:
-        start = 0       # every job tested
-        ups = []        # the cost of switching each position to its limit
-        for w, (low, gap) in zip(weights, order):
-            start += w * low
-            ups.append(w * gap)
-        cost = min(accumulate(walk([start, *ups, *map(neg, ups)])))
-        if best is None or cost < best:
-            best = cost
+    for m in range(1 << n):
+        if m:       # switch job g = ctz(m), on to its limit as bit g of the Gray code turns on
+            g = (m & -m).bit_length() - 1
+            step = gaps[g] if (m ^ m >> 1) >> g & 1 else -gaps[g]
+            d[g] += step
+            cost += weights[g] * step
+        if swaps is not None:   # every order: swapping a with the b just after it adds d[b] - d[a]
+            here = min(accumulate(swaps([b - a for a in d for b in d]), initial=cost))
+        else:
+            here = cost
+        if best is None or here < best:
+            best = here
     if exact:
         return Fraction(best, denom)
     try:

@@ -2,13 +2,16 @@
 
 `det_lb_value_grid` minimizes the deterministic lower bound by brute force,
 `enumerated_sum_optimum` sums every schedule afresh, the reference for
-`brute_force_optimum`'s Gray-code walk, and `random_cost_coeffs` and
-`delay_all_family_costs` are closed forms of two rules' costs on their hard families.
+`brute_force_optimum`'s two walks (a Gray code over the test sets, plain
+changes over the orders), `random_cost_coeffs` and `delay_all_family_costs`
+are closed forms of two rules' costs on their hard families, and
+`fit_quadratic` recovers an exact cost's polynomial in the type counts, so
+that an asymptotic formula can be checked against its quadratic part.
 """
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from operator import mul
 
 from testsched.analysis import det_lb_alg, det_lb_opt
@@ -80,3 +83,36 @@ def delay_all_family_costs(a, b):
     alg = (a + b) * (a + b) + b * (b + 1)
     opt = a * (a + 1) // 2 + a * b + b * (b + 1)
     return alg, opt
+
+
+def fit_quadratic(cost, k):
+    """Fit an exact cost of k type counts as a polynomial of total degree <= 2.
+
+    `cost` maps a count vector to an exact number.  The fit solves, by
+    Fraction elimination, for the C(k + 2, 2) coefficients from the count
+    vectors (1, ..., 1) + v with v of total degree <= 2, so that every
+    sampled instance has a job of each type.  It returns {monomial:
+    coefficient}, a monomial being the tuple of the type indices it
+    multiplies: () is the constant term, (i,) is linear, (i, j) quadratic.
+    """
+    monomials = [m for d in range(3) for m in combinations_with_replacement(range(k), d)]
+    rows = []
+    for v in monomials:
+        counts = [1 + v.count(i) for i in range(k)]
+        rows.append([Fraction(math.prod(counts[i] for i in m)) for m in monomials] + [Fraction(cost(counts))])
+    size = len(monomials)
+    for col in range(size):     # Gauss-Jordan elimination on [A | b]
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [x / head for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return {m: rows[i][size] for i, m in enumerate(monomials)}
+
+
+def quadratic_value(poly, x, degree=None):
+    """`fit_quadratic`'s polynomial at x, or only its terms of one degree."""
+    return sum(c * math.prod(x[i] for i in m) for m, c in poly.items() if degree in (None, len(m)))

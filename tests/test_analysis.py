@@ -2,13 +2,21 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from oracles import delay_all_family_costs, det_lb_value_grid, random_cost_coeffs
+from oracles import (
+    delay_all_family_costs,
+    det_lb_value_grid,
+    fit_quadratic,
+    quadratic_value,
+    random_cost_coeffs,
+)
 from testsched import analysis as A
 from testsched.algorithms import build_algorithm
-from testsched.engine import StaticSource, run_expected
+from testsched.core import Instance
+from testsched.engine import StaticSource, run, run_expected
 from testsched.generators import gen_four_type
 from testsched.offline import optimal_sum
 
@@ -108,6 +116,16 @@ class TestRandomTester:
         conds = A.random_conditions(A.RANDOM_T_PUBLISHED, A.RANDOM_E_PUBLISHED)
         assert all(c > 0 for c in conds)
 
+    def test_published_pair_is_an_exact_certificate(self):
+        conds = A.random_conditions(Fraction(17453, 10000), Fraction(28609, 10000))
+        assert all(type(c) is Fraction and c >= 0 for c in conds)
+        low, next_low = sorted(conds)[:2]
+        assert math.isclose(low, 2.56e-4, rel_tol=1e-3)
+        assert math.isclose(next_low, 3.16e-4, rel_tol=1e-3)
+        # one digit fewer and the two binding certificates turn negative
+        conds = A.random_conditions(Fraction(1745, 1000), Fraction(2861, 1000))
+        assert [i for i, c in enumerate(conds) if c < 0] == [1, 3]
+
     def test_exact_enumeration_matches_closed_form(self):
         T, E = Fraction(17453, 10000), Fraction(28609, 10000)
         eps = Fraction(1, 1000)
@@ -191,6 +209,33 @@ class TestThresholdUniformCurve:
             assert abs(closed - A.thresh_uniform_ratio(p_bar)) < 1e-9
             assert abs(grid - closed) < 1e-9
             assert abs(gb - beta) < 1e-5
+
+    @pytest.mark.parametrize("p_bar", [Fraction(5, 2), Fraction(11, 4), 3, Fraction(7, 2), 5])
+    def test_mix_ratio_is_the_engines_quadratic_part(self, p_bar):
+        # longs, twos, zeros in id order, the order the formula's docstring states
+        def instance(counts):
+            longs, twos, zeros = counts
+            return Instance.from_pairs([(p_bar, p_bar)] * longs + [(p_bar, 2)] * twos + [(p_bar, 0)] * zeros)
+
+        def alg(counts):
+            inst = instance(counts)
+            total, _ = run(build_algorithm("threshold").generator(), StaticSource(inst),
+                           inst.n, inst.uppers(), record=False)
+            return total
+
+        def opt(counts):
+            return optimal_sum(instance(counts)).total
+
+        fits = fit_quadratic(alg, 3), fit_quadratic(opt, 3)
+        for counts in product(range(5), repeat=3):     # the fit holds beyond its 10 points
+            if any(counts):
+                assert quadratic_value(fits[0], counts) == alg(counts)
+                assert quadratic_value(fits[1], counts) == opt(counts)
+        for alpha, beta in [(Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 6)),
+                            (Fraction(0), Fraction(1)), (Fraction(2, 7), Fraction(3, 7))]:
+            mix = (1 - alpha - beta, beta, alpha)
+            alg2, opt2 = (quadratic_value(fit, mix, degree=2) for fit in fits)
+            assert alg2 / opt2 == A.thresh_uniform_mix_ratio(p_bar, alpha, beta)
 
     def test_domain(self):
         with pytest.raises(ValueError):

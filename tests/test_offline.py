@@ -22,6 +22,7 @@ from testsched.generators import det_lb_adversary, gen_four_type, gen_random
 from testsched.offline import (
     BRUTE_FORCE_MAX_N,
     OracleSizeError,
+    _plain_changes,
     brute_force_optimum,
     optimal_sum,
 )
@@ -215,6 +216,30 @@ class TestGrayWalk:
                     inst = gen_four_type(6, Fraction(i, 4), Fraction(j, 4), Fraction(k, 4),
                                          T=t, E=e, epsilon=eps)
                     assert brute_force_optimum(inst) == enumerated_sum_optimum(inst)
+
+
+class TestPlainChanges:
+    """The inner walk: every order of n jobs, each once, by adjacent swaps from the identity."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_visits_every_order_once_by_adjacent_swaps(self, n):
+        swaps = _plain_changes(n)([(a, b) for a in range(n) for b in range(n)])
+        order = list(range(n))
+        seen = {tuple(order)}
+        for a, b in swaps:
+            i = order.index(a)
+            assert order[i + 1] == b
+            order[i], order[i + 1] = b, a
+            seen.add(tuple(order))
+        assert len(swaps) + 1 == len(seen) == math.factorial(n)
+
+    @pytest.mark.parametrize("seed", ["a", "b"])
+    def test_seven_jobs_equal_the_enumeration(self, seed):
+        # beyond the Hypothesis property's six jobs
+        inst = gen_random(7, seed=f"n7:{seed}", exact=True, denominator=12)
+        assert brute_force_optimum(inst) == enumerated_sum_optimum(inst)
+        inst = gen_random(7, seed=f"n7-float:{seed}")
+        assert brute_force_optimum(inst) == float(enumerated_sum_optimum(fraction_copy(inst)))
 
 
 # Ints, Fractions and floats, on a coarse grid so that keys tie, and jobs
