@@ -2,11 +2,11 @@
 
 `det_lb_value_grid` minimizes the deterministic lower bound by brute force,
 `enumerated_sum_optimum` sums every schedule afresh, the reference for
-`brute_force_optimum`'s two walks (a Gray code over the test sets, plain
-changes over the orders), `random_cost_coeffs` and `delay_all_family_costs`
-are closed forms of two rules' costs on their hard families, and
-`fit_quadratic` recovers an exact cost's polynomial in the type counts, so
-that an asymptotic formula can be checked against its quadratic part.
+`brute_force_optimum`'s recursion over job subsets, `random_cost_coeffs`
+and `delay_all_family_costs` are closed forms of two rules' costs on their
+hard families, and `fit_quadratic` recovers an exact cost's polynomial in
+the type counts, so that an asymptotic formula can be checked against its
+quadratic part.
 """
 
 import math

@@ -17,7 +17,7 @@ from testsched import analysis as A
 from testsched.algorithms import build_algorithm
 from testsched.core import Instance
 from testsched.engine import StaticSource, run, run_expected
-from testsched.generators import gen_four_type
+from testsched.generators import gen_four_type, gen_threshold_worstcase
 from testsched.offline import optimal_sum
 
 
@@ -324,6 +324,26 @@ class TestFamilyCosts:
         k = 10 ** 6
         alg, opt = A.threshold_family_costs(k, k, 0)
         assert 1.999999 < alg / opt < 2
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 2), Fraction(1, 10 ** 6)])
+    def test_threshold_family_is_the_engines_polynomial(self, eps):
+        # both costs have degree <= 2 in (a, b, c), so equal fits mean equal costs at every count
+        def alg(counts):
+            inst = gen_threshold_worstcase(*counts, epsilon=eps)
+            total, _ = run(build_algorithm("threshold").generator(), StaticSource(inst),
+                           inst.n, inst.uppers(), record=False)
+            return total
+
+        def opt(counts):
+            return optimal_sum(gen_threshold_worstcase(*counts, epsilon=eps)).total
+
+        fits = fit_quadratic(alg, 3), fit_quadratic(opt, 3)
+        for counts in product(range(5), repeat=3):     # the fit holds beyond its 10 points
+            if any(counts):
+                assert quadratic_value(fits[0], counts) == alg(counts)
+                assert quadratic_value(fits[1], counts) == opt(counts)
+        for side, fit in enumerate(fits):
+            assert fit == fit_quadratic(lambda counts: A.threshold_family_costs(*counts, eps)[side], 3)
 
     def test_delay_all_family_exact(self):
         assert delay_all_family_costs(2, 1) == (11, 7)

@@ -22,7 +22,6 @@ from testsched.generators import det_lb_adversary, gen_four_type, gen_random
 from testsched.offline import (
     BRUTE_FORCE_MAX_N,
     OracleSizeError,
-    _plain_changes,
     brute_force_optimum,
     optimal_sum,
 )
@@ -139,11 +138,11 @@ class TestOptimalMakespan:
 
 class TestBruteForce:
     def test_refuses_large_instances(self):
-        inst = gen_random(11, seed="big")
+        inst = gen_random(BRUTE_FORCE_MAX_N + 1, seed="big")
         with pytest.raises(OracleSizeError):
             brute_force_optimum(inst)
 
-    @pytest.mark.parametrize("n", [3, 11])
+    @pytest.mark.parametrize("n", [3, BRUTE_FORCE_MAX_N + 1])
     def test_unknown_objective_is_named_before_the_size_gate(self, n):
         with pytest.raises(ValueError, match="unknown objective 'bogus'"):
             brute_force_optimum(gen_random(n, seed="x"), "bogus")
@@ -165,13 +164,26 @@ class TestBruteForce:
             assert isinstance(best, float)
             assert numbers_equal(best, optimal_sum(inst).total)
 
+    @pytest.mark.parametrize("n", range(8, BRUTE_FORCE_MAX_N + 1))
+    def test_up_to_the_cap_equal_optimal_sum(self, n):
+        # past the enumeration's reach: the exact optimum is optimal_sum's, in Fractions
+        inst = gen_random(n, seed=f"cap:{n}", exact=True, denominator=24)
+        got = brute_force_optimum(inst)
+        assert got == optimal_sum(inst).total
+        assert type(got) is Fraction
+        assert brute_force_optimum(inst, "makespan") == optimal_sum(inst).makespan
+        inst = gen_random(n, seed=f"cap-float:{n}")
+        got = brute_force_optimum(inst)
+        assert got == float(optimal_sum(fraction_copy(inst)).total)
+        assert type(got) is float
+
 
 def fraction_copy(inst):
     return Instance.from_pairs([(Fraction(u), Fraction(p)) for u, p in zip(inst.uppers(), inst.procs())])
 
 
 class TestGrayWalk:
-    """The Gray-code walk equals the literal enumeration of every schedule."""
+    """The exhaustive oracle equals the literal enumeration of every schedule."""
 
     @pytest.mark.parametrize("pairs, want", [
         ([(3, 1)], 2),                                  # tested
@@ -219,19 +231,7 @@ class TestGrayWalk:
 
 
 class TestPlainChanges:
-    """The inner walk: every order of n jobs, each once, by adjacent swaps from the identity."""
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_visits_every_order_once_by_adjacent_swaps(self, n):
-        swaps = _plain_changes(n)([(a, b) for a in range(n) for b in range(n)])
-        order = list(range(n))
-        seen = {tuple(order)}
-        for a, b in swaps:
-            i = order.index(a)
-            assert order[i + 1] == b
-            order[i], order[i + 1] = b, a
-            seen.add(tuple(order))
-        assert len(swaps) + 1 == len(seen) == math.factorial(n)
+    """The oracle at n = 7 against the enumeration."""
 
     @pytest.mark.parametrize("seed", ["a", "b"])
     def test_seven_jobs_equal_the_enumeration(self, seed):

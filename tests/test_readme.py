@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import testsched
-from testsched import cli
+from testsched import cli, offline
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,6 +33,12 @@ def test_the_command_lines_parse():
         argv = shlex.split(command)
         assert argv[0] == "testsched"
         parser.parse_args(argv[1:])
+
+
+def test_the_oracle_cap_is_the_codes():
+    # the offline paragraph states the largest n the exhaustive oracle takes
+    cap = re.search(r"`brute_force_optimum` \(n <= (\d+)\)", README.read_text()).group(1)
+    assert int(cap) == offline.BRUTE_FORCE_MAX_N
 
 
 PUBLIC_NAMES = [
