@@ -399,12 +399,28 @@ def build_algorithm(name, params=None):
 SUM_ALGORITHM_NAMES = ("threshold", "delay_all", "random", "beat", "combined", "ute")
 
 
+def parse_pairs(parts):
+    """`key=value` parts as {key: value text}, both stripped: the one reader of a rule spec's
+    brackets, `--param` and `--override`.  A part with no `=`, or a key given twice, is a
+    ConfigurationError."""
+    pairs = {}
+    for part in parts:
+        if "=" not in part:
+            raise ConfigurationError(f"expected key=value, got {part!r}")
+        key, raw = (s.strip() for s in part.split("=", 1))
+        if key in pairs:
+            raise ConfigurationError(f"parameter {key!r} given twice")
+        pairs[key] = raw
+    return pairs
+
+
 def parse_algorithm(text, exact=False):
     """Parse 'name' or 'name[k=v,...]' into a wrapped strategy.
 
-    With exact=True numeric parameters become Fractions so comparisons
-    against rational processing times stay exact.  A value that is no
-    number, or a key given twice, is a ConfigurationError, as on `--param`.
+    The bracket's parts are read by `parse_pairs`, empty ones skipped.  With
+    exact=True numeric parameters become Fractions so comparisons against
+    rational processing times stay exact; a value that is no number is a
+    ConfigurationError.
     """
     text = text.strip()
     name, params = text, {}
@@ -412,15 +428,7 @@ def parse_algorithm(text, exact=False):
         if not text.endswith("]"):
             raise ConfigurationError(f"malformed algorithm spec: {text!r}")
         name, body = text[:-1].split("[", 1)
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigurationError(f"expected key=value in {text!r}, got {part!r}")
-            key, raw = (s.strip() for s in part.split("=", 1))
-            if key in params:
-                raise ConfigurationError(f"parameter {key!r} given twice")
+        for key, raw in parse_pairs(part for part in map(str.strip, body.split(",")) if part).items():
             try:
                 params[key] = Fraction(raw) if exact else float(raw)
             except (ValueError, ZeroDivisionError) as exc:

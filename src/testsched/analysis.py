@@ -105,24 +105,24 @@ def simplex_max(f, xlo, xhi):
 # The adversary fixes a fraction delta of the jobs as long (p = p_bar) when
 # tested early, everything else short (p = 0).  A schedule against it is
 # described by nu (fraction executed untested up front) and lam (fraction
-# tested and executed immediately); costs below are per n^2.
+# tested and executed immediately); costs below are per n^2, exact on Fractions.
 
 
 def det_lb_alg(nu, lam, delta, p_bar):
     """Asymptotic cost of the (nu, lam) schedule against the adversary."""
-    return 0.5 * (
+    return (
         1
         + 2 * delta * (1 - nu * p_bar)
         + delta * delta * (p_bar - 1)
         + 2 * nu * (nu + p_bar - 2)
         + lam * lam
         + 2 * lam * (nu + p_bar - 1 - delta * p_bar)
-    )
+    ) / 2
 
 
 def det_lb_opt(nu, delta, p_bar):
     """Asymptotic optimum of the instance realized against that schedule."""
-    return 0.5 * (1 + (delta - nu) ** 2 * (p_bar - 1))
+    return (1 + (delta - nu) ** 2 * (p_bar - 1)) / 2
 
 
 def _clamped_best_lam(nu, delta, p_bar):

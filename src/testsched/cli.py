@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import analysis, generators
-from .algorithms import ConfigurationError, parse_algorithm
+from .algorithms import ConfigurationError, parse_algorithm, parse_pairs
 from .core import (
     InputFileError,
     InstanceError,
@@ -50,17 +50,8 @@ def _parse_value(raw, exact=False):
 
 
 def _parse_params(items, exact=False):
-    """key=value items as a dict; a key given twice is refused, not overridden."""
-    out = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigurationError(f"expected key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigurationError(f"parameter {key!r} given twice")
-        out[key] = _parse_value(raw.strip(), exact)
-    return out
+    """`--param` items, split by `parse_pairs`, with each value read by `_parse_value`."""
+    return {key: _parse_value(raw, exact) for key, raw in parse_pairs(items).items()}
 
 
 def _float(x):
@@ -230,14 +221,12 @@ def cmd_sweep(args):
 
 
 def cmd_verify_constants(args):
-    overrides = _parse_params(args.override)
-    for name, value in overrides.items():
-        if isinstance(value, str):
-            raise ConfigurationError(f"{name}: expected a number, got {value!r}")
-        try:
-            overrides[name] = float(value)
-        except OverflowError:  # an int past a float's range ends as "1e400" does: infinite
-            overrides[name] = math.inf if value > 0 else -math.inf
+    overrides = parse_pairs(args.override)
+    for name, raw in overrides.items():
+        try:  # text past a float's range, as "1e400" or an int of 401 digits, reads as infinite
+            overrides[name] = float(raw)
+        except ValueError:
+            raise ConfigurationError(f"{name}: expected a number, got {raw!r}") from None
     try:
         report = analysis.verify_constants(overrides)
     except KeyError as exc:

@@ -1,8 +1,10 @@
 """Instance generators: hard families, adversaries, and random mixes.
 
-Fractional family sizes are rounded the same way everywhere: floor for
-each named fraction, remainder to the residual (cheap) type, so closed
-forms and simulations agree on the exact counts.  A count (n, or a, b
+Fractional family sizes are rounded the same way everywhere, by one
+function (`_counts`): floor for each named fraction, remainder to the
+residual (cheap) type, so closed forms and simulations agree on the exact
+counts.  A fraction whose count is not finite, or is negative, is refused,
+and so are fractions that leave a negative remainder.  A count (n, or a, b
 and c, and their sum) must be a whole number no larger than `sys.maxsize`
 (`_whole`), checked before any column is built; the fractions of n are
 counted first, so a fraction's own check names an n that it cannot count.
@@ -32,10 +34,7 @@ def gen_threshold_worstcase(a, b, c, epsilon=1e-6):
     cutoff (limit 2, time 2), then a free jobs (limit 2, time 0).
     """
     a, b, c = _whole("a", a, 0), _whole("b", b, 0), _whole("c", c, 0)
-    if a + b + c < 1:
-        raise InstanceError(f"need a+b+c >= 1, got {(a, b, c)}")
-    if a + b + c > sys.maxsize:
-        raise InstanceError(f"a+b+c must be at most {sys.maxsize}, got {a + b + c}")
+    _whole("a+b+c", a + b + c, 1)
     over = 2 + epsilon
     return Instance((over,) * c + (2,) * (b + a), (over,) * c + (2,) * b + (0,) * a)
 
@@ -56,31 +55,29 @@ def _whole(name, x, least):
     return k
 
 
-def _count(frac, n):
-    """floor(frac * n), the one rounding of a family's fraction; InstanceError unless it is finite."""
-    try:
-        return math.floor(frac * n)
-    except (ValueError, OverflowError):  # a NaN, an infinity, or an int too large for a float
-        raise InstanceError(f"fraction {frac} of n={n} is not a finite number of jobs") from None
-
-
-def _family_count(frac, n):
-    """`_count` of a named family; InstanceError if it is below 0 jobs."""
-    k = _count(frac, n)
-    if k < 0:
-        raise InstanceError(f"fraction {frac} of n={n} is a negative number of jobs ({k})")
-    return k
+def _counts(n, *fractions):
+    """(rest, *counts) of a family of n jobs: floor(f * n) for each named fraction f, and
+    the remainder for the residual type.  Each count is checked as it is taken, to be finite
+    and then not negative, then n (`_whole`), then that the fractions leave a remainder >= 0."""
+    counts = []
+    for frac in fractions:
+        try:
+            k = math.floor(frac * n)
+        except (ValueError, OverflowError):  # a NaN, an infinity, or an int too large for a float
+            raise InstanceError(f"fraction {frac} of n={n} is not a finite number of jobs") from None
+        if k < 0:
+            raise InstanceError(f"fraction {frac} of n={n} is a negative number of jobs ({k})")
+        counts.append(k)
+    n = _whole("n", n, 1)
+    rest = n - sum(counts)
+    if rest < 0:
+        raise InstanceError(f"fractions exceed 1 for n={n}: ({', '.join(map(repr, fractions))})")
+    return rest, *counts
 
 
 def four_type_counts(n, alpha, beta, gamma):
     """(zeros, at T, at E, deferred) counts used by the four-type family."""
-    mt = _family_count(alpha, n)
-    me = _family_count(beta, n)
-    md = _family_count(gamma, n)
-    m0 = _whole("n", n, 1) - mt - me - md
-    if m0 < 0:
-        raise InstanceError(f"fractions exceed 1: {(alpha, beta, gamma)}")
-    return m0, mt, me, md
+    return _counts(n, alpha, beta, gamma)
 
 
 def gen_four_type(n, alpha, beta, gamma, T=None, E=None, epsilon=1e-6):
@@ -160,14 +157,12 @@ def gen_extreme_uniform(n, p_bar, gamma, placement="long_first"):
     gamma is the fraction of long jobs (time equal to the limit); placement
     picks where they sit in id order, which is what a tester meets first.
     """
-    nlong = _count(gamma, n)
-    n = _whole("n", n, 1)
-    if not 0 <= nlong <= n:
-        raise InstanceError(f"bad long fraction {gamma} for n={n}")
+    nzero, nlong = _counts(n, gamma)
+    n = nzero + nlong
     if placement == "long_first":
-        procs = (p_bar,) * nlong + (0,) * (n - nlong)
+        procs = (p_bar,) * nlong + (0,) * nzero
     elif placement == "long_last":
-        procs = (0,) * (n - nlong) + (p_bar,) * nlong
+        procs = (0,) * nzero + (p_bar,) * nlong
     elif placement == "spread":
         # job i is long when floor(i * nlong / n) steps up at i + 1: the m-th step is at (m * n - 1) // nlong
         procs = [0] * n
@@ -188,25 +183,22 @@ def gen_uniform_mixed(n, p_bar, long_frac=0.0, mid_frac=0.0, mid_value=None):
         mid_value = max(1, p_bar - 1)
     if not 0 < mid_value <= p_bar:
         raise InstanceError(f"mid value {mid_value} outside (0, {p_bar}]")
-    nlong = _family_count(long_frac, n)
-    nmid = _family_count(mid_frac, n)
-    n = _whole("n", n, 1)
-    nzero = n - nlong - nmid
-    if nzero < 0:
-        raise InstanceError(f"fractions exceed 1 for n={n}: {(long_frac, mid_frac)}")
+    nzero, nlong, nmid = _counts(n, long_frac, mid_frac)
     procs = (p_bar,) * nlong + (mid_value,) * nmid + (0,) * nzero
-    return Instance((p_bar,) * n, procs)
+    return Instance((p_bar,) * len(procs), procs)
 
 
 def gen_random(n, seed, exact=False, denominator=1000):
     """Unstructured random instance for stress tests.
 
     Limits are uniform in [1e-3, 4], times uniform in [0, limit].
-    exact=True draws everything on a 1/denominator grid as Fractions, with
-    denominator an int >= 1.
+    exact=True (or 1) draws everything on a 1/denominator grid as Fractions;
+    exact must equal 0 or 1, and denominator is an int >= 1 in either mode.
     """
     n = _whole("n", n, 1)
-    if exact and not (type(denominator) is int and denominator >= 1):
+    if exact not in (0, 1):
+        raise InstanceError(f"exact must be 0 or 1, got {exact}")
+    if not (type(denominator) is int and denominator >= 1):
         raise InstanceError(f"exact draws need an int denominator >= 1, got {denominator}")
     rng = _rng(seed)
     uppers = [0] * n

@@ -17,7 +17,7 @@ from testsched import analysis as A
 from testsched.algorithms import build_algorithm
 from testsched.core import Instance
 from testsched.engine import StaticSource, run, run_expected
-from testsched.generators import gen_four_type, gen_threshold_worstcase
+from testsched.generators import det_lb_adversary, gen_four_type, gen_threshold_worstcase
 from testsched.offline import optimal_sum
 
 
@@ -95,6 +95,31 @@ class TestDeterministicLowerBound:
         assert ratio == (A.det_lb_alg(nu, lam, A.DET_LB_DELTA, A.DET_LB_PBAR)
                          / A.det_lb_opt(nu, A.DET_LB_DELTA, A.DET_LB_PBAR))
         assert ratio == A.det_lb_value(A.DET_LB_DELTA, A.DET_LB_PBAR)
+
+    @pytest.mark.parametrize("nu, lam, delta, p_bar", [
+        (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5), Fraction(5, 2)),
+        (Fraction(0), Fraction(0), Fraction(3, 5), Fraction(199, 100)),
+        (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(3)),
+        (Fraction(1, 4), Fraction(0), Fraction(1, 2), Fraction(2)),
+        (Fraction(1, 10), Fraction(3, 10), Fraction(7, 10), Fraction(9, 4)),
+    ])
+    def test_pieces_are_the_engines_quadratic_part(self, nu, lam, delta, p_bar):
+        # with n = D k every block size is a whole multiple of k, so both exact costs are quadratics in k
+        # and their k^2 coefficients over D^2 are the costs per n^2 that the two formulas state
+        D = math.lcm(nu.denominator, lam.denominator, delta.denominator)
+
+        def costs(k):
+            n = D * k
+            source = det_lb_adversary(n, delta, p_bar)
+            alg = build_algorithm("lb_schedule", {"nu": nu, "lam": lam, "delta": delta})
+            total, _ = run(alg.generator(), source, n, [p_bar] * n, record=False)
+            return total, optimal_sum(source.realized_instance()).total
+
+        fits = [fit_quadratic(lambda counts: costs(counts[0])[side], 1) for side in (0, 1)]
+        for k in range(4, 7):     # the fit holds beyond its three points
+            assert [quadratic_value(fit, [k]) for fit in fits] == list(costs(k))
+        assert fits[0][(0, 0)] / D ** 2 == A.det_lb_alg(nu, lam, delta, p_bar)
+        assert fits[1][(0, 0)] / D ** 2 == A.det_lb_opt(nu, delta, p_bar)
 
 
 class TestRandomTester:

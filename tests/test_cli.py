@@ -24,6 +24,7 @@ from testsched import algorithms, analysis, cli, engine, evaluation, generators
 from testsched.algorithms import parse_algorithm
 from testsched.analysis import DET_LB_DELTA, DET_LB_PBAR
 from testsched.cli import main
+from testsched.core import instance_text
 from testsched.evaluation import worker_count
 
 
@@ -303,7 +304,7 @@ class TestSweep:
         argv = ["sweep", "threshold", "--gen", "extreme_uniform", "--param", "n=4", "--param", "p_bar=2.5",
                 "--sweep", "gamma=0.5:1.5:1", "--out", str(out)]
         assert main(argv) == 2
-        assert one_error_line(capsys) == "bad long fraction 1.5 for n=4"
+        assert one_error_line(capsys) == "fractions exceed 1 for n=4: (1.5)"
         assert (out.read_text() if out.exists() else None) == older
 
     def test_out_replaces_a_file_with_the_stdout_bytes(self, tmp_path, capsys):
@@ -902,16 +903,18 @@ class TestBadValues:
         ("four_type n=-10 alpha=0.1 beta=0 gamma=0", "fraction 0.1 of n=-10 is a negative number of jobs (-1)"),
         ("uniform_mixed n=10 p_bar=3.0 long_frac=-0.1", "fraction -0.1 of n=10 is a negative number of jobs (-1)"),
         ("uniform_mixed n=10 p_bar=3.0 mid_frac=-0.5", "fraction -0.5 of n=10 is a negative number of jobs (-5)"),
-        ("extreme_uniform n=10 p_bar=2.5 gamma=-0.1", "bad long fraction -0.1 for n=10"),
-        ("four_type n=10 alpha=0.5 beta=0.5 gamma=0.1", "fractions exceed 1: (0.5, 0.5, 0.1)"),
+        ("extreme_uniform n=10 p_bar=2.5 gamma=-0.1", "fraction -0.1 of n=10 is a negative number of jobs (-1)"),
+        ("four_type n=10 alpha=0.5 beta=0.5 gamma=0.1", "fractions exceed 1 for n=10: (0.5, 0.5, 0.1)"),
+        ("uniform_mixed n=10 p_bar=3.0 long_frac=0.6 mid_frac=0.5", "fractions exceed 1 for n=10: (0.6, 0.5)"),
+        ("extreme_uniform n=10 p_bar=2.5 gamma=1.1", "fractions exceed 1 for n=10: (1.1)"),
         # a limit below T would go untested, and a deferred type at or below E run at once
         ("four_type n=10 alpha=0.1 beta=0.1 gamma=0.1 T=3 E=2",
          "four_type needs T <= E and epsilon > 0, got T=3, E=2, epsilon=1e-06"),
         ("four_type n=10 alpha=0.1 beta=0.1 gamma=0.1 epsilon=-0.5",
          "four_type needs T <= E and epsilon > 0, got T=1.7453, E=2.8609, epsilon=-0.5"),
     ], ids=["four_type_gamma", "four_type_alpha", "four_type_n", "uniform_mixed_long", "uniform_mixed_mid",
-            "extreme_uniform_keeps_its_text", "four_type_exceeds_1", "four_type_T_above_E",
-            "four_type_epsilon_negative"])
+            "extreme_uniform_gamma", "four_type_exceeds_1", "uniform_mixed_exceeds_1", "extreme_uniform_exceeds_1",
+            "four_type_T_above_E", "four_type_epsilon_negative"])
     def test_generator_fraction_must_not_be_negative(self, capsys, params, message):
         name, *pairs = params.split()
         assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
@@ -968,6 +971,23 @@ class TestBadValues:
         assert main(argv) == 2
         assert one_error_line(capsys) == f"parameter {key!r} given twice"
 
+    @pytest.mark.parametrize("pairs, message", [
+        (["T"], "expected key=value, got 'T'"),
+        (["T=2", "T=1.8"], "parameter 'T' given twice"),
+    ], ids=["missing_equals", "given_twice"])
+    @pytest.mark.parametrize("surface", ["param", "override", "rule_spec"])
+    def test_every_key_value_surface_has_one_reader(self, capsys, surface, pairs, message):
+        # a pair is split, and a repeat refused, before any value or key is read
+        argv = {
+            "param": ["gen", "random", "--param", "n=3", "--param", "seed=1"]
+                     + [arg for pair in pairs for arg in ("--param", pair)],
+            "override": ["verify-constants"] + [arg for pair in pairs for arg in ("--override", pair)],
+            "rule_spec": ["simulate", f"random[{','.join(pairs)},E=3]", "--seed", "1", "--gen", "four_type",
+                          "--param", "n=4"],
+        }[surface]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == message
+
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_a_rule_spec_value_with_a_zero_denominator_is_refused(self, capsys, mode):
         # rational mode reads the value as a Fraction, whose zero denominator is no ValueError
@@ -990,11 +1010,30 @@ class TestBadValues:
     @pytest.mark.parametrize("params, message", [
         ("exact=1 denominator=0", "exact draws need an int denominator >= 1, got 0"),
         ("exact=1 denominator=2.5", "exact draws need an int denominator >= 1, got 2.5"),
-    ], ids=["exact_denominator_zero", "exact_denominator_float"])
+        # exact used to be read by truthiness, so each of these drew the exact grid
+        ("exact=false", "exact must be 0 or 1, got false"),
+        ("exact=2", "exact must be 0 or 1, got 2"),
+        ("exact=nan", "exact must be 0 or 1, got nan"),
+        # and denominator was read only for exact draws
+        ("denominator=x", "exact draws need an int denominator >= 1, got x"),
+        ("exact=0 denominator=-5", "exact draws need an int denominator >= 1, got -5"),
+    ], ids=["exact_denominator_zero", "exact_denominator_float", "exact_false", "exact_two", "exact_nan",
+            "float_denominator_text", "float_denominator_negative"])
     def test_random_generator_bounds(self, capsys, params, message):
         argv = ["gen", "random", "--param", "n=3", "--param", "seed=1"]
         assert main(argv + [arg for pair in params.split() for arg in ("--param", pair)]) == 2
         assert one_error_line(capsys) == message
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_random_exact_is_0_or_1(self, capsys, mode):
+        def drawn(*params):
+            argv = ["gen", "random", "--mode", mode, "--param", "n=3", "--param", "seed=1"]
+            assert main(argv + [arg for pair in params for arg in ("--param", pair)]) == 0
+            return capsys.readouterr().out
+
+        floats, grid = (instance_text(generators.gen_random(3, 1, exact)) for exact in (False, True))
+        assert drawn() == drawn("exact=0") == drawn("exact=0.0") == floats
+        assert drawn("exact=1") == drawn("exact=1.0") == grid != floats
 
     @pytest.mark.parametrize("argv, message", [
         (["lower-bound", "rand", "--q", "1.5", "--seed", "1"], "q must be in (0, 1), got 1.5"),

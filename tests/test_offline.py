@@ -230,7 +230,7 @@ class TestGrayWalk:
                     assert brute_force_optimum(inst) == enumerated_sum_optimum(inst)
 
 
-class TestPlainChanges:
+class TestSevenJobs:
     """The oracle at n = 7 against the enumeration."""
 
     @pytest.mark.parametrize("seed", ["a", "b"])
@@ -252,7 +252,7 @@ JOB = st.tuples(VALUES, VALUES, st.booleans()).map(
 
 @settings(derandomize=True, max_examples=120, database=None, deadline=None)
 @given(st.lists(JOB, min_size=1, max_size=6))
-def test_gray_walk_equals_the_enumeration(jobs):
+def test_brute_force_equals_the_enumeration(jobs):
     inst = Instance.from_pairs(jobs)
     got = brute_force_optimum(inst)
     if any(isinstance(v, float) for job in jobs for v in job):
