@@ -273,7 +273,7 @@ def beat_family_ratio(p_bar, long_frac, mid_frac=0.0):
     z = 1 - lam - mid
     if min(lam, mid, z) < -1e-12:
         raise ValueError("fractions must be nonnegative and sum to at most 1")
-    e_short = max(1.0, p_bar - 1)
+    e_short = max(1, p_bar - 1)
     eta = lam / p_bar
     psi = lam - eta
     a_len = lam + p_bar * eta  # tests of longs plus early long executions

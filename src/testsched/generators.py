@@ -71,7 +71,7 @@ def _counts(n, *fractions):
     n = _whole("n", n, 1)
     rest = n - sum(counts)
     if rest < 0:
-        raise InstanceError(f"fractions exceed 1 for n={n}: ({', '.join(map(repr, fractions))})")
+        raise InstanceError(f"fractions exceed 1 for n={n}: ({', '.join(map(str, fractions))})")
     return rest, *counts
 
 

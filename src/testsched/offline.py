@@ -5,7 +5,8 @@ With full information a job is worth min(1 + p, upper): test-and-run costs
 by that key ascending, which minimizes the sum of completion times and,
 with no idle time, the makespan too.  `brute_force_optimum` is the independent
 oracle: a recursion over the 2^n job subsets, in exact Fractions, whose
-paths are every execution order under every test set.
+paths are every execution order under every test set.  Each call forms its
+weighted durations once, one row per weight, and keeps nothing after it.
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     delays, n + 1 - |S| for the sum and 1 for the makespan.  Every order and
     every treatment is a path through it, with no sort and no per-job key,
     so this stays independent of `optimal_sum`; the work is 2^n * n steps.
+    The products w * d are formed before the walk, one row of pairs
+    (w * (1 + p_j), w * u_j) per weight (n rows for the sum, one for the
+    makespan), so a step reads its weight's row and only adds.
 
     The sums are exact Fractions (a float is dyadic, so `Fraction(x)` is
-    exact): with 2^n * n additions, not n! * 2^n, integer scaling over a
-    common denominator no longer pays for its code.  Exact mode returns a
-    Fraction, float mode (any float value) its float, the float nearest
-    the exact optimum, or inf past a float's range.  Instances beyond
-    n = 12 are refused (each job more doubles the subsets), after an
-    unknown objective is.
+    exact).  Exact mode returns a Fraction, float mode (any float value)
+    its float, the float nearest the exact optimum, or inf past a float's
+    range.  Instances beyond n = 12 are refused (each job more doubles the
+    subsets), after an unknown objective is.
     """
     if objective not in ("sum", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -79,11 +81,15 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     uppers, procs = inst.uppers(), inst.procs()
     exact = not any(isinstance(v, float) for v in (*uppers, *procs))
     pairs = [(1 + Fraction(p), Fraction(u)) for u, p in zip(uppers, procs)]
+    if objective == "sum":  # rows[k - 1]: the pairs times n + 1 - k, the weight at |S| = k
+        rows = [[(w * a, w * b) for a, b in pairs] for w in range(n, 0, -1)]
+    else:
+        rows = [pairs] * n
     best = [Fraction(0)] * (1 << n)
     for s in range(1, 1 << n):
-        w = n + 1 - s.bit_count() if objective == "sum" else 1
-        best[s] = min(best[s & ~(1 << j)] + w * d
-                      for j, pair in enumerate(pairs) if s >> j & 1 for d in pair)
+        row = rows[s.bit_count() - 1]
+        best[s] = min(best[s & ~(1 << j)] + d
+                      for j, pair in enumerate(row) if s >> j & 1 for d in pair)
     if exact:
         return best[-1]
     try:

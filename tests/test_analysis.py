@@ -17,7 +17,7 @@ from testsched import analysis as A
 from testsched.algorithms import build_algorithm
 from testsched.core import Instance
 from testsched.engine import StaticSource, run, run_expected
-from testsched.generators import det_lb_adversary, gen_four_type, gen_threshold_worstcase
+from testsched.generators import det_lb_adversary, gen_four_type, gen_threshold_worstcase, gen_uniform_mixed
 from testsched.offline import optimal_sum
 
 
@@ -213,6 +213,26 @@ class TestBalanceCurve:
             fam = A.beat_family_ratio(p_bar, lam, mid)
             assert abs(fam - A.beat_ratio(p_bar)) < 1e-9
             assert mid < 1e-3  # pure two-point mixes are worst
+
+    @pytest.mark.parametrize("mix", [(2, 1, 1), (1, 1, 2), (2, 2, 1), (1, 0, 1), (3, 1, 2)])
+    @pytest.mark.parametrize("p_bar", [Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(3)])
+    def test_family_is_the_engines_quadratic_part(self, p_bar, mix):
+        # (long, mid, zero) jobs in the ratio a:b:c and n = m D k, with D the limit's numerator times
+        # its denominator: both exact costs are then quadratics in k, whose k^2 coefficients share the
+        # factor (m D)^2, so their ratio is the ratio of the costs per n^2 that the formula states
+        a, b, c = mix
+        m = a + b + c
+        D = p_bar.numerator * p_bar.denominator
+        costs = {}
+        for k in range(1, 7):
+            inst = gen_uniform_mixed(m * D * k, p_bar, Fraction(a, m), Fraction(b, m))
+            total, _ = run(build_algorithm("beat", {}).generator(), StaticSource(inst), inst.n,
+                           inst.uppers(), record=False)
+            costs[k] = total, optimal_sum(inst).total
+        fits = [fit_quadratic(lambda counts: costs[counts[0]][side], 1) for side in (0, 1)]
+        for k in range(4, 7):     # the fit holds beyond its three points
+            assert tuple(quadratic_value(fit, [k]) for fit in fits) == costs[k]
+        assert fits[0][(0, 0)] / fits[1][(0, 0)] == A.beat_family_ratio(p_bar, Fraction(a, m), Fraction(b, m))
 
 
 class TestThresholdUniformCurve:

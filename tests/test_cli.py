@@ -907,6 +907,7 @@ class TestBadValues:
         ("four_type n=10 alpha=0.5 beta=0.5 gamma=0.1", "fractions exceed 1 for n=10: (0.5, 0.5, 0.1)"),
         ("uniform_mixed n=10 p_bar=3.0 long_frac=0.6 mid_frac=0.5", "fractions exceed 1 for n=10: (0.6, 0.5)"),
         ("extreme_uniform n=10 p_bar=2.5 gamma=1.1", "fractions exceed 1 for n=10: (1.1)"),
+        ("extreme_uniform --mode=rational n=4 p_bar=2 gamma=3/2", "fractions exceed 1 for n=4: (3/2)"),
         # a limit below T would go untested, and a deferred type at or below E run at once
         ("four_type n=10 alpha=0.1 beta=0.1 gamma=0.1 T=3 E=2",
          "four_type needs T <= E and epsilon > 0, got T=3, E=2, epsilon=1e-06"),
@@ -914,10 +915,11 @@ class TestBadValues:
          "four_type needs T <= E and epsilon > 0, got T=1.7453, E=2.8609, epsilon=-0.5"),
     ], ids=["four_type_gamma", "four_type_alpha", "four_type_n", "uniform_mixed_long", "uniform_mixed_mid",
             "extreme_uniform_gamma", "four_type_exceeds_1", "uniform_mixed_exceeds_1", "extreme_uniform_exceeds_1",
-            "four_type_T_above_E", "four_type_epsilon_negative"])
+            "extreme_uniform_exceeds_1_rational", "four_type_T_above_E", "four_type_epsilon_negative"])
     def test_generator_fraction_must_not_be_negative(self, capsys, params, message):
-        name, *pairs = params.split()
-        assert main(["gen", name] + [arg for pair in pairs for arg in ("--param", pair)]) == 2
+        name, *pairs = params.split()   # a pair starting with -- is a flag, passed as it is
+        assert main(["gen", name] + [arg for pair in pairs
+                                     for arg in ([pair] if pair.startswith("--") else ["--param", pair])]) == 2
         assert one_error_line(capsys) == message
 
     @pytest.mark.parametrize("value", ["-5", "0", "2.5", "nan", "inf"])

@@ -182,7 +182,7 @@ def fraction_copy(inst):
     return Instance.from_pairs([(Fraction(u), Fraction(p)) for u, p in zip(inst.uppers(), inst.procs())])
 
 
-class TestGrayWalk:
+class TestExhaustiveOracle:
     """The exhaustive oracle equals the literal enumeration of every schedule."""
 
     @pytest.mark.parametrize("pairs, want", [
