@@ -6,7 +6,8 @@ by that key ascending, which minimizes the sum of completion times and,
 with no idle time, the makespan too.  `brute_force_optimum` is the independent
 oracle: a recursion over the 2^n job subsets, in exact Fractions, whose
 paths are every execution order under every test set.  Each call forms its
-weighted durations once, one row per weight, and keeps nothing after it.
+weighted durations once, one row of (bit, tested, blind) triples per weight,
+and keeps nothing after it.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
     delays, n + 1 - |S| for the sum and 1 for the makespan.  Every order and
     every treatment is a path through it, with no sort and no per-job key,
     so this stays independent of `optimal_sum`; the work is 2^n * n steps.
-    The products w * d are formed before the walk, one row of pairs
-    (w * (1 + p_j), w * u_j) per weight (n rows for the sum, one for the
-    makespan), so a step reads its weight's row and only adds.
+    The products w * d are formed before the walk, one row of triples
+    (1 << j, (1 + p_j) * w, u_j * w) per weight (n rows for the sum, one for
+    the makespan; Fraction first, the faster product).  A step reads its
+    weight's row, forms both sums for each set bit and keeps the least with
+    `<`, so it only adds and compares.
 
     The sums are exact Fractions (a float is dyadic, so `Fraction(x)` is
     exact).  Exact mode returns a Fraction, float mode (any float value)
@@ -80,16 +83,24 @@ def brute_force_optimum(inst: Instance, objective: str = "sum") -> Num:
         raise OracleSizeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX_N}")
     uppers, procs = inst.uppers(), inst.procs()
     exact = not any(isinstance(v, float) for v in (*uppers, *procs))
-    pairs = [(1 + Fraction(p), Fraction(u)) for u, p in zip(uppers, procs)]
-    if objective == "sum":  # rows[k - 1]: the pairs times n + 1 - k, the weight at |S| = k
-        rows = [[(w * a, w * b) for a, b in pairs] for w in range(n, 0, -1)]
+    triples = [(1 << j, 1 + Fraction(p), Fraction(u)) for j, (u, p) in enumerate(zip(uppers, procs))]
+    if objective == "sum":  # rows[k - 1]: the durations times n + 1 - k, the weight at |S| = k
+        rows = [[(bit, a * w, b * w) for bit, a, b in triples] for w in range(n, 0, -1)]
     else:
-        rows = [pairs] * n
+        rows = [triples] * n
     best = [Fraction(0)] * (1 << n)
     for s in range(1, 1 << n):
-        row = rows[s.bit_count() - 1]
-        best[s] = min(best[s & ~(1 << j)] + d
-                      for j, pair in enumerate(row) if s >> j & 1 for d in pair)
+        low = None
+        for bit, x, y in rows[s.bit_count() - 1]:
+            if s & bit:
+                prev = best[s ^ bit]
+                x = prev + x
+                y = prev + y
+                if low is None or x < low:
+                    low = x
+                if y < low:
+                    low = y
+        best[s] = low
     if exact:
         return best[-1]
     try:

@@ -1,11 +1,13 @@
 """Reference code that only the tests call: each checks a src result another way.
 
 `det_lb_value_grid` minimizes the deterministic lower bound by brute force,
-`enumerated_sum_optimum` sums every schedule afresh, the reference for
+`enumerated_sum_optimum` sums every schedule afresh and
+`enumerated_makespan_optimum` every test set, the references for
 `brute_force_optimum`'s recursion over job subsets, `random_cost_coeffs`
 and `delay_all_family_costs` are closed forms of two rules' costs on their
-hard families, and `fit_quadratic` recovers an exact cost's polynomial in
-the type counts, so that an asymptotic formula can be checked against its
+hard families, `spent_and_spt` reads from a trace the time a rule spent on
+each job, and `fit_quadratic` recovers an exact cost's polynomial in the
+type counts, so that an asymptotic formula can be checked against its
 quadratic part.
 """
 
@@ -55,6 +57,36 @@ def enumerated_sum_optimum(inst: Instance) -> Num:
             if best is None or c < best:
                 best = c
     return Fraction(best, denom) if exact else best
+
+
+def enumerated_makespan_optimum(inst: Instance) -> Num:
+    """Least makespan over every test set, each set's durations summed afresh.
+
+    A schedule with no idle time ends when its durations are summed, in any
+    order, so only the 2^n test sets are enumerated.  The sums are exact on
+    ints and Fractions.
+    """
+    pairs = [(1 + p, u) for u, p in zip(inst.uppers(), inst.procs())]
+    return min(sum(durs) for durs in product(*pairs))
+
+
+def spent_and_spt(trace):
+    """(a, SPT(a)): the time a_j the trace spent on each job j, and the sum
+    of completion times of those durations run shortest first.
+
+    a_j is the job's test plus its run, 1 + p_j when tested and u_j when run
+    blind.  SPT(a) is the least sum over every order of the same durations,
+    so ALG >= SPT(a) (the order loss), and SPT(a) >= OPT (the treatment
+    loss), as each a_j is at least the job's key min(1 + p_j, u_j).
+    """
+    spent = [0] * trace.n
+    for _kind, job, _start, dur in trace.steps:
+        spent[job] += dur
+    t = total = 0
+    for a in sorted(spent):
+        t += a
+        total += t
+    return spent, total
 
 
 def random_cost_coeffs(alpha, beta, gamma, T, E):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumeration import enumerated_expectation
-from oracles import delay_all_family_costs
+from oracles import delay_all_family_costs, spent_and_spt
 from testsched import algorithms, analysis
 from testsched.algorithms import (
     SUM_ALGORITHM_NAMES,
@@ -227,6 +227,42 @@ class TestMakespanRules:
         a = trace_of("makespan_rand", pairs, seed="s")
         b = trace_of("makespan_rand", pairs, seed="s")
         assert actions(a) == actions(b)
+
+
+class TestMakespanGames:
+    """The one-job games behind the makespan rules' lower bounds, on exact engine runs."""
+
+    BLIND = "lb_schedule[nu=1,lam=0,delta=1]"     # every job run untested
+    TESTED = "lb_schedule[nu=0,lam=1,delta=1]"    # every job tested, then run at once
+
+    @staticmethod
+    def ratio(spec, u, p):
+        inst = Instance.from_pairs([(u, p)])
+        alg = parse_algorithm(spec, exact=True)
+        got = run_expected(alg, StaticSource(inst), 1, inst.uppers(), exact=True).makespan
+        return Fraction(got) / optimal_sum(inst).makespan
+
+    def test_randomized_game_gives_every_rule_four_thirds(self):
+        # limit 2, p = 0 with probability 1/3 and p = 2 otherwise: testing and running
+        # blind both average 4/3, so by Yao no randomized rule does better
+        assert kinds(trace_of("makespan_det", [(2, 0)])) == [TEST, EXEC_TESTED]
+        assert kinds(trace_of(self.BLIND, [(2, 0)])) == [EXEC_UNTESTED]
+        for spec in ("makespan_det", self.BLIND, "makespan_rand"):
+            mean = Fraction(1, 3) * self.ratio(spec, 2, 0) + Fraction(2, 3) * self.ratio(spec, 2, 2)
+            assert mean == Fraction(4, 3)
+        assert analysis.makespan_rand_curve(Fraction(2)) == Fraction(4, 3)
+
+    def test_deterministic_game_crosses_at_the_golden_ratio(self):
+        # limit x, p in {0, x}: blind meets p = 0 (ratio x), a test meets p = x
+        # (ratio (1 + x)/x); the two cross where x^2 = x + 1, inside [lo, hi]
+        lo, hi = Fraction(1618033, 10 ** 6), Fraction(1618034, 10 ** 6)
+        assert (2 * lo - 1) ** 2 < 5 < (2 * hi - 1) ** 2   # lo < phi < hi exactly
+        assert lo < analysis.GOLDEN_RATIO < hi
+        assert kinds(trace_of(self.TESTED, [(lo, lo)])) == [TEST, EXEC_TESTED]
+        for x, blind_is_less in ((lo, True), (hi, False)):
+            blind, tested = self.ratio(self.BLIND, x, 0), self.ratio(self.TESTED, x, x)
+            assert (blind, tested) == (x, (1 + x) / x)
+            assert (blind < tested) is blind_is_less
 
 
 class TestRegistry:
@@ -548,6 +584,27 @@ def test_sum_rules_pay_at_least_the_optimum(jobs):
         assert cost_of_trace(tr) == (tr.total, tr.makespan)
         assert tr.total >= opt
     assert ran >= 3
+
+
+def test_deterministic_rules_lose_order_then_treatment():
+    # ALG >= SPT(a) >= OPT exactly, a_j being the time the rule spent on job j
+    ran = 0
+    for i in range(300):
+        inst = gen_random(1 + i % 8, seed=f"split:{i}", exact=True, denominator=12)
+        if i % 2:   # a common limit, which the balance, combined and ute rules need
+            u = inst.uppers()[0]
+            inst = Instance.from_pairs([(u, p * u / v) for v, p in zip(inst.uppers(), inst.procs())])
+        opt = optimal_sum(inst).total
+        for name in (*(n for n in SUM_ALGORITHM_NAMES if n != "random"), "lb_schedule"):
+            try:
+                tr = run(build_algorithm(name).generator(), StaticSource(inst), inst.n, inst.uppers())
+            except ConfigurationError:
+                continue
+            ran += 1
+            spent, spt = spent_and_spt(tr)
+            assert all(a in (1 + p, u) for a, u, p in zip(spent, inst.uppers(), inst.procs()))
+            assert tr.total >= spt >= opt
+    assert ran >= 1300
 
 
 # Both makespan rules accept every instance, so each example runs both.

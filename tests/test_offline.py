@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerated_sum_optimum
+from oracles import enumerated_makespan_optimum, enumerated_sum_optimum
 from testsched.algorithms import parse_algorithm
 from testsched.core import (
     Instance,
@@ -258,6 +258,9 @@ def test_brute_force_equals_the_enumeration(jobs):
     if any(isinstance(v, float) for job in jobs for v in job):
         assert type(got) is float
         assert got == float(enumerated_sum_optimum(fraction_copy(inst)))
+        want_span = float(enumerated_makespan_optimum(fraction_copy(inst)))
     else:
         assert type(got) is Fraction
         assert got == enumerated_sum_optimum(inst)
+        want_span = enumerated_makespan_optimum(inst)
+    assert brute_force_optimum(inst, "makespan") == want_span
